@@ -21,22 +21,9 @@ See ``examples/`` for complete scenarios and ``DESIGN.md`` for the
 paper-to-module map.
 """
 
-from . import (
-    analysis,
-    core,
-    dag,
-    des,
-    dynamic,
-    experiments,
-    genitor,
-    heuristics,
-    io_utils,
-    lp,
-    pools,
-    robustness,
-    service,
-    workload,
-)
+from typing import Any as _Any
+
+from . import _lazy, core
 from ._version import __version__
 from .core import (
     Allocation,
@@ -48,6 +35,29 @@ from .core import (
     analyze,
     is_feasible,
 )
+
+#: Subpackages load on first attribute access (PEP 562), so a process
+#: pays only for the layers it uses: ``import repro.service`` does not
+#: import scipy, networkx or the experiment harness.
+_LAZY = {
+    "analysis": ".analysis",
+    "dag": ".dag",
+    "des": ".des",
+    "dynamic": ".dynamic",
+    "experiments": ".experiments",
+    "faults": ".faults",
+    "fleet": ".fleet",
+    "genitor": ".genitor",
+    "heuristics": ".heuristics",
+    "io_utils": ".io_utils",
+    "lp": ".lp",
+    "parallel": ".parallel",
+    "pools": ".pools",
+    "quality": ".quality",
+    "robustness": ".robustness",
+    "service": ".service",
+    "workload": ".workload",
+}
 
 __all__ = [
     "Allocation",
@@ -64,13 +74,25 @@ __all__ = [
     "des",
     "dynamic",
     "experiments",
+    "faults",
+    "fleet",
     "genitor",
     "heuristics",
     "io_utils",
     "is_feasible",
     "lp",
+    "parallel",
     "pools",
+    "quality",
     "robustness",
     "service",
     "workload",
 ]
+
+
+def __getattr__(name: str) -> _Any:
+    return _lazy.load(__name__, _LAZY, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(globals(), _LAZY)

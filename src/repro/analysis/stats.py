@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = ["ConfidenceInterval", "mean_ci", "paired_difference_ci"]
 
@@ -58,7 +57,9 @@ def mean_ci(
     if x.size == 1:
         return ConfidenceInterval(mean, 0.0, level, 1)
     sem = float(x.std(ddof=1) / np.sqrt(x.size))
-    t_crit = float(_scipy_stats.t.ppf(0.5 + level / 2.0, df=x.size - 1))
+    from scipy import stats  # deferred: scipy.stats costs ~1 s to import
+
+    t_crit = float(stats.t.ppf(0.5 + level / 2.0, df=x.size - 1))
     return ConfidenceInterval(mean, t_crit * sem, level, int(x.size))
 
 

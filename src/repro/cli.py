@@ -13,7 +13,10 @@ Subcommands cover the full paper workflow:
   on JSON model/allocation files.
 
 Every command prints plain text to stdout and is deterministic for a
-given ``--seed``.
+given ``--seed``.  Module scope imports only layers that building the
+parser loads anyway; the simulator, the LP bound, the surge analysis and
+the experiment harness load inside the handlers that run them, so
+``repro --help`` and ``repro fleet`` skip them.
 """
 
 from __future__ import annotations
@@ -23,25 +26,10 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .analysis.tables import format_table
 from .core.feasibility import analyze
 from .core.metrics import evaluate
 from .core.state import STATE_BACKENDS
-from .des import compare_to_estimates
-from .experiments import (
-    SCALES,
-    bias_sweep,
-    crossover_ablation,
-    full_report,
-    heterogeneity_ablation,
-    render_table1,
-    run_fig2,
-    run_figure,
-    run_runtime_table,
-    run_survivability,
-    seeding_ablation,
-    stop_rule_ablation,
-)
+from .experiments.runner import SCALES
 from .faults import available_policies, parse_fault, recover_from_events
 from .heuristics import available, get_heuristic
 from .io_utils import (
@@ -50,9 +38,7 @@ from .io_utils import (
     save_allocation,
     save_model,
 )
-from .lp import upper_bound
 from .quality.cli import add_lint_arguments, run_lint
-from .robustness import max_absorbable_surge
 from .workload import generate_model, get_scenario
 
 __all__ = ["main", "build_parser"]
@@ -381,6 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from .experiments.figures import run_figure
+
     result = run_figure(
         args.command,
         scale=args.scale,
@@ -406,6 +394,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_survivability(args: argparse.Namespace) -> int:
+    from .experiments.survivability import run_survivability
+
     out = run_survivability(
         scenario=get_scenario(args.scenario),
         scale=args.scale,
@@ -466,6 +456,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .analysis.tables import format_table
+    from .des import compare_to_estimates
+
     model = load_model(args.model)
     allocation = load_allocation(args.allocation, model)
     comparison = compare_to_estimates(
@@ -644,7 +637,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .experiments import run_chaos_soak
+    from .experiments.chaos_soak import run_chaos_soak
 
     report = run_chaos_soak(
         rounds=args.rounds,
@@ -725,13 +718,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from .experiments import (
+    from .experiments.bench import (
         compare_to_baseline,
         run_bench,
-        run_fleet_bench,
         run_state_micro,
         save_record,
     )
+    from .experiments.fleet_bench import run_fleet_bench
 
     seed = args.seed
     if seed is None:
@@ -848,19 +841,33 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "table1":
+        from .experiments.table1 import render_table1
+
         print(render_table1())
         return 0
     if args.command == "fig2":
+        from .experiments.fig2 import run_fig2
+
         print(run_fig2(n_datasets=args.datasets)["table"])
         return 0
     if args.command in ("fig3", "fig4", "fig5"):
         return _cmd_figure(args)
     if args.command == "runtime":
+        from .experiments.runtime_table import run_runtime_table
+
         out = run_runtime_table(scale=args.scale, seed=args.seed)
         print(out["table"])
         print(f"GA slower than single-shot: {out['ordering_ok']}")
         return 0
     if args.command == "ablate":
+        from .experiments.ablations import (
+            bias_sweep,
+            crossover_ablation,
+            heterogeneity_ablation,
+            seeding_ablation,
+            stop_rule_ablation,
+        )
+
         study = {
             "bias": bias_sweep,
             "seeding": seeding_ablation,
@@ -871,7 +878,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(study(scale=args.scale)["table"])
         return 0
     if args.command == "surge-curve":
-        from .experiments import run_surge_curves
+        from .experiments.surge_curve import run_surge_curves
 
         out = run_surge_curves(scale=args.scale)
         print(out["table"])
@@ -881,6 +888,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "inject":
         return _cmd_inject(args)
     if args.command == "report":
+        from .experiments.report import full_report
+
         report = full_report(scale=args.scale)
         text = report.to_markdown()
         if args.output:
@@ -920,6 +929,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(describe_allocation(allocation))
         return 0
     if args.command == "ub":
+        from .lp import upper_bound
+
         model = load_model(args.model)
         result = upper_bound(
             model, objective=args.objective, solver=args.solver
@@ -929,6 +940,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"mean string fraction: {result.string_fractions.mean():.4f}")
         return 0
     if args.command == "surge":
+        from .robustness import max_absorbable_surge
+
         model = load_model(args.model)
         allocation = load_allocation(args.allocation, model)
         profile = max_absorbable_surge(allocation)

@@ -4,52 +4,71 @@ One entry point per paper artifact — ``fig2``/``fig3``/``fig4``/``fig5``,
 ``table1``, the runtime comparison, and the Section-5 ablations — built
 on a shared multi-run :func:`run_experiment` engine with documented
 scale presets (``smoke`` / ``default`` / ``paper``).
+
+Each experiment module loads on first access (PEP 562), so the recovery
+soak's subprocesses and ``repro --help`` skip the LP bound and the
+benchmark modules.
 """
 
-from .ablations import (
-    bias_sweep,
-    crossover_ablation,
-    heterogeneity_ablation,
-    seeding_ablation,
-    stop_rule_ablation,
-)
-from .bench import (
-    BENCH_SCHEMA,
-    compare_to_baseline,
-    run_bench,
-    run_state_micro,
-    save_record,
-)
-from .chaos_soak import ChaosSoakRound, FleetChaosRound, run_chaos_soak
-from .fleet_bench import run_fleet_bench
-from .convergence import ConvergenceTrace, run_convergence
-from .fig2 import FIG2_CASES, Fig2Case, build_case_model, run_fig2
-from .checkpoint import ExperimentCheckpoint
-from .figures import FIGURES, FigureResult, fig3, fig4, fig5, run_figure
-from .runner import (
-    SCALES,
-    ExperimentConfig,
-    ExperimentOutcome,
-    ExperimentScale,
-    RunFailure,
-    RunRecord,
-    RunTimeoutError,
-    run_experiment,
-)
-from .recovery import (
-    KILL_PHASES,
-    KillRound,
-    RecoveryConfig,
-    RecoverySoakReport,
-    TickClock,
-    run_recovery_child,
-    run_recovery_soak,
-)
-from .report import ReportSection, ReproductionReport, full_report
-from .runtime_table import RuntimeRow, run_runtime_table
-from .surge_curve import SurgeCurve, run_surge_curves
-from .survivability import SurvivabilityCell, run_survivability
-from .table1 import render_table1, table1_rows
+from typing import Any as _Any
+
+from .. import _lazy
+
+_LAZY = {
+    "bias_sweep": ".ablations",
+    "crossover_ablation": ".ablations",
+    "heterogeneity_ablation": ".ablations",
+    "seeding_ablation": ".ablations",
+    "stop_rule_ablation": ".ablations",
+    "BENCH_SCHEMA": ".bench",
+    "compare_to_baseline": ".bench",
+    "run_bench": ".bench",
+    "run_state_micro": ".bench",
+    "save_record": ".bench",
+    "ChaosSoakRound": ".chaos_soak",
+    "FleetChaosRound": ".chaos_soak",
+    "run_chaos_soak": ".chaos_soak",
+    "ConvergenceTrace": ".convergence",
+    "run_convergence": ".convergence",
+    "FIG2_CASES": ".fig2",
+    "Fig2Case": ".fig2",
+    "build_case_model": ".fig2",
+    "run_fig2": ".fig2",
+    "FIGURES": ".figures",
+    "FigureResult": ".figures",
+    "fig3": ".figures",
+    "fig4": ".figures",
+    "fig5": ".figures",
+    "run_figure": ".figures",
+    "run_fleet_bench": ".fleet_bench",
+    "KILL_PHASES": ".recovery",
+    "KillRound": ".recovery",
+    "RecoveryConfig": ".recovery",
+    "RecoverySoakReport": ".recovery",
+    "TickClock": ".recovery",
+    "run_recovery_child": ".recovery",
+    "run_recovery_soak": ".recovery",
+    "ReportSection": ".report",
+    "ReproductionReport": ".report",
+    "full_report": ".report",
+    "SCALES": ".runner",
+    "ExperimentCheckpoint": ".runner",
+    "ExperimentConfig": ".runner",
+    "ExperimentOutcome": ".runner",
+    "ExperimentScale": ".runner",
+    "RunFailure": ".runner",
+    "RunRecord": ".runner",
+    "RunTimeoutError": ".runner",
+    "run_experiment": ".runner",
+    "RuntimeRow": ".runtime_table",
+    "run_runtime_table": ".runtime_table",
+    "SurgeCurve": ".surge_curve",
+    "run_surge_curves": ".surge_curve",
+    "SurvivabilityCell": ".survivability",
+    "run_survivability": ".survivability",
+    "render_table1": ".table1",
+    "table1_rows": ".table1",
+}
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -106,3 +125,11 @@ __all__ = [
     "stop_rule_ablation",
     "table1_rows",
 ]
+
+
+def __getattr__(name: str) -> _Any:
+    return _lazy.load(__name__, _LAZY, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(globals(), _LAZY)

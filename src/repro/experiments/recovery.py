@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from ..core.exceptions import ModelError
-from .checkpoint import fingerprint_payload
+from ..io_utils.checkpoint import fingerprint_payload
 
 if TYPE_CHECKING:  # pragma: no cover - layering: lazy runtime imports
     from ..service.durable import DurableMissionController

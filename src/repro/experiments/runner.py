@@ -25,9 +25,10 @@ The engine is crash-safe for multi-hour runs:
   finished runs;
 * an optional per-run timeout (POSIX ``SIGALRM``) turns a hung run
   into a recorded failure;
-* an optional JSON checkpoint (:mod:`repro.experiments.checkpoint`)
-  persists every completed run, so a killed experiment resumes from
-  its last completed record instead of starting over.
+* an optional JSON checkpoint (:class:`ExperimentCheckpoint`, on the
+  generic :mod:`repro.io_utils.checkpoint` layer) persists every
+  completed run, so a killed experiment resumes from its last
+  completed record instead of starting over.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -49,12 +50,12 @@ from ..core.numeric import isclose
 from ..core.profile import ProfileCache
 from ..genitor import GenitorConfig, StoppingRules
 from ..heuristics import GA_HEURISTICS, best_of_trials, get_heuristic
-from ..lp import upper_bound
+from ..io_utils.checkpoint import JsonCheckpoint, fingerprint_payload
 from ..parallel import ChaosPolicy, SupervisedPool, Task, TaskOutcome
 from ..workload import ScenarioParameters, generate_model
-from .checkpoint import ExperimentCheckpoint
 
 __all__ = [
+    "ExperimentCheckpoint",
     "ExperimentScale",
     "SCALES",
     "ExperimentConfig",
@@ -62,6 +63,9 @@ __all__ = [
     "RunFailure",
     "RunTimeoutError",
     "ExperimentOutcome",
+    "config_fingerprint",
+    "record_from_dict",
+    "record_to_dict",
     "run_experiment",
 ]
 
@@ -191,6 +195,122 @@ class RunFailure:
     run_index: int
     seed: int
     error: str
+
+
+_CHECKPOINT_SCHEMA = "repro/experiment-checkpoint-v1"
+
+
+def config_fingerprint(config: ExperimentConfig) -> str:
+    """Stable hash of everything that defines the run protocol."""
+    payload = {
+        "scenario": asdict(config.scenario),
+        "heuristics": list(config.heuristics),
+        "scale": asdict(config.scale),
+        "metric": config.metric,
+        "compute_ub": config.compute_ub,
+        "ub_objective": config.ub_objective,
+        "base_seed": config.base_seed,
+        "bias": config.bias,
+    }
+    return fingerprint_payload(payload)
+
+
+def record_to_dict(record: RunRecord) -> dict[str, Any]:
+    """Encode one run record as JSON-compatible data."""
+    return {
+        "run_index": record.run_index,
+        "seed": record.seed,
+        "results": {
+            name: list(values) for name, values in record.results.items()
+        },
+        "ub_value": record.ub_value,
+        "ub_runtime": record.ub_runtime,
+    }
+
+
+def record_from_dict(data: dict[str, Any]) -> RunRecord:
+    """Decode :func:`record_to_dict` output."""
+    return RunRecord(
+        run_index=int(data["run_index"]),
+        seed=int(data["seed"]),
+        results={
+            name: (
+                float(v[0]), float(v[1]), float(v[2]), int(v[3])
+            )
+            for name, v in data["results"].items()
+        },
+        ub_value=(
+            None if data.get("ub_value") is None else float(data["ub_value"])
+        ),
+        ub_runtime=(
+            None
+            if data.get("ub_runtime") is None
+            else float(data["ub_runtime"])
+        ),
+    )
+
+
+class ExperimentCheckpoint:
+    """Multi-run experiment checkpoint bound to one configuration.
+
+    A thin typed facade over :class:`JsonCheckpoint`: records are
+    :class:`RunRecord`s.  Use :meth:`open` to
+    create-or-resume; every :meth:`add` rewrites the file atomically.
+    """
+
+    def __init__(
+        self,
+        path: str | Path,
+        fingerprint: str,
+        records: list[RunRecord] | None = None,
+    ) -> None:
+        self.path = Path(path)
+        self.fingerprint = fingerprint
+        self.records: list[RunRecord] = list(records or [])
+
+    @classmethod
+    def open(
+        cls, path: str | Path, config: ExperimentConfig
+    ) -> "ExperimentCheckpoint":
+        """Load an existing checkpoint, or start a fresh (empty) one.
+
+        Raises :class:`ModelError` when the file exists but was written
+        by a different configuration or is not a checkpoint document.
+        Records beyond the configured run count are dropped.
+        """
+        fingerprint = config_fingerprint(config)
+        store = JsonCheckpoint.load(
+            path, fingerprint, _CHECKPOINT_SCHEMA, what="experiment checkpoint"
+        )
+        n_runs = config.scale.n_runs
+        records = [
+            record_from_dict(r)
+            for r in store.records
+            if int(r["run_index"]) < n_runs
+        ]
+        return cls(path, fingerprint, records)
+
+    @property
+    def completed_indices(self) -> frozenset[int]:
+        return frozenset(r.run_index for r in self.records)
+
+    def add(self, record: RunRecord) -> None:
+        """Record one completed run and flush to disk atomically."""
+        self.records.append(record)
+        self.flush()
+
+    def flush(self) -> None:
+        store = JsonCheckpoint(
+            self.path,
+            self.fingerprint,
+            _CHECKPOINT_SCHEMA,
+            [
+                record_to_dict(r)
+                for r in sorted(self.records, key=lambda r: r.run_index)
+            ],
+            what="experiment checkpoint",
+        )
+        store.flush()
 
 
 class RunTimeoutError(RuntimeError):
@@ -352,6 +472,8 @@ def _run_one_inner(config: ExperimentConfig, run_index: int) -> RunRecord:
         )
     ub_value = ub_runtime = None
     if config.compute_ub:
+        from ..lp import upper_bound  # deferred: scipy.optimize is costly
+
         t0 = time.perf_counter()
         ub = upper_bound(model, objective=config.ub_objective)
         ub_runtime = time.perf_counter() - t0

@@ -3,16 +3,18 @@
 :mod:`repro.io_utils.atomic` is the sanctioned durable-write layer
 (write temp → fsync → ``os.replace`` → fsync dir); every persistent
 artifact in the repository goes through it (enforced by lint rule
-RPR014).
+RPR014).  :mod:`repro.io_utils.checkpoint` builds fingerprint-guarded
+JSON record logs on it.
+
+The DAG serializers load on first access: they need :mod:`repro.dag`,
+which imports networkx and scipy.
 """
 
+from typing import Any as _Any
+
+from .. import _lazy
 from .atomic import atomic_write_bytes, atomic_write_text, fsync_dir
-from .dag_serialize import (
-    dag_system_from_dict,
-    dag_system_to_dict,
-    load_dag_system,
-    save_dag_system,
-)
+from .checkpoint import JsonCheckpoint, fingerprint_payload
 from .serialize import (
     allocation_from_dict,
     allocation_to_dict,
@@ -24,11 +26,20 @@ from .serialize import (
     save_model,
 )
 
+_LAZY = {
+    "dag_system_from_dict": ".dag_serialize",
+    "dag_system_to_dict": ".dag_serialize",
+    "load_dag_system": ".dag_serialize",
+    "save_dag_system": ".dag_serialize",
+}
+
 __all__ = [
+    "JsonCheckpoint",
     "allocation_from_dict",
     "allocation_to_dict",
     "atomic_write_bytes",
     "atomic_write_text",
+    "fingerprint_payload",
     "fsync_dir",
     "dag_system_from_dict",
     "dag_system_to_dict",
@@ -41,3 +52,11 @@ __all__ = [
     "save_allocation",
     "save_model",
 ]
+
+
+def __getattr__(name: str) -> _Any:
+    return _lazy.load(__name__, _LAZY, name)
+
+
+def __dir__() -> list[str]:
+    return _lazy.names(globals(), _LAZY)

@@ -1,8 +1,10 @@
 """Content-hash result cache for the lint engine.
 
-Per-file rule results depend only on the file's bytes, its path, and the
-set of enabled rules — so a cache keyed by the SHA-256 of exactly those
-inputs can skip parsing and rule dispatch entirely for unchanged files.
+Per-file rule results depend only on the file's bytes, its path, the
+set of enabled rules and, for a package ``__init__``, the names of its
+direct submodules (RPR006 checks lazy-export targets against them) — so
+a cache keyed by the SHA-256 of exactly those inputs can skip parsing
+and rule dispatch entirely for unchanged files.
 The engine consults the cache before fanning files out to the process
 pool (:meth:`repro.quality.engine.LintEngine.run`), which keeps
 ``repro lint src/repro`` fast as the rule set grows: on a warm cache
@@ -23,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import Iterable
 
 from .findings import Finding, Severity
 
@@ -78,14 +81,22 @@ class LintCache:
         return len(self._entries)
 
     @staticmethod
-    def key(path: str, source: str, rule_ids: tuple[str, ...]) -> str:
-        """Cache key: SHA-256 over path, enabled rules, and content."""
+    def key(
+        path: str,
+        source: str,
+        rule_ids: tuple[str, ...],
+        submodules: Iterable[str] = (),
+    ) -> str:
+        """Cache key: SHA-256 over path, enabled rules, content, and the
+        package's submodule names (pass them for ``__init__`` files)."""
         digest = hashlib.sha256()
         digest.update(path.encode("utf-8"))
         digest.update(b"\x00")
         digest.update(",".join(rule_ids).encode("utf-8"))
         digest.update(b"\x00")
         digest.update(source.encode("utf-8"))
+        digest.update(b"\x00")
+        digest.update(",".join(sorted(submodules)).encode("utf-8"))
         return digest.hexdigest()
 
     def get(self, key: str) -> tuple[list[Finding], int] | None:

@@ -44,7 +44,7 @@ from .project import (
     ProjectRule,
     build_project,
 )
-from .rules import RULES, Rule, RuleContext
+from .rules import RULES, Rule, RuleContext, package_submodules
 
 # Importing the rule modules populates the registries the default rule
 # set is built from.
@@ -326,7 +326,12 @@ class LintEngine:
         for index, (path, source) in enumerate(entries):
             key: str | None = None
             if self.cache is not None and rule_ids is not None:
-                key = LintCache.key(path, source, rule_ids)
+                submodules: frozenset[str] = (
+                    package_submodules(path)
+                    if path.endswith("__init__.py")
+                    else frozenset()
+                )
+                key = LintCache.key(path, source, rule_ids, submodules)
                 hit = self.cache.get(key)
                 if hit is not None:
                     results[index] = hit

@@ -51,6 +51,7 @@ from .project import (
     SymbolTable,
     register_project,
 )
+from .rules import lazy_table
 
 __all__ = [
     "ALL_PROJECT_RULE_IDS",
@@ -601,6 +602,7 @@ class RngProvenanceRule(ProjectRule):
 #: A module may import only strictly lower-ranked subpackages.
 LAYERS: dict[str, int] = {
     "core": 0,
+    "_lazy": 0,
     "_version": 0,
     "analysis": 1,
     "des": 1,
@@ -800,7 +802,8 @@ class CrossModuleExportRule(ProjectRule):
 
     * **stale import** — ``from project.module import name`` where the
       target module binds no such name (submodules and PEP 562
-      ``__getattr__`` modules are respected);
+      ``__getattr__`` modules are respected), and likewise a package's
+      ``_LAZY`` entry whose target submodule does not bind the name;
     * **re-export drift** — a package ``__init__`` re-exports a name in
       its ``__all__`` whose source module declares an ``__all__`` that
       omits it: the symbol is public at the package surface but private
@@ -865,6 +868,7 @@ class CrossModuleExportRule(ProjectRule):
                         hint=f"add `{rec.name}` to {target}.__all__ or stop "
                         "re-exporting it",
                     )
+            yield from self._check_lazy_exports(project, module)
             # -- dead public surface --------------------------------------
             # Packages re-export by design; modules outside any package
             # (scripts, test scratch files) have no cross-module public
@@ -890,6 +894,34 @@ class CrossModuleExportRule(ProjectRule):
                     "dead public surface",
                     hint="export it, rename it with a leading underscore, "
                     "or delete it",
+                )
+
+    def _check_lazy_exports(
+        self, project: ProjectContext, module: str
+    ) -> Iterator[Finding]:
+        """Attribute entries of a package's ``_LAZY`` table must resolve.
+
+        RPR006 checks that each target submodule exists; this closes the
+        cross-module half: the submodule must bind the exported name.
+        """
+        info = project.modules[module]
+        lazy = lazy_table(info.tree) if info.is_package else None
+        if lazy is None:
+            return
+        node, table = lazy
+        if table is None:
+            return
+        for name, target in sorted(table.items()):
+            source = f"{module}{target}"
+            if target == f".{name}" or source not in project.symbols:
+                continue
+            if not project.symbols[source].binds(name):
+                yield self.finding(
+                    project.context_for(module),
+                    node,
+                    f"lazy export `{name}` names `{source}`, which never "
+                    "binds it",
+                    hint="fix the table entry or define the symbol",
                 )
 
 

@@ -25,7 +25,9 @@ The ten shipped per-file rules:
     No bare ``except:`` and no silently-swallowed exceptions.
 ``RPR006``
     Every ``repro.*`` package ``__init__`` must declare ``__all__`` and
-    keep it consistent with the names it actually binds.
+    keep it consistent with the names it actually binds, counting the
+    names its PEP 562 ``_LAZY`` table resolves on first access; every
+    lazy entry must name an existing direct submodule.
 ``RPR007``
     No unbounded blocking waits (``.result()`` / ``.join()`` /
     ``.get()`` without a ``timeout=``) in the deadline-bearing packages
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from pathlib import Path
 from typing import ClassVar, Iterator
 
 from .findings import Finding, Severity
@@ -76,6 +79,8 @@ __all__ = [
     "UnboundedWaitRule",
     "UnseededRandomnessRule",
     "WallClockTimingRule",
+    "lazy_table",
+    "package_submodules",
     "register",
 ]
 
@@ -580,6 +585,63 @@ class SilentExceptionRule(Rule):
 # ---------------------------------------------------------------------------
 
 
+#: Module-level name of a package's PEP 562 export table (name → target).
+LAZY_TABLE = "_LAZY"
+
+
+def lazy_table(
+    tree: ast.Module,
+) -> tuple[ast.stmt, dict[str, str] | None] | None:
+    """The module's ``_LAZY`` assignment and its name → target map.
+
+    ``None`` when the module has no table.  The map is ``None`` when the
+    value is not a dict literal of string keys and string values, since
+    such a table cannot be checked statically.
+    """
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        if not any(
+            isinstance(t, ast.Name) and t.id == LAZY_TABLE for t in targets
+        ):
+            continue
+        if not isinstance(value, ast.Dict):
+            return stmt, None
+        table: dict[str, str] = {}
+        for key, item in zip(value.keys, value.values):
+            if not (
+                isinstance(key, ast.Constant)
+                and isinstance(key.value, str)
+                and isinstance(item, ast.Constant)
+                and isinstance(item.value, str)
+            ):
+                return stmt, None
+            table[key.value] = item.value
+        return stmt, table
+    return None
+
+
+def package_submodules(init_path: str) -> frozenset[str]:
+    """Direct submodule names of the package whose ``__init__`` is at
+    ``init_path`` (empty when the directory cannot be listed)."""
+    directory = Path(init_path).parent
+    try:
+        entries = list(directory.iterdir())
+    except OSError:
+        return frozenset()
+    names: set[str] = set()
+    for entry in entries:
+        if entry.suffix == ".py" and entry.name != "__init__.py":
+            names.add(entry.stem)
+        elif (entry / "__init__.py").is_file():
+            names.add(entry.name)
+    return frozenset(names)
+
+
 @register
 class PublicApiRule(Rule):
     """``__all__`` must exist and match the names a package binds.
@@ -588,6 +650,12 @@ class PublicApiRule(Rule):
     the experiment drivers and the CLI; a re-export that drifts out of
     ``__all__`` (or a stale entry pointing at nothing) is an API change
     nobody reviewed.  Underscore-prefixed bindings stay private.
+
+    Names in the package's ``_LAZY`` table (:mod:`repro._lazy`) count as
+    bound: the package's ``__getattr__`` imports them on first access.
+    The table must be a dict literal, and each entry must name an
+    existing direct submodule (``".name"``), so a typo cannot hide
+    behind the laziness until some caller first touches the name.
     """
 
     rule_id = "RPR006"
@@ -634,6 +702,22 @@ class PublicApiRule(Rule):
             elif isinstance(stmt, ast.Import):
                 for alias in stmt.names:
                     bound[alias.asname or alias.name.split(".")[0]] = stmt
+        lazy_names: set[str] = set()
+        lazy_node: ast.AST = ctx.tree
+        lazy = lazy_table(ctx.tree)
+        if lazy is not None:
+            lazy_node, table = lazy
+            if table is None:
+                yield self.finding(
+                    ctx,
+                    lazy_node,
+                    f"lazy export table `{LAZY_TABLE}` is not a dict "
+                    "literal of string pairs",
+                    hint="spell the table out so its targets can be checked",
+                )
+            else:
+                yield from self._check_lazy_targets(ctx, lazy_node, table)
+                lazy_names = set(table)
         if declared is None:
             yield self.finding(
                 ctx,
@@ -642,8 +726,9 @@ class PublicApiRule(Rule):
                 hint="add __all__ listing the public API",
             )
             return
-        public = {name for name in bound if not name.startswith("_")}
-        for name in sorted(declared - set(bound)):
+        exported = set(bound) | lazy_names
+        public = {name for name in exported if not name.startswith("_")}
+        for name in sorted(declared - exported):
             yield self.finding(
                 ctx,
                 declared_node or ctx.tree,
@@ -653,10 +738,34 @@ class PublicApiRule(Rule):
         for name in sorted(public - declared):
             yield self.finding(
                 ctx,
-                bound[name],
+                bound[name] if name in bound else lazy_node,
                 f"public name `{name}` is bound but missing from __all__",
                 hint="add it to __all__ or rename with a leading underscore",
             )
+
+    def _check_lazy_targets(
+        self, ctx: RuleContext, node: ast.AST, table: dict[str, str]
+    ) -> Iterator[Finding]:
+        submodules = package_submodules(ctx.path)
+        for name, target in sorted(table.items()):
+            module = target[1:]
+            if not (target.startswith(".") and module.isidentifier()):
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"lazy export `{name}` targets `{target}`, which is not "
+                    "a direct submodule `.name`",
+                    hint="import deeper or foreign modules eagerly, or "
+                    "re-export them from a direct submodule",
+                )
+            elif module not in submodules:
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"lazy export `{name}` names module `{target}`, which "
+                    "does not exist",
+                    hint="fix the target or drop the entry",
+                )
 
     @staticmethod
     def _string_elements(node: ast.expr) -> set[str]:

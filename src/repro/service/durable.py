@@ -52,8 +52,8 @@ import numpy as np
 
 from ..core.exceptions import ModelError
 from ..core.model import SystemModel
-from ..experiments.checkpoint import fingerprint_payload
 from ..faults.events import fault_from_record, fault_to_record
+from ..io_utils.checkpoint import fingerprint_payload
 from ..io_utils.serialize import model_to_dict
 from .controller import MissionController, RequestOutcome, ServiceConfig
 from .diskchaos import DiskChaosPolicy

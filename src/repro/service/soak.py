@@ -13,7 +13,7 @@ resilience metrics the service is judged on:
   overrun beyond budget + grace.
 
 The run is checkpointable on the generic
-:class:`~repro.experiments.checkpoint.JsonCheckpoint` layer: every
+:class:`~repro.io_utils.checkpoint.JsonCheckpoint` layer: every
 finished step is flushed atomically with the full committed state
 (active set + placements), so a ``kill -9`` forfeits at most the step in
 flight.  On resume the event stream is regenerated from the seed,
@@ -35,9 +35,9 @@ from ..core.allocation import Allocation
 from ..core.exceptions import ModelError
 from ..core.model import SystemModel
 from ..dynamic.policies import carry_forward
-from ..experiments.checkpoint import JsonCheckpoint, fingerprint_payload
 from ..faults.events import FaultEvent, normalize_faults
 from ..heuristics import get_heuristic
+from ..io_utils.checkpoint import JsonCheckpoint, fingerprint_payload
 from ..workload.generator import generate_model
 from ..workload.parameters import get_scenario
 from .controller import (

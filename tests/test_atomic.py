@@ -8,12 +8,12 @@ import os
 import pytest
 
 from repro.core.exceptions import ModelError
-from repro.experiments.checkpoint import JsonCheckpoint
 from repro.io_utils.atomic import (
     atomic_write_bytes,
     atomic_write_text,
     fsync_dir,
 )
+from repro.io_utils.checkpoint import JsonCheckpoint
 
 
 def test_atomic_write_creates_and_replaces(tmp_path):

@@ -250,6 +250,9 @@ def test_cache_key_depends_on_rules_and_content(tmp_path):
     assert key("a.py", "x = 2\n", ("RPR001",)) != base
     assert key("a.py", "x = 1\n", ("RPR001", "RPR002")) != base
     assert key("b.py", "x = 1\n", ("RPR001",)) != base
+    # a package __init__'s RPR006 result depends on its submodules
+    init = key("p/__init__.py", "x = 1\n", ("RPR006",), ["a"])
+    assert key("p/__init__.py", "x = 1\n", ("RPR006",), ["a", "b"]) != init
 
 
 # ---------------------------------------------------------------------------

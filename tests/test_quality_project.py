@@ -384,6 +384,20 @@ def test_rpr012_own_module_use_is_not_dead(tmp_path):
     assert _project_lint(tmp_path, "RPR012") == ()
 
 
+def test_rpr012_flags_lazy_export_the_submodule_never_binds(tmp_path):
+    _write_tree(tmp_path, {
+        "pkg/__init__.py": (
+            "_LAZY = {'real': '.m', 'ghost': '.m', 'm': '.m'}\n"
+            "__all__ = ['real', 'ghost', 'm']\n"
+        ),
+        "pkg/m.py": "__all__ = ['real']\nreal = 1\n",
+    })
+    found = _project_lint(tmp_path, "RPR012")
+    assert [f.message for f in found] == [
+        "lazy export `ghost` names `pkg.m`, which never binds it"
+    ], _messages(found)
+
+
 # ---------------------------------------------------------------------------
 # suppression and engine integration
 # ---------------------------------------------------------------------------

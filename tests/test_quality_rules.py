@@ -386,6 +386,80 @@ def test_rpr006_ignores_packages_outside_repro():
     assert found == []
 
 
+RPR006_LAZY = """\
+from typing import Any as _Any
+
+from .engine import run
+
+_LAZY = {"engine": ".engine", "solve": ".solver"}
+
+__all__ = ["engine", "run", "solve"]
+
+
+def __getattr__(name: str) -> _Any:
+    raise AttributeError(name)
+"""
+
+
+def rpr006_package(tmp_path, init_source: str, submodules=("engine", "solver")):
+    """Lint a real package directory, so lazy targets can be resolved."""
+    pkg = tmp_path / "repro" / "fixturepkg"
+    pkg.mkdir(parents=True)
+    for name in submodules:
+        (pkg / f"{name}.py").write_text("run = solve = 1\n")
+    init = pkg / "__init__.py"
+    init.write_text(init_source)
+    return lint_source(
+        init_source,
+        path=str(init),
+        module="repro.fixturepkg",
+        rules=[RULES["RPR006"]],
+    )
+
+
+def test_rpr006_accepts_lazy_exports_of_real_submodules(tmp_path):
+    assert rpr006_package(tmp_path, RPR006_LAZY) == []
+
+
+def test_rpr006_flags_all_entry_neither_bound_nor_lazy(tmp_path):
+    source = RPR006_LAZY.replace('"solve"]', '"solve", "ghost"]')
+    found = rpr006_package(tmp_path, source)
+    assert [f.message for f in found] == [
+        "__all__ lists `ghost` but the package never binds it"
+    ]
+
+
+def test_rpr006_flags_lazy_entry_naming_a_missing_module(tmp_path):
+    found = rpr006_package(tmp_path, RPR006_LAZY, submodules=("engine",))
+    assert [f.message for f in found] == [
+        "lazy export `solve` names module `.solver`, which does not exist"
+    ]
+
+
+def test_rpr006_flags_lazy_public_name_missing_from_all(tmp_path):
+    source = RPR006_LAZY.replace(', "solve"]', "]")
+    found = rpr006_package(tmp_path, source)
+    assert [f.message for f in found] == [
+        "public name `solve` is bound but missing from __all__"
+    ]
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        '{name: ".engine" for name in ("engine",)}',
+        '{"solve": "repro.fixturepkg.solver"}',
+        '{"solve": ".solver.deep"}',
+    ],
+)
+def test_rpr006_flags_uncheckable_lazy_tables(tmp_path, table):
+    source = RPR006_LAZY.replace(
+        '{"engine": ".engine", "solve": ".solver"}', table
+    )
+    found = rpr006_package(tmp_path, source)
+    assert any("lazy export" in f.message for f in found), found
+
+
 # ---------------------------------------------------------------------------
 # RPR007 — unbounded blocking waits in deadline-bearing packages
 # ---------------------------------------------------------------------------

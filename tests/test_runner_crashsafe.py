@@ -13,18 +13,16 @@ import pytest
 
 import repro.experiments.runner as runner_mod
 from repro.core.exceptions import ModelError
-from repro.experiments.checkpoint import (
-    ExperimentCheckpoint,
-    config_fingerprint,
-    record_from_dict,
-    record_to_dict,
-)
 from repro.experiments.runner import (
+    ExperimentCheckpoint,
     ExperimentConfig,
     ExperimentScale,
     RunRecord,
     RunTimeoutError,
     _run_deadline,
+    config_fingerprint,
+    record_from_dict,
+    record_to_dict,
     run_experiment,
 )
 from repro.workload import SCENARIO_3
