@@ -810,11 +810,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"wall: {record['wall_seconds']:.3f}s  "
               f"evaluations: {record['evaluations']}  "
               f"evals/sec: {record['evals_per_second']:,.0f}")
-        prefix = record["prefix_cache"]
-        if prefix is not None:
-            print(f"prefix cache: mean hit depth "
-                  f"{prefix['mean_hit_depth']:.2f} over "
-                  f"{prefix['lookups']} lookups")
         profile = record["profile_cache"]
         if profile is not None:
             print(f"profile cache: hit rate {profile['hit_rate']:.1%}")

@@ -65,9 +65,7 @@ nominal path, priority key) lives in :class:`~repro.core.profile.StringProfile`
 and can be memoized across states through a
 :class:`~repro.core.profile.ProfileCache`; only the interference terms
 (``H``, ``wait_sum``) are state-local.  :meth:`AllocationState.snapshot`
-/ :meth:`AllocationState.restore` copy exactly that mutable core, which
-is what makes prefix-cached projection
-(:mod:`repro.heuristics.projection_cache`) cheap.
+/ :meth:`AllocationState.restore` copy exactly that mutable core.
 """
 
 from __future__ import annotations
@@ -92,7 +90,7 @@ if TYPE_CHECKING:
     from .state_sanitize import SanitizeStateSnapshot
     from .state_soa import SoaStateSnapshot
 
-    #: Any backend's snapshot; the prefix cache is duck-typed over it.
+    #: Any backend's snapshot.
     StateSnapshotLike = Union[
         "StateSnapshot", "SoaStateSnapshot", "SanitizeStateSnapshot"
     ]
@@ -267,8 +265,7 @@ class StateSnapshot:
     shared, interference terms copied), and resource-user lists.  A
     snapshot is detached: mutating the originating state never changes
     it, and :meth:`AllocationState.restore` copies again, so one
-    snapshot can seed any number of states (the prefix cache relies on
-    this).
+    snapshot can seed any number of states.
     """
 
     __slots__ = (
@@ -595,7 +592,7 @@ class RecordAllocationState(AllocationState):
 
         Cost is ``O(mapped strings × touched resources)`` — far cheaper
         than replaying the IMR + feasibility analysis that produced the
-        state, which is what makes prefix-cached projection pay off.
+        state.
         """
         return StateSnapshot(
             machine_util=self.machine_util.copy(),

@@ -43,22 +43,11 @@ accumulators match the scalar chains exactly: every addend is
 non-negative, and ``0.0 + x == x`` holds bitwise for non-negative
 ``x``.  The randomized equivalence walks in ``tests/test_state_batch.py``
 gate all of this against the scalar backends.
-
-Projection-cache interop
-------------------------
-Lane states convert losslessly to and from
-:class:`~repro.core.state_soa.SoaStateSnapshot`, so a batch projection
-can resume from — and store snapshots into — the same
-:class:`~repro.heuristics.projection_cache.ProjectionCache` the scalar
-SoA path uses.  Snapshots do **not** transfer across backend families:
-when the run's scalar backend resolves to ``record`` the callers below
-leave the shared cache to the scalar path and batch-evaluate cache-less
-(results are identical either way; caches only change speed).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence, cast
+from typing import Sequence, cast
 
 import numpy as np
 
@@ -67,11 +56,8 @@ from .metrics import Fitness
 from .model import SystemModel
 from .profile import ProfileCache, StringProfile, compute_profile
 from .state import AllocationState, RejectionReason
-from .state_soa import SoaAllocationState, SoaStateSnapshot
+from .state_soa import SoaAllocationState
 from .types import FloatArray, IntVectorLike
-
-if TYPE_CHECKING:
-    from ..heuristics.projection_cache import ProjectionCache, _TrieNode
 
 __all__ = [
     "BatchEvaluator",
@@ -386,44 +372,6 @@ class BatchSoaState:
         self._profiles[b] = {}
         self._worth[b] = 0.0
 
-    def load_snapshot(self, b: int, snap: SoaStateSnapshot) -> None:
-        """Seed lane ``b`` from a scalar SoA snapshot."""
-        C, C1, o = self._C, self._C + 1, _SCALAR_ROWS
-        lane = self._buf[b]
-        lane[:o] = snap.buf[:o]
-        for blk in range(4):
-            dst = lane[o + blk * C1 : o + blk * C1 + C]
-            dst[:] = snap.buf[o + blk * C : o + (blk + 1) * C]
-            lane[o + blk * C1 + C] = 0.0
-        # Re-derive the pre-multiplied bound rows under this state's
-        # tolerance, exactly as the scalar restore does.
-        bound = 1.0 + self.tol
-        np.multiply(lane[0], bound, out=lane[5])
-        np.multiply(lane[2], bound, out=lane[6])
-        self._util[b, :C] = snap.util
-        self._util[b, C] = 0.0
-        self._mapped[b] = snap.mapped
-        self._profiles[b] = dict(snap.profiles)
-        self._worth[b] = snap.worth
-
-    def lane_snapshot(self, b: int) -> SoaStateSnapshot:
-        """Detach lane ``b`` as a scalar-compatible SoA snapshot."""
-        C, C1, o = self._C, self._C + 1, _SCALAR_ROWS
-        buf = np.empty((o + 4 * C, self._N))
-        lane = self._buf[b]
-        buf[:o] = lane[:o]
-        for blk in range(4):
-            buf[o + blk * C : o + (blk + 1) * C] = (
-                lane[o + blk * C1 : o + blk * C1 + C]
-            )
-        return SoaStateSnapshot(
-            buf=buf,
-            util=self._util[b, : self._C].copy(),
-            mapped=self._mapped[b].copy(),
-            profiles=dict(self._profiles[b]),
-            worth=self._worth[b],
-        )
-
     def lane_fitness(self, b: int) -> Fitness:
         """Scalar-identical (worth, slackness) of lane ``b``."""
         M, C = self._M, self._C
@@ -633,7 +581,6 @@ class BatchOutcome:
 def _project_chunk(
     model: SystemModel,
     orderings: Sequence[Sequence[int]],
-    cache: "ProjectionCache | None",
     profile_cache: ProfileCache | None,
     tol: float,
 ) -> list[BatchOutcome]:
@@ -648,21 +595,6 @@ def _project_chunk(
     failed: list[int | None] = [None] * B
     rejections: list[RejectionReason | None] = [None] * B
     active = [len(o) > 0 for o in orders]
-    nodes: list[_TrieNode] = []
-    if cache is not None:
-        for b, order in enumerate(orders):
-            hit = cache.lookup(order)
-            nodes.append(hit.snapshot_node)
-            if hit.snapshot is not None:
-                # Batch lanes interoperate only with SoA-family
-                # snapshots; callers keep record-backend caches away.
-                bs.load_snapshot(
-                    b, cast(SoaStateSnapshot, hit.snapshot)
-                )
-                pos[b] = hit.snapshot_depth
-                mapped[b] = list(order[: hit.snapshot_depth])
-            if pos[b] >= len(order):
-                active[b] = False
 
     while True:
         stepping = [b for b in range(B) if active[b]]
@@ -680,32 +612,12 @@ def _project_chunk(
             if ok:
                 mapped[b].append(k)
                 pos[b] += 1
-                if cache is not None:
-                    node = cache.extend(nodes[b], k)
-                    nodes[b] = node
-                    if (
-                        node.snapshot is None
-                        and pos[b] % cache.snapshot_stride == 0
-                    ):
-                        cache.store_snapshot(node, bs.lane_snapshot(b))
                 if pos[b] >= len(orders[b]):
                     active[b] = False
-                    if (
-                        cache is not None
-                        and nodes[b] is not cache.root
-                        and nodes[b].snapshot is None
-                    ):
-                        # Terminal snapshot: the engine re-projects the
-                        # elite, which then becomes a pure restore.
-                        cache.store_snapshot(nodes[b], bs.lane_snapshot(b))
             else:
                 failed[b] = k
                 rejections[b] = rejection
                 active[b] = False
-                if cache is not None:
-                    cache.mark_failure(nodes[b], k)
-    if cache is not None:
-        cache.maybe_evict()
     return [
         BatchOutcome(
             fitness=bs.lane_fitness(b),
@@ -721,7 +633,6 @@ def project_batch(
     model: SystemModel,
     orderings: Sequence[Sequence[int]],
     *,
-    cache: "ProjectionCache | None" = None,
     profile_cache: ProfileCache | None = None,
     tol: float = DEFAULT_TOL,
     max_lanes: int = DEFAULT_MAX_LANES,
@@ -732,10 +643,6 @@ def project_batch(
     runs the allocate-until-first-failure projection (IMR per string,
     then the batched two-stage feasibility analysis), bit-identical to
     :func:`repro.heuristics.ordering.allocate_sequence` per ordering.
-
-    ``cache`` must only be passed when the run's scalar projections use
-    an SoA-family backend — lane snapshots do not interoperate with a
-    record-backend cache (see the module docstring).
     """
     if max_lanes < 1:
         raise ValueError(f"max_lanes must be >= 1, got {max_lanes}")
@@ -745,7 +652,6 @@ def project_batch(
             _project_chunk(
                 model,
                 orderings[start : start + max_lanes],
-                cache,
                 profile_cache,
                 tol,
             )
@@ -757,22 +663,19 @@ def evaluate_batch(
     model: SystemModel,
     orderings: Sequence[Sequence[int]],
     *,
-    cache: "ProjectionCache | None" = None,
     profile_cache: ProfileCache | None = None,
     tol: float = DEFAULT_TOL,
     max_lanes: int = DEFAULT_MAX_LANES,
 ) -> list[Fitness]:
     """Fitness of each ordering, via the batched projection kernel.
 
-    Bit-identical to mapping the scalar projection over ``orderings``;
-    see :func:`project_batch` for the cache interop caveat.
+    Bit-identical to mapping the scalar projection over ``orderings``.
     """
     return [
         o.fitness
         for o in project_batch(
             model,
             orderings,
-            cache=cache,
             profile_cache=profile_cache,
             tol=tol,
             max_lanes=max_lanes,
@@ -793,13 +696,11 @@ class BatchEvaluator:
         self,
         model: SystemModel,
         *,
-        cache: "ProjectionCache | None" = None,
         profile_cache: ProfileCache | None = None,
         tol: float = DEFAULT_TOL,
         max_lanes: int = DEFAULT_MAX_LANES,
     ) -> None:
         self.model = model
-        self.cache = cache
         self.profile_cache = profile_cache
         self.tol = tol
         self.max_lanes = max_lanes
@@ -810,7 +711,6 @@ class BatchEvaluator:
         return evaluate_batch(
             self.model,
             chromosomes,
-            cache=self.cache,
             profile_cache=self.profile_cache,
             tol=self.tol,
             max_lanes=self.max_lanes,

@@ -11,17 +11,16 @@ accumulates a benchmark trajectory.  The record schema is
     Scenario, string/machine counts, and the generator seed.
 ``config``
     The GENITOR and trial knobs the run used (population, iteration
-    bounds, trial count, worker count, cache flags).
+    bounds, trial count, worker count, profile-cache flag).
 ``wall_seconds / evaluations / evals_per_second``
     End-to-end wall time of the whole best-of-trials run, total fresh
     fitness evaluations across trials, and their ratio — the headline
     number the CI regression gate compares.
 ``best_fitness / trial_fitnesses``
     The elite (worth, slackness) and the per-trial list.
-``prefix_cache / profile_cache``
-    Telemetry of the best trial's caches, including the prefix-hit
-    depth histogram (resume depth -> lookup count) and the profile
-    cache hit rate.  ``null`` when the corresponding cache is disabled.
+``profile_cache``
+    Telemetry of the best trial's profile cache, including its hit
+    rate.  ``null`` when the cache is disabled.
 
 :func:`run_state_micro` is the companion micro-benchmark for the
 feasibility kernel itself (``repro bench --name state-micro``): it
@@ -164,7 +163,6 @@ def run_bench(
             "max_stale_iterations": config.rules.max_stale_iterations,
             "n_trials": trials,
             "n_workers": workers,
-            "use_projection_cache": config.use_projection_cache,
             "use_profile_cache": config.use_profile_cache,
         },
         "wall_seconds": wall,
@@ -176,7 +174,6 @@ def run_bench(
         },
         "trial_fitnesses": stats["trial_fitnesses"],
         "trial_failures": stats["trial_failures"],
-        "prefix_cache": stats.get("projection_cache"),
         "profile_cache": stats.get("profile_cache"),
     }
 

@@ -45,10 +45,8 @@ class GenitorConfig:
     ``"pmx"`` available for the operator ablation.
 
     The evaluation-core knobs are consumed by the PSG driver (the engine
-    itself is problem-agnostic): ``use_projection_cache`` /
-    ``use_profile_cache`` toggle the prefix-trie and per-(string,
-    assignment) profile memos, ``projection_cache_nodes`` and
-    ``projection_snapshot_stride`` bound them, ``init_workers`` > 1
+    itself is problem-agnostic): ``use_profile_cache`` toggles the
+    per-(string, assignment) profile memo, ``init_workers`` > 1
     evaluates the initial population in parallel process batches, and
     ``batch_evaluation`` scores the initial population through the
     batched stacked-buffer kernel (:mod:`repro.core.state_batch`) when
@@ -61,10 +59,7 @@ class GenitorConfig:
     bias: float = 1.6
     rules: StoppingRules = field(default_factory=StoppingRules)
     crossover: str = "positional"
-    use_projection_cache: bool = True
     use_profile_cache: bool = True
-    projection_cache_nodes: int = 50_000
-    projection_snapshot_stride: int = 2
     init_workers: int = 1
     batch_evaluation: bool = True
 
@@ -73,16 +68,6 @@ class GenitorConfig:
             raise ValueError("population_size must be >= 2")
         if not 1.0 <= self.bias <= 2.0:
             raise ValueError(f"bias must be in [1, 2], got {self.bias}")
-        if self.projection_cache_nodes < 1:
-            raise ValueError(
-                f"projection_cache_nodes must be >= 1, got "
-                f"{self.projection_cache_nodes}"
-            )
-        if self.projection_snapshot_stride < 1:
-            raise ValueError(
-                f"projection_snapshot_stride must be >= 1, got "
-                f"{self.projection_snapshot_stride}"
-            )
         if self.init_workers < 1:
             raise ValueError(
                 f"init_workers must be >= 1, got {self.init_workers}"
@@ -104,8 +89,6 @@ class GenitorStats:
     elapsed_seconds: float = 0.0
     #: Fresh fitness evaluations per second of search-loop wall time.
     evals_per_second: float = 0.0
-    #: Mean prefix-cache resume depth (0 when no projection cache ran).
-    prefix_mean_hit_depth: float = 0.0
     #: Profile-cache hit rate (0 when no profile cache ran).
     profile_cache_hit_rate: float = 0.0
     #: (iteration, fitness) at each strict elite improvement.

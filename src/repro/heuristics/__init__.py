@@ -20,7 +20,6 @@ from .local_search import local_search, mwf_with_local_search
 from .mwf import most_worth_first, mwf_order
 from .ordering import SequenceOutcome, allocate_sequence
 from .priority_class import class_based, class_order
-from .projection_cache import PrefixLookup, ProjectionCache
 from .psg import best_of_trials, psg, seeded_psg
 from .registry import (
     GA_HEURISTICS,
@@ -37,8 +36,6 @@ __all__ = [
     "HEURISTICS",
     "HeuristicResult",
     "PAPER_HEURISTICS",
-    "PrefixLookup",
-    "ProjectionCache",
     "SequenceOutcome",
     "allocate_sequence",
     "available",

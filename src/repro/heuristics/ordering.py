@@ -16,7 +16,7 @@ incremental :class:`~repro.core.state.AllocationState`, whose
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +25,6 @@ from ..core.profile import ProfileCache
 from ..core.state import AllocationState
 from ..core.model import SystemModel
 from .imr import imr_map_string
-
-if TYPE_CHECKING:
-    from .projection_cache import ProjectionCache
 
 __all__ = ["allocate_sequence", "SequenceOutcome"]
 
@@ -72,7 +69,6 @@ def allocate_sequence(
     order: Sequence[int],
     rng: np.random.Generator | None = None,
     stop_on_failure: bool = True,
-    cache: "ProjectionCache | None" = None,
     profile_cache: ProfileCache | None = None,
 ) -> SequenceOutcome:
     """Allocate strings in ``order`` with the IMR until the first failure.
@@ -90,14 +86,6 @@ def allocate_sequence(
         intermediate mapping fails feasibility.  ``False``: skip failing
         strings and keep trying the rest — a best-effort variant used by
         the skip-ahead baseline and ablations.
-    cache:
-        Optional :class:`~repro.heuristics.projection_cache.ProjectionCache`
-        of ordering prefixes.  The projection resumes from the deepest
-        cached snapshot of a matching prefix instead of replaying from an
-        empty state.  Only consulted for the deterministic projection
-        (``rng is None`` and ``stop_on_failure=True``) — with IMR
-        tie-breaking randomness the state after a prefix is not a
-        function of the prefix, so the cache is silently bypassed.
     profile_cache:
         Optional model-scoped memo of per-(string, assignment) resource
         profiles shared across projections.
@@ -106,8 +94,6 @@ def allocate_sequence(
     -------
     SequenceOutcome
     """
-    if cache is not None and rng is None and stop_on_failure:
-        return _allocate_sequence_cached(model, order, cache, profile_cache)
     state = AllocationState(model, profile_cache=profile_cache)
     mapped: list[int] = []
     failed: int | None = None
@@ -121,61 +107,3 @@ def allocate_sequence(
                 break
     return SequenceOutcome(state, tuple(mapped), failed)
 
-
-def _allocate_sequence_cached(
-    model: SystemModel,
-    order: Sequence[int],
-    cache: "ProjectionCache",
-    profile_cache: ProfileCache | None,
-) -> SequenceOutcome:
-    """Deterministic projection resuming from a cached prefix state.
-
-    Because the IMR is deterministic given the intermediate state, the
-    state after consuming ``order[:d]`` depends only on that prefix; the
-    cache restores the deepest snapshotted prefix, replays the remaining
-    known-successful elements (extending the trie and dropping fresh
-    snapshots every ``snapshot_stride`` depths), and short-circuits when
-    the trie already knows which element fails next.
-    """
-    hit = cache.lookup(order)
-    state = AllocationState(model, profile_cache=profile_cache)
-    if hit.snapshot is not None:
-        state.restore(hit.snapshot)
-    mapped = list(order[: hit.snapshot_depth])
-    if hit.known_failure:
-        # Replay the successful prefix (snapshot -> matched depth) but
-        # skip the final feasibility analysis: the outcome is known.
-        for d in range(hit.snapshot_depth, hit.matched_depth):
-            k = order[d]
-            assignment = imr_map_string(state, k)
-            if not state.try_add(k, assignment):  # pragma: no cover
-                raise RuntimeError(
-                    f"projection cache corrupted: string {k} failed on a "
-                    f"cached-successful prefix"
-                )
-            mapped.append(k)
-        return SequenceOutcome(
-            state, tuple(mapped), int(order[hit.matched_depth])
-        )
-    node = hit.snapshot_node
-    failed: int | None = None
-    depth = hit.snapshot_depth
-    stride = cache.snapshot_stride
-    for k in order[hit.snapshot_depth:]:
-        assignment = imr_map_string(state, k)
-        if state.try_add(k, assignment):
-            mapped.append(k)
-            depth += 1
-            node = cache.extend(node, k)
-            if node.snapshot is None and depth % stride == 0:
-                cache.store_snapshot(node, state.snapshot())
-        else:
-            failed = k
-            cache.mark_failure(node, k)
-            break
-    if failed is None and node is not cache.root and node.snapshot is None:
-        # Terminal snapshot: a re-projection of this exact ordering (the
-        # engine re-projects the elite) becomes a pure restore.
-        cache.store_snapshot(node, state.snapshot())
-    cache.maybe_evict()
-    return SequenceOutcome(state, tuple(mapped), failed)

@@ -14,11 +14,11 @@ reports the best of four independent trials per simulation run; both
 knobs are exposed here (``config`` and :func:`best_of_trials`).
 
 Performance (see ``docs/performance.md``): each run shares one
-prefix-trie :class:`~repro.heuristics.projection_cache.ProjectionCache`
-and one :class:`~repro.core.profile.ProfileCache` across every
-chromosome projection (both on by default, toggled via
-:class:`~repro.genitor.GenitorConfig`), the initial population can be
-evaluated in parallel process batches (``config.init_workers``), and
+:class:`~repro.core.profile.ProfileCache` across every chromosome
+projection (on by default, toggled via
+:class:`~repro.genitor.GenitorConfig`), the initial population is
+scored through the batched kernel or in parallel process batches
+(``config.init_workers``), and
 :func:`best_of_trials` fans independent trials over a
 :class:`~repro.parallel.SupervisedPool` (``n_workers``) with a
 precomputed seed stream so parallel and serial execution produce
@@ -55,7 +55,6 @@ from ..parallel import (
 from .base import HeuristicResult, timed_section
 from .mwf import mwf_order
 from .ordering import allocate_sequence
-from .projection_cache import ProjectionCache
 from .tf import tf_order
 
 __all__ = ["psg", "seeded_psg", "best_of_trials"]
@@ -66,14 +65,13 @@ _ModelRef = Union[SystemModel, str]
 
 def _make_fitness_fn(
     model: SystemModel,
-    cache: ProjectionCache | None = None,
     profile_cache: ProfileCache | None = None,
 ) -> Callable[[Chromosome], Fitness]:
     """Permutation -> Fitness via the IMR allocate-until-failure projection."""
 
     def fitness_fn(chromosome: Chromosome) -> Fitness:
         outcome = allocate_sequence(
-            model, chromosome, cache=cache, profile_cache=profile_cache
+            model, chromosome, profile_cache=profile_cache
         )
         return outcome.fitness()
 
@@ -82,27 +80,18 @@ def _make_fitness_fn(
 
 def _make_batch_evaluator(
     model: SystemModel,
-    proj_cache: ProjectionCache | None,
     prof_cache: ProfileCache | None,
 ) -> BatchEvaluator | None:
-    """Bulk evaluator over the batched stacked-buffer kernel, when the
-    run's scalar backend permits it.
-
-    Returns ``None`` under the ``sanitize`` backend — its whole point is
-    lockstep-checking every scalar projection, which the batched kernel
-    would bypass.  The shared projection cache is forwarded only when
-    the scalar side resolves to an SoA-family backend: lane snapshots
-    are :class:`~repro.core.state_soa.SoaStateSnapshot` and do not
-    restore into ``record``-backend states (the batch then runs
-    cache-less, which changes speed, never results).
+    """Bulk evaluator over the batched stacked-buffer kernel, or ``None``
+    under the ``sanitize`` backend — its whole point is lockstep-checking
+    every scalar projection, which the batched kernel would bypass.
     """
     backend = get_default_state_backend()
     if backend == AUTO_BACKEND:
         backend = resolve_auto_backend(model)
     if backend == "sanitize":
         return None
-    cache = proj_cache if backend in ("soa", "jit") else None
-    return BatchEvaluator(model, cache=cache, profile_cache=prof_cache)
+    return BatchEvaluator(model, profile_cache=prof_cache)
 
 
 def _evaluate_batch(
@@ -114,25 +103,19 @@ def _evaluate_batch(
 
     ``model_ref`` is either the model itself (legacy pickle transport)
     or a broadcast token that resolves to the worker's zero-copy model
-    and persistent :class:`ProfileCache`.  Each call builds its own
-    projection cache — fitness is deterministic, so worker-local caches
-    change nothing but speed.  Scores through the batched kernel
-    (bit-identical to the scalar projection) unless disabled by config
-    or the ``sanitize`` backend.
+    and persistent :class:`ProfileCache`.  Scores through the batched
+    kernel (bit-identical to the scalar projection) unless disabled by
+    config or the ``sanitize`` backend.
     """
     if isinstance(model_ref, str):
         model, profile_cache = get_worker_context(model_ref)
     else:
         model, profile_cache = model_ref, ProfileCache()
     if batch_evaluation:
-        evaluator = _make_batch_evaluator(
-            model, ProjectionCache(), profile_cache
-        )
+        evaluator = _make_batch_evaluator(model, profile_cache)
         if evaluator is not None:
             return evaluator(chromosomes)
-    fitness_fn = _make_fitness_fn(
-        model, cache=ProjectionCache(), profile_cache=profile_cache
-    )
+    fitness_fn = _make_fitness_fn(model, profile_cache=profile_cache)
     return [fitness_fn(c) for c in chromosomes]
 
 
@@ -222,22 +205,12 @@ def _run_engine(
     profile_cache: ProfileCache | None = None,
 ) -> HeuristicResult:
     with timed_section() as elapsed:
-        proj_cache = (
-            ProjectionCache(
-                max_nodes=config.projection_cache_nodes,
-                snapshot_stride=config.projection_snapshot_stride,
-            )
-            if config.use_projection_cache
-            else None
-        )
         prof_cache = (
             (profile_cache if profile_cache is not None else ProfileCache())
             if config.use_profile_cache
             else None
         )
-        fitness_fn = _make_fitness_fn(
-            model, cache=proj_cache, profile_cache=prof_cache
-        )
+        fitness_fn = _make_fitness_fn(model, profile_cache=prof_cache)
         initial_evaluator: Callable[
             [Sequence[Chromosome]], Sequence[Fitness]
         ] | None = _make_initial_evaluator(model, config, fitness_fn)
@@ -245,9 +218,7 @@ def _run_engine(
             # Serial init: score the initial population through the
             # batched kernel (bit-identical to fitness_fn; the engine's
             # steady-state single-offspring iterations stay scalar).
-            initial_evaluator = _make_batch_evaluator(
-                model, proj_cache, prof_cache
-            )
+            initial_evaluator = _make_batch_evaluator(model, prof_cache)
         engine = GenitorEngine(
             genes=range(model.n_strings),
             fitness_fn=fitness_fn,
@@ -259,12 +230,9 @@ def _run_engine(
         best = engine.run()
         # Re-project the elite to materialize its allocation.
         outcome = allocate_sequence(
-            model, best.chromosome, cache=proj_cache,
-            profile_cache=prof_cache,
+            model, best.chromosome, profile_cache=prof_cache
         )
     stats = engine.stats
-    if proj_cache is not None:
-        stats.prefix_mean_hit_depth = proj_cache.mean_hit_depth
     if prof_cache is not None:
         stats.profile_cache_hit_rate = prof_cache.hit_rate
     wall = elapsed[0]
@@ -285,11 +253,7 @@ def _run_engine(
             "evals_per_second": (
                 stats.evaluations / wall if wall > 0.0 else 0.0
             ),
-            "prefix_mean_hit_depth": stats.prefix_mean_hit_depth,
             "profile_cache_hit_rate": stats.profile_cache_hit_rate,
-            "projection_cache": (
-                proj_cache.stats() if proj_cache is not None else None
-            ),
             "profile_cache": (
                 prof_cache.stats() if prof_cache is not None else None
             ),

@@ -247,7 +247,7 @@ class JournalStore:
         self.path.mkdir(parents=True, exist_ok=True)
         self.meta_extra: dict[str, Any] = {}
         self._check_meta(extra)
-        self.snapshot_seq, self.snapshot_state = self._load_snapshot()
+        self.snapshot_seq, self.snapshot_state = self._read_snapshot()
         self.scan = self._open_wal()
         #: chaos decisions are keyed by this monotone append counter
         self._index = len(self.scan.records)
@@ -311,7 +311,7 @@ class JournalStore:
             ),
         )
 
-    def _load_snapshot(self) -> tuple[int, dict[str, Any] | None]:
+    def _read_snapshot(self) -> tuple[int, dict[str, Any] | None]:
         if not self.snapshot_path.exists():
             return 0, None
         try:

@@ -24,7 +24,7 @@ from repro.experiments import (
 RECORD_FIELDS = {
     "schema", "name", "created", "quick", "workload", "config",
     "wall_seconds", "evaluations", "evals_per_second", "best_fitness",
-    "trial_fitnesses", "trial_failures", "prefix_cache", "profile_cache",
+    "trial_fitnesses", "trial_failures", "profile_cache",
 }
 
 
@@ -48,7 +48,6 @@ class TestRunBench:
         config = quick_record["config"]
         assert config["n_trials"] == 1
         assert config["population_size"] == 30
-        assert config["use_projection_cache"] is True
         assert config["use_profile_cache"] is True
 
     def test_throughput_fields_consistent(self, quick_record):
@@ -60,11 +59,16 @@ class TestRunBench:
         assert quick_record["trial_failures"] == 0
         assert len(quick_record["trial_fitnesses"]) == 1
 
+    def test_golden_fitness(self, quick_record):
+        # Captured while the search still had a cached projection path.
+        assert quick_record["best_fitness"] == {
+            "worth": 853.0, "slackness": 0.12163748351374803,
+        }
+        assert quick_record["trial_fitnesses"] == [
+            (853.0, 0.12163748351374803),
+        ]
+
     def test_cache_telemetry_present(self, quick_record):
-        prefix = quick_record["prefix_cache"]
-        assert prefix is not None
-        assert prefix["lookups"] > 0
-        assert sum(prefix["hit_depth_histogram"].values()) == prefix["lookups"]
         profile = quick_record["profile_cache"]
         assert profile is not None
         assert 0.0 <= profile["hit_rate"] <= 1.0

@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import AllocationState
+from repro.core.exceptions import AllocationError
 from repro.core.profile import (
     _SCALAR_MAX_APPS,
     ProfileCache,
@@ -119,3 +121,61 @@ class TestDispatchThreshold:
         a = compute_profile(model, 0, [0] * n)
         b = compute_profile(model, 0, np.zeros(n, dtype=np.int32))
         _profiles_bit_equal(a, b)
+
+
+class TestProfileCache:
+    def test_memoized_profile_matches_compute(self, small_model):
+        cache = ProfileCache()
+        machines = [0, 1, 2]
+        a = cache.get_or_compute(small_model, 0, machines)
+        b = cache.get_or_compute(small_model, 0, machines)
+        assert a is b
+        assert cache.hits == 1 and cache.misses == 1
+        fresh = compute_profile(small_model, 0, machines)
+        assert a.m_load == fresh.m_load
+        assert a.m_tmax == fresh.m_tmax
+        assert a.m_count == fresh.m_count
+        assert a.r_load == fresh.r_load
+        assert a.r_tmax == fresh.r_tmax
+        assert a.r_count == fresh.r_count
+        assert a.key == fresh.key
+        assert a.nominal_path == fresh.nominal_path
+
+    def test_distinct_assignments_distinct_entries(self, small_model):
+        cache = ProfileCache()
+        cache.get_or_compute(small_model, 0, [0, 1, 2])
+        cache.get_or_compute(small_model, 0, [0, 0, 2])
+        assert len(cache) == 2
+        assert cache.misses == 2
+
+    def test_lru_eviction(self, small_model):
+        cache = ProfileCache(max_entries=2)
+        cache.get_or_compute(small_model, 0, [0, 1, 2])
+        cache.get_or_compute(small_model, 0, [0, 0, 2])
+        cache.get_or_compute(small_model, 0, [0, 1, 2])  # refresh first
+        cache.get_or_compute(small_model, 0, [1, 1, 2])  # evicts [0, 0, 2]
+        assert cache.evictions == 1
+        assert len(cache) == 2
+        before = cache.misses
+        cache.get_or_compute(small_model, 0, [0, 1, 2])  # still resident
+        assert cache.misses == before
+
+    def test_validates_assignment(self, small_model):
+        cache = ProfileCache()
+        with pytest.raises(AllocationError):
+            cache.get_or_compute(small_model, 0, [0, 1])  # wrong length
+        with pytest.raises(AllocationError):
+            cache.get_or_compute(small_model, 0, [0, 1, 99])  # bad machine
+
+    def test_invalid_capacity(self):
+        with pytest.raises(ValueError):
+            ProfileCache(max_entries=0)
+
+    def test_state_with_profile_cache_matches_without(self, small_model):
+        plain = AllocationState(small_model)
+        cached = AllocationState(small_model, profile_cache=ProfileCache())
+        for k, machines in ((0, [0, 1, 2]), (1, [1, 1]), (3, [0, 2, 1, 0])):
+            assert plain.try_add(k, machines) == cached.try_add(k, machines)
+        assert np.array_equal(plain.machine_util, cached.machine_util)
+        assert np.array_equal(plain.route_util, cached.route_util)
+        assert plain.fitness() == cached.fitness()

@@ -217,3 +217,57 @@ class TestUtilizationQueries:
         # string 1 transfer 0: 1000/50 B/s over 1e6 -> 2e-5
         assert state.route_util_if(0, 1, 1, 0) == pytest.approx(2e-5)
         assert state.route_util_if(0, 0, 1, 0) == 0.0  # intra-machine
+
+
+class TestSnapshotRestore:
+    def test_roundtrip_is_exact(self, small_model):
+        state = AllocationState(small_model)
+        assert state.try_add(0, [0, 1, 2])
+        assert state.try_add(1, [1, 1])
+        snap = state.snapshot()
+        assert snap.n_strings == 2
+        assert state.try_add(3, [0, 2, 1, 0])
+        mutated_fitness = state.fitness()
+        state.restore(snap)
+        assert set(state.as_allocation().string_ids) == {0, 1}
+        assert state.fitness() != mutated_fitness
+        reference = AllocationState(small_model)
+        reference.try_add(0, [0, 1, 2])
+        reference.try_add(1, [1, 1])
+        assert np.array_equal(state.machine_util, reference.machine_util)
+        assert np.array_equal(state.route_util, reference.route_util)
+        assert state.fitness() == reference.fitness()
+
+    def test_snapshot_is_reusable_after_restore(self, small_model):
+        """Restoring must not alias: mutating the restored state twice
+        from the same snapshot yields independent, identical states."""
+        state = AllocationState(small_model)
+        assert state.try_add(0, [0, 1, 2])
+        snap = state.snapshot()
+        state.restore(snap)
+        assert state.try_add(1, [1, 1])
+        other = AllocationState(small_model)
+        other.restore(snap)
+        assert set(other.as_allocation().string_ids) == {0}
+        assert other.try_add(1, [1, 1])
+        assert np.array_equal(state.machine_util, other.machine_util)
+        assert state.fitness() == other.fitness()
+
+    def test_restore_clears_rejection(self):
+        from conftest import build_string, uniform_network
+
+        from repro.core import SystemModel
+
+        # Two 0.9-load single-app strings: the second overloads machine 0.
+        strings = [
+            build_string(k, 1, 2, period=50.0, t=45.0, u=1.0)
+            for k in (0, 1)
+        ]
+        model = SystemModel(uniform_network(2), strings)
+        state = AllocationState(model)
+        assert state.try_add(0, [0])
+        snap = state.snapshot()
+        assert not state.try_add(1, [0])
+        assert state.last_rejection is not None
+        state.restore(snap)
+        assert state.last_rejection is None

@@ -1,7 +1,6 @@
 """Bit-identity property tests for the batched population-evaluation
-kernel (repro.core.state_batch): the batched projection, the commit-free
-probe, and the lane-snapshot interop must all agree bit-for-bit with the
-scalar backends."""
+kernel (repro.core.state_batch): the batched projection and the
+commit-free probe must agree bit-for-bit with the scalar backends."""
 
 import numpy as np
 import pytest
@@ -15,13 +14,11 @@ from repro.core.state import (
 from repro.core.state_batch import (
     BatchEvaluator,
     BatchSoaState,
-    evaluate_batch,
     probe_try_add,
     project_batch,
 )
 from repro.heuristics.imr import imr_map_string
 from repro.heuristics.ordering import allocate_sequence
-from repro.heuristics.projection_cache import ProjectionCache
 from repro.workload import SCENARIO_1, SCENARIO_2, SCENARIO_3, generate_model
 
 
@@ -81,39 +78,6 @@ class TestBatchVsScalarEquivalence:
         # the walk must exercise both early-exit lanes and completions
         assert 0 < n_failed < len(orderings)
 
-    def test_cache_interop_and_idempotence(self):
-        """Warm/cold batch passes and a scalar SoA path resuming from
-        batch-written snapshots all agree; a second pass over the same
-        cache (snapshot restores + known failures) changes nothing."""
-        params = SCENARIO_1.scaled(n_strings=18, n_machines=4)
-        model = generate_model(params, seed=34)
-        rng = np.random.default_rng(34)
-        orderings = _random_orderings(model, rng, n=12)
-        prof = ProfileCache()
-        cache = ProjectionCache(snapshot_stride=2)
-        cold = evaluate_batch(
-            model, orderings, cache=cache, profile_cache=prof, max_lanes=5
-        )
-        warm = evaluate_batch(
-            model, orderings, cache=cache, profile_cache=prof, max_lanes=16
-        )
-        assert cold == warm
-        assert cache.snapshot_restores > 0
-        no_cache = evaluate_batch(model, orderings)
-        assert cold == no_cache
-        previous = get_default_state_backend()
-        set_default_state_backend("soa")
-        try:
-            scalar = [
-                allocate_sequence(
-                    model, o, cache=cache, profile_cache=prof
-                ).fitness()
-                for o in orderings
-            ]
-        finally:
-            set_default_state_backend(previous)
-        assert cold == scalar
-
     def test_batch_evaluator_matches_fitness_fn(self):
         params = SCENARIO_2.scaled(n_strings=15, n_machines=3)
         model = generate_model(params, seed=35)
@@ -168,36 +132,7 @@ class TestProbeTryAdd:
         assert probe_try_add(state, []) == []
 
 
-class TestLaneSnapshotInterop:
-    """Lane states convert losslessly to and from scalar SoA snapshots."""
-
-    def test_round_trip_bitwise(self):
-        params = SCENARIO_3.scaled(n_strings=14, n_machines=4)
-        model = generate_model(params, seed=51)
-        batch = BatchSoaState(model, 2)
-        scalar = AllocationState(model, backend="soa")
-        order = [int(x) for x in np.random.default_rng(51).permutation(14)]
-        for k in order[:9]:
-            assignment = imr_map_string(batch.lane_view(0), k)
-            np.testing.assert_array_equal(
-                assignment, imr_map_string(scalar, k)
-            )
-            prof = batch.get_profile(k, assignment)
-            ok_batch = batch.try_add_batch([0], [k], [prof])[0][0]
-            assert ok_batch == scalar.try_add(k, assignment)
-        restored = AllocationState(model, backend="soa")
-        restored.restore(batch.lane_snapshot(0))
-        np.testing.assert_array_equal(restored._buf, scalar._buf)
-        np.testing.assert_array_equal(restored._util, scalar._util)
-        assert restored.fitness() == scalar.fitness()
-        assert batch.lane_fitness(0) == scalar.fitness()
-        # and the reverse direction: scalar snapshot -> fresh lane
-        batch.load_snapshot(1, scalar.snapshot())
-        np.testing.assert_array_equal(
-            batch.lane_snapshot(1).buf, scalar._buf
-        )
-        assert batch.lane_fitness(1) == scalar.fitness()
-
+class TestLaneReset:
     def test_reset_lane(self, small_model):
         batch = BatchSoaState(small_model, 1)
         assignment = imr_map_string(batch.lane_view(0), 0)
