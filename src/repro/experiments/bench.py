@@ -163,7 +163,6 @@ def run_bench(
             "max_stale_iterations": config.rules.max_stale_iterations,
             "n_trials": trials,
             "n_workers": workers,
-            "use_profile_cache": config.use_profile_cache,
         },
         "wall_seconds": wall,
         "evaluations": evaluations,

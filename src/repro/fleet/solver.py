@@ -3,8 +3,8 @@
 Each shard's standalone :class:`~repro.core.model.SystemModel` (per-shard
 state cost ``O((M/K)²)``) is solved independently; solves fan out over
 :class:`~repro.parallel.supervisor.SupervisedPool` with the shard models
-broadcast zero-copy via
-:class:`~repro.parallel.broadcast.SharedModelGroup` and one persistent
+broadcast zero-copy via :func:`~repro.parallel.broadcast.broadcast_models`
+(pickled per task when broadcast setup fails) and one persistent
 :class:`~repro.core.profile.ProfileCache` per worker.  Results are
 collected *by shard index*, and every per-shard solve is a pure function
 of ``(shard model, solver, seed, shard index)`` — never of worker
@@ -35,12 +35,11 @@ from ..core.profile import ProfileCache
 from ..heuristics import allocate_sequence, mwf_order, seeded_psg
 from ..parallel import (
     ChaosPolicy,
-    SharedModelGroup,
     SupervisedPool,
     SupervisorConfig,
     Task,
+    broadcast_models,
     get_worker_context,
-    model_sharing_enabled,
 )
 from ..workload.fleet import FleetWorkload, materialize_model
 from .partition import FleetPartition, Shard, partition_fleet
@@ -231,7 +230,6 @@ def _solve_all_shards(
     seed: int,
     n_workers: int,
     chaos: ChaosPolicy | None,
-    transport: str,
     pool_stats: dict[str, Any],
 ) -> list[ShardSolution]:
     """Fan shard solves over the supervised pool (or run inline)."""
@@ -246,34 +244,22 @@ def _solve_all_shards(
             for s in shards
         ]
 
-    if model_sharing_enabled():
-        with SharedModelGroup(models, transport=transport) as group:
-            with SupervisedPool(
-                max_workers=n_workers,
-                initializer=group.initializer,
-                initargs=group.initargs,
-                config=SupervisorConfig(),
-                chaos=chaos,
-            ) as pool:
-                tasks = [
-                    Task(
-                        _solve_shard_task,
-                        (group.tokens[s.index], s.index, solver, seed),
-                    )
-                    for s in shards
-                ]
-                outcomes = pool.run(tasks)
-                pool_stats.update(pool.stats.as_dict())
-    else:
-        with SupervisedPool(
-            max_workers=n_workers, config=SupervisorConfig(), chaos=chaos
-        ) as pool:
-            tasks = [
-                Task(_solve_shard_task, (models[s.index], s.index, solver, seed))
-                for s in shards
-            ]
-            outcomes = pool.run(tasks)
-            pool_stats.update(pool.stats.as_dict())
+    with broadcast_models(models) as shared, SupervisedPool(
+        max_workers=n_workers,
+        initializer=shared.initializer,
+        initargs=shared.initargs,
+        config=SupervisorConfig(),
+        chaos=chaos,
+    ) as pool:
+        tasks = [
+            Task(
+                _solve_shard_task,
+                (shared.refs[s.index], s.index, solver, seed),
+            )
+            for s in shards
+        ]
+        outcomes = pool.run(tasks)
+        pool_stats.update(pool.stats.as_dict())
 
     solutions: list[ShardSolution] = []
     for shard, outcome in zip(shards, outcomes):
@@ -428,7 +414,6 @@ def solve_fleet(
     rebalance_targets: int = 2,
     rebalance_migrants: int = 64,
     chaos: ChaosPolicy | None = None,
-    transport: str = "auto",
     validate: bool = True,
 ) -> FleetResult:
     """Partition, solve, rebalance, and compose one fleet allocation.
@@ -462,9 +447,6 @@ def solve_fleet(
         Optional fault injector threaded into the shard pool (chaos
         soak); supervision retries/replays guarantee no shard result is
         lost or double-counted.
-    transport:
-        Broadcast transport for the shard models (see
-        :class:`~repro.parallel.broadcast.SharedModel`).
     validate:
         Run :func:`validate_result` (shallow) before returning.
     """
@@ -486,7 +468,7 @@ def solve_fleet(
 
     pool_stats: dict[str, Any] = {}
     solutions = _solve_all_shards(
-        models, partition, solver, seed, n_workers, chaos, transport, pool_stats
+        models, partition, solver, seed, n_workers, chaos, pool_stats
     )
 
     stats: dict[str, Any] = {"pool": pool_stats} if pool_stats else {}

@@ -43,35 +43,18 @@ class GenitorConfig:
     :data:`repro.genitor.operators.CROSSOVER_OPERATORS` — the paper's
     ``"positional"`` top-part operator by default, with ``"ox"`` and
     ``"pmx"`` available for the operator ablation.
-
-    The evaluation-core knobs are consumed by the PSG driver (the engine
-    itself is problem-agnostic): ``use_profile_cache`` toggles the
-    per-(string, assignment) profile memo, ``init_workers`` > 1
-    evaluates the initial population in parallel process batches, and
-    ``batch_evaluation`` scores the initial population through the
-    batched stacked-buffer kernel (:mod:`repro.core.state_batch`) when
-    no parallel evaluator runs.  None of these change search results —
-    only how fast identical fitness values are obtained (see
-    ``docs/performance.md``).
     """
 
     population_size: int = 250
     bias: float = 1.6
     rules: StoppingRules = field(default_factory=StoppingRules)
     crossover: str = "positional"
-    use_profile_cache: bool = True
-    init_workers: int = 1
-    batch_evaluation: bool = True
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if not 1.0 <= self.bias <= 2.0:
             raise ValueError(f"bias must be in [1, 2], got {self.bias}")
-        if self.init_workers < 1:
-            raise ValueError(
-                f"init_workers must be >= 1, got {self.init_workers}"
-            )
         get_crossover(self.crossover)  # validates the name
 
 
@@ -89,8 +72,6 @@ class GenitorStats:
     elapsed_seconds: float = 0.0
     #: Fresh fitness evaluations per second of search-loop wall time.
     evals_per_second: float = 0.0
-    #: Profile-cache hit rate (0 when no profile cache ran).
-    profile_cache_hit_rate: float = 0.0
     #: (iteration, fitness) at each strict elite improvement.
     improvement_trace: list[tuple[int, Fitness]] = field(default_factory=list)
 
@@ -115,9 +96,9 @@ class GenitorEngine:
     initial_evaluator:
         Optional bulk evaluator for the initial population: called once
         with the list of distinct initial chromosomes, must return their
-        fitness values in the same order.  Lets a driver fan the
-        (embarrassingly parallel) initial evaluation over worker
-        processes; must agree exactly with ``fitness_fn``.
+        fitness values in the same order.  Lets a driver score the
+        whole initial population in one bulk pass (the PSG driver uses
+        the batched kernel); must agree exactly with ``fitness_fn``.
     """
 
     def __init__(

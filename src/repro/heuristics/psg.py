@@ -15,12 +15,9 @@ knobs are exposed here (``config`` and :func:`best_of_trials`).
 
 Performance (see ``docs/performance.md``): each run shares one
 :class:`~repro.core.profile.ProfileCache` across every chromosome
-projection (on by default, toggled via
-:class:`~repro.genitor.GenitorConfig`), the initial population is
-scored through the batched kernel or in parallel process batches
-(``config.init_workers``), and
-:func:`best_of_trials` fans independent trials over a
-:class:`~repro.parallel.SupervisedPool` (``n_workers``) with a
+projection, the initial population is scored in one pass through the
+batched kernel, and :func:`best_of_trials` fans independent trials over
+a :class:`~repro.parallel.SupervisedPool` (``n_workers``) with a
 precomputed seed stream so parallel and serial execution produce
 identical results — even under injected worker failure (see
 ``docs/robustness.md``).
@@ -29,7 +26,7 @@ identical results — even under injected worker failure (see
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Callable, Union
 
 import numpy as np
 
@@ -45,12 +42,11 @@ from ..core.state_batch import BatchEvaluator
 from ..genitor import Chromosome, GenitorConfig, GenitorEngine
 from ..parallel import (
     ChaosPolicy,
-    SharedModel,
     SupervisedPool,
     SupervisorConfig,
     Task,
+    broadcast_models,
     get_worker_context,
-    model_sharing_enabled,
 )
 from .base import HeuristicResult, timed_section
 from .mwf import mwf_order
@@ -79,8 +75,7 @@ def _make_fitness_fn(
 
 
 def _make_batch_evaluator(
-    model: SystemModel,
-    prof_cache: ProfileCache | None,
+    model: SystemModel, prof_cache: ProfileCache
 ) -> BatchEvaluator | None:
     """Bulk evaluator over the batched stacked-buffer kernel, or ``None``
     under the ``sanitize`` backend — its whole point is lockstep-checking
@@ -94,108 +89,6 @@ def _make_batch_evaluator(
     return BatchEvaluator(model, profile_cache=prof_cache)
 
 
-def _evaluate_batch(
-    model_ref: _ModelRef,
-    chromosomes: Sequence[Chromosome],
-    batch_evaluation: bool = True,
-) -> list[Fitness]:
-    """Worker-side bulk projection (module-level: must pickle).
-
-    ``model_ref`` is either the model itself (legacy pickle transport)
-    or a broadcast token that resolves to the worker's zero-copy model
-    and persistent :class:`ProfileCache`.  Scores through the batched
-    kernel (bit-identical to the scalar projection) unless disabled by
-    config or the ``sanitize`` backend.
-    """
-    if isinstance(model_ref, str):
-        model, profile_cache = get_worker_context(model_ref)
-    else:
-        model, profile_cache = model_ref, ProfileCache()
-    if batch_evaluation:
-        evaluator = _make_batch_evaluator(model, profile_cache)
-        if evaluator is not None:
-            return evaluator(chromosomes)
-    fitness_fn = _make_fitness_fn(model, profile_cache=profile_cache)
-    return [fitness_fn(c) for c in chromosomes]
-
-
-def _enter_shared_model(
-    model: SystemModel, share_model: bool | None
-) -> SharedModel | None:
-    """Set up a model broadcast, or None for the pickle fallback."""
-    share = model_sharing_enabled() if share_model is None else share_model
-    if not share:
-        return None
-    try:
-        return SharedModel(model).__enter__()
-    except Exception:
-        return None
-
-
-def _make_initial_evaluator(
-    model: SystemModel,
-    config: GenitorConfig,
-    fitness_fn: Callable[[Chromosome], Fitness],
-) -> Callable[[Sequence[Chromosome]], list[Fitness]] | None:
-    """Parallel initial-population evaluator (``config.init_workers`` > 1).
-
-    Splits the initial chromosomes into one batch per worker and fans
-    them over a :class:`~repro.parallel.SupervisedPool`, broadcasting
-    the model once per worker (:mod:`repro.parallel`) instead of
-    pickling it per batch.  The supervisor retries worker deaths and
-    replays quarantined batches in-process; any batch that still ends
-    in error degrades to the in-process ``fitness_fn``, so a crashing
-    pool falls back to the serial path instead of failing the run.
-    """
-    if config.init_workers <= 1:
-        return None
-
-    def evaluator(chromosomes: Sequence[Chromosome]) -> list[Fitness]:
-        n = len(chromosomes)
-        if n == 0:
-            return []
-        n_workers = min(config.init_workers, n)
-        bounds = np.linspace(0, n, n_workers + 1).astype(int)
-        batches = [
-            list(chromosomes[bounds[i]:bounds[i + 1]])
-            for i in range(n_workers)
-            if bounds[i] < bounds[i + 1]
-        ]
-        shared = _enter_shared_model(model, None)
-        try:
-            model_ref: _ModelRef = (
-                shared.token if shared is not None else model
-            )
-            with SupervisedPool(
-                len(batches),
-                initializer=(
-                    shared.initializer if shared is not None else None
-                ),
-                initargs=shared.initargs if shared is not None else (),
-            ) as pool:
-                outcomes = pool.run(
-                    [
-                        Task(
-                            _evaluate_batch,
-                            (model_ref, batch, config.batch_evaluation),
-                        )
-                        for batch in batches
-                    ]
-                )
-        finally:
-            if shared is not None:
-                shared.__exit__(None, None, None)
-        evaluated: list[Fitness] = []
-        for outcome, batch in zip(outcomes, batches):
-            if outcome.ok:
-                evaluated.extend(outcome.value)
-            else:
-                evaluated.extend(fitness_fn(c) for c in batch)
-        return evaluated
-
-    return evaluator
-
-
 def _run_engine(
     name: str,
     model: SystemModel,
@@ -206,26 +99,18 @@ def _run_engine(
 ) -> HeuristicResult:
     with timed_section() as elapsed:
         prof_cache = (
-            (profile_cache if profile_cache is not None else ProfileCache())
-            if config.use_profile_cache
-            else None
+            profile_cache if profile_cache is not None else ProfileCache()
         )
-        fitness_fn = _make_fitness_fn(model, profile_cache=prof_cache)
-        initial_evaluator: Callable[
-            [Sequence[Chromosome]], Sequence[Fitness]
-        ] | None = _make_initial_evaluator(model, config, fitness_fn)
-        if initial_evaluator is None and config.batch_evaluation:
-            # Serial init: score the initial population through the
-            # batched kernel (bit-identical to fitness_fn; the engine's
-            # steady-state single-offspring iterations stay scalar).
-            initial_evaluator = _make_batch_evaluator(model, prof_cache)
+        # The initial population goes through the batched kernel
+        # (bit-identical to fitness_fn); the engine's steady-state
+        # single-offspring iterations stay scalar.
         engine = GenitorEngine(
             genes=range(model.n_strings),
-            fitness_fn=fitness_fn,
+            fitness_fn=_make_fitness_fn(model, profile_cache=prof_cache),
             config=config,
             rng=rng,
             seeds=seeds,
-            initial_evaluator=initial_evaluator,
+            initial_evaluator=_make_batch_evaluator(model, prof_cache),
         )
         best = engine.run()
         # Re-project the elite to materialize its allocation.
@@ -233,8 +118,6 @@ def _run_engine(
             model, best.chromosome, profile_cache=prof_cache
         )
     stats = engine.stats
-    if prof_cache is not None:
-        stats.profile_cache_hit_rate = prof_cache.hit_rate
     wall = elapsed[0]
     return HeuristicResult(
         name=name,
@@ -253,10 +136,7 @@ def _run_engine(
             "evals_per_second": (
                 stats.evaluations / wall if wall > 0.0 else 0.0
             ),
-            "profile_cache_hit_rate": stats.profile_cache_hit_rate,
-            "profile_cache": (
-                prof_cache.stats() if prof_cache is not None else None
-            ),
+            "profile_cache": prof_cache.stats(),
         },
     )
 
@@ -279,9 +159,9 @@ def psg(
     rng:
         Seed or generator for the stochastic search.
     profile_cache:
-        Optional pre-warmed profile cache to reuse (honoured only when
-        ``config.use_profile_cache``); caches are pure memoization, so
-        sharing one across runs changes speed, never results.
+        Optional pre-warmed profile cache to reuse; caches are pure
+        memoization, so sharing one across runs changes speed, never
+        results.
     """
     return _run_engine(
         "psg",
@@ -343,7 +223,6 @@ def best_of_trials(
     n_trials: int,
     rng: np.random.Generator | int | None = None,
     n_workers: int = 1,
-    share_model: bool | None = None,
     chaos: ChaosPolicy | None = None,
     trial_timeout: float | None = None,
     **kwargs: Any,
@@ -356,10 +235,10 @@ def best_of_trials(
 
     With ``n_workers`` > 1 the trials fan out over a
     :class:`~repro.parallel.SupervisedPool`, with the model broadcast
-    once per worker via :mod:`repro.parallel` instead of pickled per
-    trial (``share_model``: default honours the ``REPRO_SHARE_MODEL``
-    kill-switch; ``stats["model_transport"]`` records the transport
-    used).  The per-trial seeds are drawn from the trial RNG *before*
+    once per worker via :func:`~repro.parallel.broadcast_models`
+    instead of pickled per trial (it falls back to pickling when
+    broadcast setup fails; ``stats["model_transport"]`` records the
+    transport used).  The per-trial seeds are drawn from the trial RNG *before*
     dispatch — the identical stream the serial path consumes — and
     results are collected by trial index, so the parallel path returns
     bit-identical results (including the ``max`` tie-break in trial
@@ -392,49 +271,33 @@ def best_of_trials(
                 for seed in trial_seeds
             ]
         else:
-            shared = _enter_shared_model(model, share_model)
-            try:
-                model_ref: _ModelRef = (
-                    shared.token if shared is not None else model
+            with broadcast_models([model]) as shared, SupervisedPool(
+                min(n_workers, n_trials),
+                initializer=shared.initializer,
+                initargs=shared.initargs,
+                config=SupervisorConfig(task_timeout=trial_timeout),
+                chaos=chaos,
+            ) as pool:
+                transport = shared.transport
+                outcomes = pool.run(
+                    [
+                        Task(
+                            _trial_worker,
+                            (heuristic, shared.refs[0], seed, kwargs),
+                        )
+                        for seed in trial_seeds
+                    ]
                 )
-                transport = (
-                    shared.transport if shared is not None else "pickle"
-                )
-                with SupervisedPool(
-                    min(n_workers, n_trials),
-                    initializer=(
-                        shared.initializer if shared is not None else None
-                    ),
-                    initargs=(
-                        shared.initargs if shared is not None else ()
-                    ),
-                    config=SupervisorConfig(task_timeout=trial_timeout),
-                    chaos=chaos,
-                ) as pool:
-                    outcomes = pool.run(
-                        [
-                            Task(
-                                _trial_worker,
-                                (heuristic, model_ref, seed, kwargs),
-                            )
-                            for seed in trial_seeds
-                        ]
-                    )
-                supervisor_stats = pool.stats.as_dict()
-                trial_failures = (
-                    pool.stats.retries + pool.stats.quarantined
-                )
-                results = []
-                for outcome in outcomes:
-                    if outcome.error is not None:
-                        # Deterministic trial exception: re-running the
-                        # pure trial cannot change it, so propagate —
-                        # exactly what the serial path would do.
-                        raise outcome.error
-                    results.append(outcome.value)
-            finally:
-                if shared is not None:
-                    shared.__exit__(None, None, None)
+            supervisor_stats = pool.stats.as_dict()
+            trial_failures = pool.stats.retries + pool.stats.quarantined
+            results = []
+            for outcome in outcomes:
+                if outcome.error is not None:
+                    # Deterministic trial exception: re-running the
+                    # pure trial cannot change it, so propagate —
+                    # exactly what the serial path would do.
+                    raise outcome.error
+                results.append(outcome.value)
     best = max(results, key=lambda r: r.fitness)
     best.stats["n_trials"] = n_trials
     best.stats["n_workers"] = n_workers

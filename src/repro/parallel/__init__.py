@@ -7,9 +7,10 @@ quarantine with deterministic in-process replay, and result-envelope
 integrity checks.  :class:`ChaosPolicy` (:mod:`repro.parallel.chaos`)
 injects seeded worker kills / delays / corrupted returns through it for
 tests and the ``repro chaos`` soak.  :mod:`repro.parallel.broadcast`
-provides the zero-copy model transports and the shared-memory leak
-registry; :mod:`repro.parallel.retry` is the shared home of the
-jittered-backoff helpers.  See ``docs/robustness.md`` for the
+provides the zero-copy model transports, the one helper that picks
+between them and pickling (:func:`broadcast_models`), and the
+shared-memory leak registry; :mod:`repro.parallel.retry` is the shared
+home of the jittered-backoff helpers.  See ``docs/robustness.md`` for the
 determinism-under-failure contract and ``docs/performance.md`` for when
 the broadcast engages.
 """
@@ -18,8 +19,8 @@ from .broadcast import (
     SharedModel,
     SharedModelGroup,
     active_segment_names,
+    broadcast_models,
     get_worker_context,
-    model_sharing_enabled,
 )
 from .chaos import ChaosDecision, ChaosPolicy
 from .retry import RetryError, RetryPolicy, backoff_delays, retry_call
@@ -49,7 +50,7 @@ __all__ = [
     "TaskQuarantinedError",
     "active_segment_names",
     "backoff_delays",
+    "broadcast_models",
     "get_worker_context",
-    "model_sharing_enabled",
     "retry_call",
 ]

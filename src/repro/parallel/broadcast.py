@@ -1,7 +1,7 @@
 """Zero-copy :class:`~repro.core.model.SystemModel` broadcast to workers.
 
-The process-parallel paths (``best_of_trials``, the initial-population
-evaluator, soak, survivability, the experiments runner) repeatedly ship
+The process-parallel paths (``best_of_trials``, the fleet shard solves,
+soak, survivability, the experiments runner) repeatedly ship
 the same read-only model to every worker.  Pickling it into every task
 costs serialization *per task* and a private copy *per worker*.  This
 module broadcasts the model's large arrays **once per worker**:
@@ -22,22 +22,25 @@ Workers additionally keep one persistent
 profile memoization survives across the tasks (e.g. trials) a warm
 worker serves.
 
-Everything is advisory: :func:`model_sharing_enabled` honours the
-``REPRO_SHARE_MODEL`` environment kill-switch, and every caller falls
-back to plain model pickling when broadcast setup fails.  Sharing never
-changes results — the same seed produces the same elite with sharing
-on or off, which ``tests/test_broadcast.py`` asserts.
+Pool callers go through :func:`broadcast_models`, the one place that
+picks the transport: it enters a :class:`SharedModelGroup`, or hands
+back the models themselves for plain pickling when broadcast setup
+fails (e.g. ``/dev/shm`` is full), and reports which transport it
+used.  The transport never changes results — the same seed produces
+the same elite over a broadcast or over pickling, which
+``tests/test_broadcast.py`` asserts.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
-import os
 import uuid
+from contextlib import contextmanager
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from types import TracebackType
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -45,16 +48,13 @@ from ..core.model import AppString, Machine, Network, SystemModel
 from ..core.profile import ProfileCache
 
 __all__ = [
+    "ModelBroadcast",
     "SharedModel",
     "SharedModelGroup",
     "active_segment_names",
+    "broadcast_models",
     "get_worker_context",
-    "model_sharing_enabled",
 ]
-
-#: Environment kill-switch: set to ``0``/``off``/``false``/``no`` to
-#: disable model broadcast everywhere (callers fall back to pickling).
-SHARE_MODEL_ENV = "REPRO_SHARE_MODEL"
 
 #: Parent-side registry.  Entries added before a pool forks are
 #: inherited copy-on-write by its workers; the parent itself also
@@ -109,12 +109,6 @@ def active_segment_names() -> tuple[str, ...]:
     leak regression test assert exactly that.
     """
     return tuple(sorted(shm.name for shm in _PARENT_SEGMENTS.values()))
-
-
-def model_sharing_enabled() -> bool:
-    """Whether model broadcast is enabled (``REPRO_SHARE_MODEL``)."""
-    value = os.environ.get(SHARE_MODEL_ENV, "").strip().lower()
-    return value not in ("0", "off", "false", "no")
 
 
 def _pack_model(
@@ -413,3 +407,45 @@ class SharedModelGroup:
             f"SharedModelGroup(n={len(self._shared)}, "
             f"transport={self.transport!r})"
         )
+
+
+@dataclass(frozen=True)
+class ModelBroadcast:
+    """Pool wiring for a set of models, as :func:`broadcast_models`
+    yields it.
+
+    ``refs[i]`` is what a task passes for ``models[i]``: a broadcast
+    token (resolve it with :func:`get_worker_context`) or, on the
+    pickle fallback, the model itself.
+    """
+
+    refs: tuple[Union[SystemModel, str], ...]
+    #: ``"inherit"``, ``"shm"`` or ``"pickle"``.
+    transport: str
+    initializer: Callable[..., None] | None
+    initargs: tuple[object, ...]
+
+
+@contextmanager
+def broadcast_models(
+    models: Sequence[SystemModel],
+) -> Iterator[ModelBroadcast]:
+    """Broadcast ``models`` to a pool's workers, or fall back to pickling.
+
+    Enters a :class:`SharedModelGroup` (transport chosen by the start
+    method) and releases it on exit.  When setup raises, the models
+    travel pickled inside each task instead: ``refs`` are the models
+    themselves and ``transport`` is ``"pickle"``.
+    """
+    group = SharedModelGroup(models)
+    try:
+        group.__enter__()
+    except Exception:
+        yield ModelBroadcast(tuple(models), "pickle", None, ())
+        return
+    try:
+        yield ModelBroadcast(
+            group.tokens, group.transport, group.initializer, group.initargs
+        )
+    finally:
+        group.__exit__(None, None, None)

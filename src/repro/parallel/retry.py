@@ -10,9 +10,8 @@ callers that manage their own retry loop (the
 :class:`~repro.parallel.supervisor.SupervisedPool` does).
 
 This module is the shared home for both consumers: the online service
-(:mod:`repro.service`, which re-exports it from its historical
-``repro.service.retry`` path) and the supervised process pool
-(:mod:`repro.parallel.supervisor`).
+(:mod:`repro.service`, which re-exports the public names at package
+level) and the supervised process pool (:mod:`repro.parallel.supervisor`).
 
 Randomness flows through an injected seeded
 :class:`numpy.random.Generator` (RPR002: no ambient RNG state), and the

@@ -11,7 +11,7 @@ gracefully under pressure:
 * :mod:`repro.service.cascade` — the anytime solver cascade
   (psg → mwf+ls → mwf → tf) under a shrinking deadline, with the GA
   tiers preempted via ``StoppingRules.max_wall_seconds``;
-* :mod:`repro.service.breaker` / :mod:`repro.service.retry` — per-tier
+* :mod:`repro.service.breaker` / :mod:`repro.parallel.retry` — per-tier
   circuit breakers and jittered-backoff retries;
 * :mod:`repro.service.admission` — worth-priority admission queue and
   slack-floor load shedding;
@@ -35,6 +35,7 @@ See ``docs/service.md`` for the architecture walk-through and the
 durability contract.
 """
 
+from ..parallel.retry import RetryError, RetryPolicy, backoff_delays, retry_call
 from .admission import (
     AdmissionDecision,
     QueuedRequest,
@@ -88,7 +89,6 @@ from .journal import (
     encode_frame,
     scan_journal,
 )
-from .retry import RetryError, RetryPolicy, backoff_delays, retry_call
 from .soak import SoakConfig, SoakReport, SoakStepRecord, run_soak
 
 __all__ = [

@@ -21,7 +21,7 @@ share of the *remaining* budget, and keeps the lexicographically best
   model is microseconds);
 * each tier sits behind a :class:`~repro.service.breaker.CircuitBreaker`
   and transient exceptions are retried with jittered backoff
-  (:mod:`repro.service.retry`) while the deadline allows.
+  (:mod:`repro.parallel.retry`) while the deadline allows.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..genitor import GenitorConfig, StoppingRules
 from ..heuristics import HeuristicResult, get_heuristic, is_interruptible
 from .breaker import BreakerConfig, CircuitBreaker
 from .deadline import Deadline
-from .retry import RetryError, RetryPolicy, retry_call
+from ..parallel.retry import RetryError, RetryPolicy, retry_call
 
 __all__ = [
     "AttemptRecord",

@@ -48,7 +48,6 @@ class TestRunBench:
         config = quick_record["config"]
         assert config["n_trials"] == 1
         assert config["population_size"] == 30
-        assert config["use_profile_cache"] is True
 
     def test_throughput_fields_consistent(self, quick_record):
         assert quick_record["wall_seconds"] > 0.0

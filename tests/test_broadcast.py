@@ -1,7 +1,8 @@
 """Tests for the zero-copy model broadcast (repro.parallel.broadcast):
-transport roundtrips must be bit-identical and sharing must never
-change heuristic results."""
+transport roundtrips must be bit-identical, and neither sharing nor
+its pickle fallback may change heuristic results."""
 
+import errno
 import multiprocessing as mp
 from concurrent.futures import ProcessPoolExecutor
 
@@ -9,21 +10,16 @@ import numpy as np
 import pytest
 
 from repro.genitor import GenitorConfig, StoppingRules
-from repro.heuristics.psg import (
-    _evaluate_batch,
-    _trial_worker,
-    best_of_trials,
-    seeded_psg,
-)
+from repro.fleet import solve_fleet
+from repro.heuristics.psg import _trial_worker, best_of_trials, seeded_psg
 import repro.parallel.broadcast as broadcast
 from repro.parallel import (
     SharedModel,
+    SharedModelGroup,
     active_segment_names,
     get_worker_context,
-    model_sharing_enabled,
 )
 from repro.parallel.broadcast import (
-    SHARE_MODEL_ENV,
     _init_worker_shm,
     _pack_model,
     _unpack_model,
@@ -31,6 +27,7 @@ from repro.parallel.broadcast import (
     _WORKER_STATE,
 )
 from repro.workload import SCENARIO_1, generate_model
+from repro.workload.fleet import FLEET_SMOKE, generate_fleet
 
 
 @pytest.fixture
@@ -66,21 +63,6 @@ def _assert_models_identical(a, b):
         np.testing.assert_array_equal(s.avg_cpu_utils, t.avg_cpu_utils)
         np.testing.assert_array_equal(s.work, t.work)
     assert [m.name for m in a.machines] == [m.name for m in b.machines]
-
-
-class TestKillSwitch:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(SHARE_MODEL_ENV, raising=False)
-        assert model_sharing_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", " OFF "])
-    def test_disabling_values(self, monkeypatch, value):
-        monkeypatch.setenv(SHARE_MODEL_ENV, value)
-        assert not model_sharing_enabled()
-
-    def test_other_values_enable(self, monkeypatch):
-        monkeypatch.setenv(SHARE_MODEL_ENV, "1")
-        assert model_sharing_enabled()
 
 
 class TestSharedModelLifecycle:
@@ -170,16 +152,18 @@ class TestLeakRegistry:
 
 class TestWorkerAttach:
     def test_init_worker_shm_in_process(self, model):
-        """The initializer path, exercised in-process: the attached model
-        evaluates chromosomes identically to the original."""
-        order = tuple(range(model.n_strings))
-        ref = _evaluate_batch(model, [order])
+        """The initializer path, exercised in-process: a trial on the
+        attached model returns the same elite as on the original."""
+        kwargs = {"config": _tiny_config()}
+        ref = _trial_worker(seeded_psg, model, 3, kwargs)
         with SharedModel(model, transport="shm") as shared:
             _init_worker_shm(shared.token, shared._shm.name, shared._meta)
             try:
                 attached, _ = get_worker_context(shared.token)
                 _assert_models_identical(model, attached)
-                assert _evaluate_batch(shared.token, [order]) == ref
+                got = _trial_worker(seeded_psg, shared.token, 3, kwargs)
+                assert got.fitness == ref.fitness
+                assert got.order == ref.order
             finally:
                 _WORKER_STATE.pop(shared.token, None)
                 shm = _WORKER_SHM.pop(shared.token, None)
@@ -203,31 +187,46 @@ class TestBestOfTrialsSharing:
             seeded_psg, model, 2, rng=4, n_workers=1, config=cfg
         )
         shared = best_of_trials(
-            seeded_psg, model, 2, rng=4, n_workers=2, share_model=True,
-            config=cfg,
-        )
-        pickled = best_of_trials(
-            seeded_psg, model, 2, rng=4, n_workers=2, share_model=False,
-            config=cfg,
-        )
-        for run in (shared, pickled):
-            assert run.fitness == serial.fitness
-            assert run.order == serial.order
-            assert (
-                run.stats["trial_fitnesses"]
-                == serial.stats["trial_fitnesses"]
-            )
-        assert serial.stats["model_transport"] == "none"
-        assert pickled.stats["model_transport"] == "pickle"
-        assert shared.stats["model_transport"] in ("inherit", "shm")
-
-    def test_kill_switch_disables_default(self, model, monkeypatch):
-        monkeypatch.setenv(SHARE_MODEL_ENV, "0")
-        cfg = _tiny_config()
-        run = best_of_trials(
             seeded_psg, model, 2, rng=4, n_workers=2, config=cfg
         )
-        assert run.stats["model_transport"] == "pickle"
+        assert shared.fitness == serial.fitness
+        assert shared.order == serial.order
+        assert (
+            shared.stats["trial_fitnesses"]
+            == serial.stats["trial_fitnesses"]
+        )
+        assert serial.stats["model_transport"] == "none"
+        assert shared.stats["model_transport"] in ("inherit", "shm")
+
+
+def test_broadcast_setup_failure_falls_back_to_pickle(model, monkeypatch):
+    """When broadcast setup raises (here: a full ``/dev/shm``), every
+    pool path ships the models pickled and returns what the serial run
+    returns."""
+
+    def enospc(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(SharedModel, "__enter__", enospc)
+    monkeypatch.setattr(SharedModelGroup, "__enter__", enospc)
+
+    workload = generate_fleet(FLEET_SMOKE, seed=21)
+    fleet_serial = solve_fleet(workload, 2, seed=21, n_workers=1)
+    fleet_pooled = solve_fleet(workload, 2, seed=21, n_workers=2)
+    assert fleet_pooled.signature() == fleet_serial.signature()
+    assert fleet_pooled.total_worth == fleet_serial.total_worth
+
+    cfg = _tiny_config()
+    serial = best_of_trials(
+        seeded_psg, model, 2, rng=4, n_workers=1, config=cfg
+    )
+    pooled = best_of_trials(
+        seeded_psg, model, 2, rng=4, n_workers=2, config=cfg
+    )
+    assert pooled.fitness == serial.fitness
+    assert pooled.order == serial.order
+    assert pooled.stats["trial_fitnesses"] == serial.stats["trial_fitnesses"]
+    assert pooled.stats["model_transport"] == "pickle"
 
 
 @pytest.mark.skipif(
@@ -236,9 +235,9 @@ class TestBestOfTrialsSharing:
 )
 def test_spawn_pool_shm_roundtrip(model):
     """Full cross-process shm path: a spawned worker attaches the block
-    and evaluates identically to the parent."""
-    order = tuple(range(model.n_strings))
-    ref = _evaluate_batch(model, [order])
+    and runs a trial identically to the parent."""
+    kwargs = {"config": _tiny_config()}
+    ref = _trial_worker(seeded_psg, model, 3, kwargs)
     ctx = mp.get_context("spawn")
     with SharedModel(model, transport="shm") as shared:
         with ProcessPoolExecutor(
@@ -247,5 +246,8 @@ def test_spawn_pool_shm_roundtrip(model):
             initializer=shared.initializer,
             initargs=shared.initargs,
         ) as pool:
-            got = pool.submit(_evaluate_batch, shared.token, [order]).result()
-    assert got == ref
+            got = pool.submit(
+                _trial_worker, seeded_psg, shared.token, 3, kwargs
+            ).result()
+    assert got.fitness == ref.fitness
+    assert got.order == ref.order

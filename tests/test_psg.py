@@ -1,7 +1,5 @@
 """Unit tests for the PSG / Seeded PSG heuristics (repro.heuristics.psg)."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -125,8 +123,7 @@ class TestEvaluationCore:
 
     #: (fitness, order, mapped_ids) on scenario1_small with SMALL_CONFIG
     #: and rng=5, captured while the search still had a second, cached
-    #: projection path; every state backend and profile-cache setting
-    #: must reproduce them exactly.
+    #: projection path; every state backend must reproduce them exactly.
     GOLDEN = {
         "psg": (
             (654.0, 0.07342643974394802),
@@ -142,38 +139,16 @@ class TestEvaluationCore:
         ),
     }
 
-    @pytest.mark.parametrize("use_profile_cache", [True, False],
-                             ids=["profile-on", "profile-off"])
     @pytest.mark.parametrize("heuristic", [psg, seeded_psg],
                              ids=["psg", "seeded_psg"])
-    def test_golden_elite(self, scenario1_small, heuristic, use_profile_cache):
-        config = replace(SMALL_CONFIG, use_profile_cache=use_profile_cache)
-        res = heuristic(scenario1_small, config=config, rng=5)
+    def test_golden_elite(self, scenario1_small, heuristic):
+        res = heuristic(scenario1_small, config=SMALL_CONFIG, rng=5)
         fitness, order, mapped_ids = self.GOLDEN[heuristic.__name__]
         assert res.fitness.as_tuple() == fitness
         assert tuple(res.order) == order
         assert tuple(res.mapped_ids) == mapped_ids
         assert res.stats["evals_per_second"] > 0.0
-        if use_profile_cache:
-            assert 0.0 < res.stats["profile_cache_hit_rate"] <= 1.0
-        else:
-            assert res.stats["profile_cache"] is None
-
-    def test_parallel_init_matches_serial(self, scenario3_small):
-        serial = psg(scenario3_small, config=SMALL_CONFIG, rng=7)
-        par_config = GenitorConfig(
-            population_size=SMALL_CONFIG.population_size,
-            bias=SMALL_CONFIG.bias,
-            rules=SMALL_CONFIG.rules,
-            init_workers=2,
-        )
-        parallel = psg(scenario3_small, config=par_config, rng=7)
-        assert parallel.fitness == serial.fitness
-        assert parallel.order == serial.order
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GenitorConfig(init_workers=0)
+        assert 0.0 < res.stats["profile_cache"]["hit_rate"] <= 1.0
 
 
 class TestParallelTrials:

@@ -152,24 +152,27 @@ class TestEngineIntegration:
     every search result bit-identical to the scalar path."""
 
     def test_psg_batch_on_off_identical(self):
+        """Under ``soa`` (like every non-sanitize backend) PSG scores the
+        initial population through the batched kernel; ``sanitize``
+        takes the scalar path."""
         from repro.genitor import GenitorConfig
         from repro.genitor.stopping import StoppingRules
         from repro.heuristics.psg import seeded_psg
 
         params = SCENARIO_1.scaled(n_strings=18, n_machines=4)
         model = generate_model(params, seed=71)
-        rules = StoppingRules(max_iterations=80, max_stale_iterations=50)
-        results = [
-            seeded_psg(
-                model,
-                config=GenitorConfig(
-                    population_size=30, rules=rules, batch_evaluation=flag
-                ),
-                rng=7,
-            )
-            for flag in (True, False)
-        ]
-        on, off = results
+        config = GenitorConfig(
+            population_size=30,
+            rules=StoppingRules(max_iterations=80, max_stale_iterations=50),
+        )
+        previous = get_default_state_backend()
+        try:
+            set_default_state_backend("soa")
+            on = seeded_psg(model, config=config, rng=7)
+            set_default_state_backend("sanitize")
+            off = seeded_psg(model, config=config, rng=7)
+        finally:
+            set_default_state_backend(previous)
         assert on.fitness == off.fitness
         assert on.order == off.order
         assert on.mapped_ids == off.mapped_ids
