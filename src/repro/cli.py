@@ -28,7 +28,6 @@ from typing import Sequence
 from . import __version__
 from .core.feasibility import analyze
 from .core.metrics import evaluate
-from .core.state import STATE_BACKENDS
 from .experiments.runner import SCALES
 from .faults import available_policies, parse_fault, recover_from_events
 from .heuristics import available, get_heuristic
@@ -277,11 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=None,
                    help="fleet only: timed repetitions per shard count "
                         "(minimum kept; default 3, 1 with --quick)")
-    p.add_argument("--state-backend", choices=("both",) + STATE_BACKENDS,
-                   default="both",
-                   help="state-micro only: which AllocationState backend(s) "
-                        "to time (default: both = soa+record, gate on soa; "
-                        "'sanitize' times the lockstep verifier)")
     p.add_argument("--json", dest="json_path", default=None,
                    help="write the record to this exact path (overrides "
                         "--out-dir)")
@@ -767,26 +761,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"worth gap vs monolithic: {record['worth_gap_pct']:.2f}%")
         print(f"record written to {out_path}")
     elif args.name == "state-micro":
-        backends = (
-            ("soa", "record")
-            if args.state_backend == "both"
-            else (args.state_backend,)
-        )
-        record, prof_stats = _profiled(
-            args, run_state_micro, seed=seed, backends=backends
-        )
+        record, prof_stats = _profiled(args, run_state_micro, seed=seed)
         out_path = record_path("state_micro")
         save_record(record, out_path)
-        for backend, nums in record["backends"].items():
-            print(f"{backend}: try_add {nums['try_add_us']:.1f}us/op "
-                  f"({nums['try_add_ops_per_sec']:,.0f} ops/s)  "
-                  f"snap+restore {nums['snapshot_restore_us']:.1f}us/pair "
-                  f"({nums['snapshot_restore_ops_per_sec']:,.0f} pairs/s)")
-        if record["speedup"] is not None:
-            print(f"soa speedup over record: "
-                  f"try_add {record['speedup']['try_add']:.2f}x  "
-                  f"snap+restore "
-                  f"{record['speedup']['snapshot_restore']:.2f}x")
+        print(f"scalar kernel: try_add {record['try_add_us']:.1f}us/op "
+              f"({record['try_add_ops_per_sec']:,.0f} ops/s)  "
+              f"snap+restore {record['snapshot_restore_us']:.1f}us/pair "
+              f"({record['snapshot_restore_ops_per_sec']:,.0f} pairs/s)")
         print(f"batched kernel ({record['config']['batch_lanes']} lanes): "
               f"{record['batch_try_add_us']:.1f}us/lane-op "
               f"({record['batch_try_add_ops_per_sec']:,.0f} lane-ops/s, "

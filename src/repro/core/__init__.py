@@ -27,30 +27,21 @@ from .model import WORTH_FACTORS, AppString, Machine, Network, SystemModel
 from .numeric import ABS_TOL, REL_TOL, is_zero, isclose
 from .profile import ProfileCache, StringProfile, compute_profile
 from .state import (
-    AUTO_BACKEND,
     STATE_BACKENDS,
     AllocationState,
     RecordAllocationState,
     RejectionReason,
     StateSnapshot,
     get_default_state_backend,
-    resolve_auto_backend,
     set_default_state_backend,
 )
 from .state_batch import (
     BatchEvaluator,
     BatchSoaState,
     evaluate_batch,
-    probe_try_add,
     project_batch,
 )
-from .state_jit import HAVE_NUMBA, JitAllocationState
-from .state_sanitize import (
-    SanitizeAllocationState,
-    SanitizeStateSnapshot,
-    StateDivergenceError,
-)
-from .state_soa import SoaAllocationState, SoaStateSnapshot
+from .state_sanitize import SanitizeBatchEvaluator, StateDivergenceError
 from .tightness import (
     average_tightness,
     priority_key,
@@ -68,7 +59,6 @@ from .utilization import (
 
 __all__ = [
     "ABS_TOL",
-    "AUTO_BACKEND",
     "Allocation",
     "AllocationError",
     "AllocationState",
@@ -78,9 +68,7 @@ __all__ = [
     "DEFAULT_TOL",
     "FeasibilityReport",
     "Fitness",
-    "HAVE_NUMBA",
     "InfeasibleError",
-    "JitAllocationState",
     "Machine",
     "ModelError",
     "Network",
@@ -90,11 +78,8 @@ __all__ = [
     "RejectionReason",
     "ReproError",
     "STATE_BACKENDS",
-    "SanitizeAllocationState",
-    "SanitizeStateSnapshot",
+    "SanitizeBatchEvaluator",
     "SimulationError",
-    "SoaAllocationState",
-    "SoaStateSnapshot",
     "SolverError",
     "StateDivergenceError",
     "StateSnapshot",
@@ -116,10 +101,8 @@ __all__ = [
     "isclose",
     "machine_utilization",
     "priority_key",
-    "probe_try_add",
     "project_batch",
     "relative_tightness",
-    "resolve_auto_backend",
     "route_utilization",
     "set_default_state_backend",
     "string_machine_load",

@@ -52,8 +52,8 @@ class StringProfile:
         Tightness priority key (larger = higher priority).
     tightness:
         The scalar tightness component of ``key`` (eq. 4), duplicated so
-        the struct-of-arrays kernel can compare priorities without
-        unpacking tuples.
+        the batched kernel can compare priorities without unpacking
+        tuples.
     period / max_latency:
         The string's QoS parameters, copied for locality.
     nominal_path:
@@ -61,27 +61,23 @@ class StringProfile:
     m_load / m_tmax / m_count:
         Per-machine stage-1 load, largest nominal execution time, and
         application count (machine index -> value).  Built lazily on
-        first access from the fused-axis arrays below (only the record
-        backend walks the dicts; the struct-of-arrays hot path never
-        pays for them).
+        first access from the fused-axis arrays below (the scalar
+        kernel walks the dicts; the batched kernel never pays for
+        them).
     r_load / r_tmax / r_count:
         The same per inter-machine route ``(j1, j2)``, also lazy.
         Intra-machine transfers ride infinite bandwidth and are
         excluded entirely.
     res_idx / res_load / res_tmax / res_count:
         The same quantities flattened onto the *fused resource axis* used
-        by the struct-of-arrays feasibility kernel
-        (:mod:`repro.core.state_soa`): machine ``j`` is resource ``j``,
+        by the batched feasibility kernel
+        (:mod:`repro.core.state_batch`): machine ``j`` is resource ``j``,
         inter-machine route ``(j1, j2)`` is resource
         ``M + j1 * M + j2``.  ``res_idx`` lists the touched resources —
         machines ascending, then routes ascending by flat id — and the
         value vectors are aligned with it.  The entries are bit-identical
         to the dict values (both come from the same ``bincount`` /
         ``maximum.at`` kernels).
-    res_count_list:
-        ``res_count`` as a plain Python list, for the scalar
-        accumulation loops that must stay sequential to preserve
-        bit-identity between backends.
     """
 
     __slots__ = (
@@ -96,7 +92,6 @@ class StringProfile:
         "res_load",
         "res_tmax",
         "res_count",
-        "res_count_list",
         "_dicts",
     )
 
@@ -126,7 +121,6 @@ class StringProfile:
         self.res_load = res_load
         self.res_tmax = res_tmax
         self.res_count = res_count
-        self.res_count_list: list[float] = res_count.tolist()
         self._dicts: (
             tuple[
                 dict[int, float],
@@ -402,10 +396,10 @@ def _profile_vector(
             rtmax = np.zeros(uniq_r.size)
             np.maximum.at(rtmax, inv_r, times[inter])
 
-    # Fused resource axis for the struct-of-arrays kernel: machine j is
+    # Fused resource axis for the batched kernel: machine j is
     # resource j, route (j1, j2) is resource M + j1*M + j2.  Machines
     # first (ascending), then routes (ascending flat id) — the dict
-    # views (record backend only) derive lazily from these arrays.
+    # views (scalar kernel only) derive lazily from these arrays.
     n_mach = model.n_machines
     res_idx = np.concatenate(
         [uniq_m.astype(np.int64), n_mach + uniq_r.astype(np.int64)]

@@ -28,37 +28,24 @@ check touches exactly those strings.  The test suite asserts that the
 accept/reject decisions and all cached quantities agree with the
 from-scratch analysis.
 
-Two interchangeable backends implement this bookkeeping:
+:class:`AllocationState` is the one scalar kernel: one ``dict``-based
+record per mapped string plus sorted per-resource user lists.  The
+batched population kernel (:mod:`repro.core.state_batch`) is
+bit-identical to it because both perform the same scalar floating-point
+operations in the same canonical order — interference ``H`` for a newly
+added string is derived from its *priority predecessor* (``H[w] +
+load[w]`` for the lowest-priority user ``w`` above the new key),
+waiting-term accumulations run over touched resources in ascending
+fused-resource order, and per-user scans run in ascending string-id
+order.
 
-* ``"record"`` (:class:`RecordAllocationState`, this module) — the
-  reference implementation: one ``dict``-based record per mapped string
-  plus sorted per-resource user lists.
-* ``"soa"`` (:class:`repro.core.state_soa.SoaAllocationState`, the
-  default) — a flat struct-of-arrays kernel: every cached quantity lives
-  in one dense ``(rows, N)`` float buffer so the feasibility stages run
-  as vectorized kernels and ``snapshot()``/``restore()`` collapse to
-  array copies.
-
-A third entry, ``"sanitize"``
-(:class:`repro.core.state_sanitize.SanitizeAllocationState`), is not an
-implementation but a *verifier*: it runs both backends in lockstep and
-raises :class:`~repro.core.state_sanitize.StateDivergenceError` at the
-first operation whose results are not bit-identical.  Select it via
-``REPRO_STATE_BACKEND=sanitize`` to turn any test run into an
-equivalence audit.
-
-The two backends are **bit-identical**: the same call sequence produces
-the same accept/reject decisions, the same ``last_rejection`` fields,
-and the same cached floats, because both perform the same scalar
-floating-point operations in the same canonical order — interference
-``H`` for a newly added string is derived from its *priority
-predecessor* (``H[w] + load[w]`` for the lowest-priority user ``w``
-above the new key), waiting-term accumulations run over touched
-resources in ascending fused-resource order, and per-user scans run in
-ascending string-id order.  ``AllocationState(...)`` constructs whichever
-backend is selected (``backend=`` argument, then
-:func:`set_default_state_backend`, then the ``REPRO_STATE_BACKEND``
-environment variable, then ``"soa"``).
+``REPRO_STATE_BACKEND`` (or :func:`set_default_state_backend`) takes one
+of :data:`STATE_BACKENDS`.  ``"record"`` is the default; ``"sanitize"``
+makes the PSG initial-population evaluator re-project every ordering
+through the scalar kernel and raise
+:class:`~repro.core.state_sanitize.StateDivergenceError` at the first
+lane that is not bit-identical, turning any test run into an
+equivalence audit of the two kernels.
 
 The immutable part of the per-string record (loads, tmax, counts,
 nominal path, priority key) lives in :class:`~repro.core.profile.StringProfile`
@@ -74,7 +61,6 @@ import os
 import warnings
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -86,79 +72,36 @@ from .model import SystemModel
 from .profile import ProfileCache, Route, StringProfile, compute_profile
 from .types import FloatArray, IntArray, IntVectorLike
 
-if TYPE_CHECKING:
-    from .state_sanitize import SanitizeStateSnapshot
-    from .state_soa import SoaStateSnapshot
-
-    #: Any backend's snapshot.
-    StateSnapshotLike = Union[
-        "StateSnapshot", "SoaStateSnapshot", "SanitizeStateSnapshot"
-    ]
-
 __all__ = [
-    "AUTO_BACKEND",
-    "AUTO_RECORD_CELLS",
     "STATE_BACKENDS",
     "AllocationState",
     "RecordAllocationState",
     "RejectionReason",
     "StateSnapshot",
     "get_default_state_backend",
-    "resolve_auto_backend",
     "set_default_state_backend",
 ]
 
-#: Recognized feasibility-kernel backends.  ``"soa"`` is the vectorized
-#: struct-of-arrays kernel, ``"record"`` the scalar reference kernel,
-#: ``"jit"`` the optionally-compiled SoA variant (pure-NumPy fallback
-#: when :mod:`numba` is absent).  ``"sanitize"`` runs soa and record in
-#: lockstep and asserts bit-identity on every operation — a
-#: verification tool, never a benchmark target (see
+#: Recognized ``REPRO_STATE_BACKEND`` values.  ``"record"`` is the
+#: scalar kernel every state runs; ``"sanitize"`` additionally
+#: cross-checks every batched projection against it — a verification
+#: tool, never a benchmark target (see
 #: :mod:`repro.core.state_sanitize`).
-STATE_BACKENDS: tuple[str, ...] = ("soa", "record", "jit", "sanitize")
-
-#: Pseudo-backend: resolve to a concrete kernel per instance size at
-#: construction time (see :func:`resolve_auto_backend`).  All kernels
-#: are bit-identical, so the choice is purely a throughput matter.
-AUTO_BACKEND = "auto"
-
-#: ``n_strings * (M + M²)`` at or below which ``"auto"`` picks the
-#: scalar record kernel.  On small instances every NumPy expression in
-#: the SoA kernel touches a handful of elements and per-call dispatch
-#: dominates, so the plain-Python kernel is measurably faster; past
-#: this size the vectorized kernel and its O(1)-ish snapshots win.
-AUTO_RECORD_CELLS = 1024
-
-
-def resolve_auto_backend(model: SystemModel) -> str:
-    """The concrete kernel ``"auto"`` selects for ``model``.
-
-    Small instances (``n_strings * (M + M²) <= AUTO_RECORD_CELLS``) get
-    the scalar ``"record"`` kernel; larger ones the vectorized
-    ``"soa"`` kernel — with its compiled ``"jit"`` variant instead
-    whenever :mod:`numba` is importable.  Results are bit-identical
-    across all three, so this only ever changes throughput.
-    """
-    m = model.n_machines
-    if model.n_strings * (m + m * m) <= AUTO_RECORD_CELLS:
-        return "record"
-    from .state_jit import HAVE_NUMBA
-
-    return "jit" if HAVE_NUMBA else "soa"
+STATE_BACKENDS: tuple[str, ...] = ("record", "sanitize")
 
 
 def _env_default_backend() -> str:
     name = os.environ.get("REPRO_STATE_BACKEND", "").strip().lower()
     if not name:
-        return AUTO_BACKEND
-    if name != AUTO_BACKEND and name not in STATE_BACKENDS:
+        return "record"
+    if name not in STATE_BACKENDS:
         warnings.warn(
             f"REPRO_STATE_BACKEND={name!r} is not one of "
-            f"{STATE_BACKENDS + (AUTO_BACKEND,)}; using {AUTO_BACKEND!r}",
+            f"{STATE_BACKENDS}; using 'record'",
             RuntimeWarning,
             stacklevel=2,
         )
-        return AUTO_BACKEND
+        return "record"
     return name
 
 
@@ -166,56 +109,24 @@ _default_backend: str = _env_default_backend()
 
 
 def get_default_state_backend() -> str:
-    """The backend :class:`AllocationState` constructs by default."""
+    """The selected :data:`STATE_BACKENDS` value (``"record"`` unless
+    ``"sanitize"`` was requested)."""
     return _default_backend
 
 
 def set_default_state_backend(name: str) -> None:
-    """Select the default feasibility-kernel backend process-wide.
+    """Select ``"record"`` or ``"sanitize"`` process-wide.
 
-    ``name`` must be one of :data:`STATE_BACKENDS` or ``"auto"``.
-    Existing states keep their backend; only subsequent
-    ``AllocationState(...)`` constructions are affected.  The initial
-    default comes from the ``REPRO_STATE_BACKEND`` environment variable
-    (``"auto"`` when unset).
+    The initial value comes from the ``REPRO_STATE_BACKEND`` environment
+    variable (``"record"`` when unset).  Only evaluators built after the
+    call are affected.
     """
-    if name != AUTO_BACKEND and name not in STATE_BACKENDS:
+    if name not in STATE_BACKENDS:
         raise ValueError(
-            f"unknown state backend {name!r}; choose from "
-            f"{STATE_BACKENDS + (AUTO_BACKEND,)}"
+            f"unknown state backend {name!r}; choose from {STATE_BACKENDS}"
         )
     global _default_backend
     _default_backend = name
-
-
-def _backend_class(
-    name: str | None, model: SystemModel | None = None
-) -> type["AllocationState"]:
-    resolved = _default_backend if name is None else name
-    if resolved == AUTO_BACKEND:
-        if model is None:
-            raise ValueError(
-                "the 'auto' backend resolves per model; construct via "
-                "AllocationState(model, ...) or name a concrete backend"
-            )
-        resolved = resolve_auto_backend(model)
-    if resolved == "record":
-        return RecordAllocationState
-    if resolved == "soa":
-        from .state_soa import SoaAllocationState
-
-        return SoaAllocationState
-    if resolved == "jit":
-        from .state_jit import JitAllocationState
-
-        return JitAllocationState
-    if resolved == "sanitize":
-        from .state_sanitize import SanitizeAllocationState
-
-        return SanitizeAllocationState
-    raise ValueError(
-        f"unknown state backend {resolved!r}; choose from {STATE_BACKENDS}"
-    )
 
 
 @dataclass(frozen=True)
@@ -259,7 +170,7 @@ class _StringRecord:
 
 
 class StateSnapshot:
-    """Frozen copy of a record-backend state's mutable core.
+    """Frozen copy of an allocation state's mutable core.
 
     Holds the utilization accumulators, per-string records (profiles
     shared, interference terms copied), and resource-user lists.  A
@@ -307,9 +218,10 @@ class StateSnapshot:
 class AllocationState:
     """Mutable allocation with O(touched-resources) feasibility updates.
 
-    ``AllocationState(model, ...)`` dispatches to the selected backend
-    subclass (see the module docstring); both backends share this public
-    interface and produce bit-identical results.
+    One :class:`_StringRecord` per mapped string plus ascending
+    per-resource user lists.  All scalar accumulations follow the
+    canonical order shared with the batched kernel (see the module
+    docstring), so the two stay bit-identical.
 
     Parameters
     ----------
@@ -322,40 +234,13 @@ class AllocationState:
         Optional model-scoped memo for the immutable per-(string,
         assignment) profiles.  Share one cache between states of the
         same model; never share across models.
-    backend:
-        Explicit backend choice (``"soa"`` or ``"record"``); ``None``
-        uses :func:`get_default_state_backend`.
     """
-
-    #: Backend name; overridden by subclasses.
-    backend: str = ""
-
-    #: Eq. (2) utilization per machine (running totals).
-    machine_util: FloatArray
-    #: Eq. (3) utilization per route (running totals, diag always 0).
-    route_util: FloatArray
-
-    def __new__(
-        cls,
-        model: SystemModel,
-        tol: float = DEFAULT_TOL,
-        profile_cache: ProfileCache | None = None,
-        backend: str | None = None,
-    ) -> "AllocationState":
-        if cls is AllocationState:
-            cls = _backend_class(backend, model)
-        elif backend is not None and backend != cls.backend:
-            raise ValueError(
-                f"backend {backend!r} conflicts with {cls.__name__}"
-            )
-        return object.__new__(cls)
 
     def __init__(
         self,
         model: SystemModel,
         tol: float = DEFAULT_TOL,
         profile_cache: ProfileCache | None = None,
-        backend: str | None = None,
     ) -> None:
         self.model = model
         self.tol = tol
@@ -364,34 +249,40 @@ class AllocationState:
         self._mapped_cache: tuple[int, ...] | None = None
         #: Diagnostic: why the most recent ``try_add`` failed (or None).
         self.last_rejection: RejectionReason | None = None
+        M = model.n_machines
+        #: Eq. (2) utilization per machine (running totals).
+        self.machine_util: FloatArray = np.zeros(M)
+        #: Eq. (3) utilization per route (running totals, diag always 0).
+        self.route_util: FloatArray = np.zeros((M, M))
+        self._records: dict[int, _StringRecord] = {}
+        # resource -> ascending list of string ids using it
+        self._machine_users: list[list[int]] = [[] for _ in range(M)]
+        self._route_users: dict[Route, list[int]] = {}
 
     # -- read-only views -------------------------------------------------------
 
     @property
     def n_strings(self) -> int:
-        raise NotImplementedError
+        return len(self._records)
 
     @property
     def mapped_ids(self) -> tuple[int, ...]:
         """Sorted ids of the mapped strings (cached between mutations)."""
         cached = self._mapped_cache
         if cached is None:
-            cached = self._compute_mapped_ids()
+            cached = tuple(sorted(self._records))
             self._mapped_cache = cached
         return cached
-
-    def _compute_mapped_ids(self) -> tuple[int, ...]:
-        raise NotImplementedError
 
     @property
     def total_worth(self) -> float:
         return self._worth
 
     def machines_for(self, string_id: int) -> IntArray:
-        raise NotImplementedError
+        return self._records[string_id].profile.machines
 
     def __contains__(self, string_id: int) -> bool:
-        raise NotImplementedError
+        return string_id in self._records
 
     def slackness(self) -> float:
         """Eq. (7) over the current utilization accumulators."""
@@ -407,39 +298,69 @@ class AllocationState:
 
     def as_allocation(self) -> Allocation:
         """Materialize the current mapping as an immutable Allocation."""
-        raise NotImplementedError
+        return Allocation(
+            self.model,
+            {k: rec.profile.machines for k, rec in self._records.items()},
+        )
 
     def estimated_latency(self, string_id: int) -> float:
         """Estimated end-to-end latency of a mapped string."""
-        raise NotImplementedError
+        rec = self._records[string_id]
+        return rec.profile.nominal_path + rec.profile.period * rec.wait_sum
 
     def interference_terms(
         self, string_id: int
     ) -> tuple[dict[int, float], dict[Route, float], float]:
-        """``(H per machine, H per route, wait_sum)`` of a mapped string.
-
-        Introspection for tests and diagnostics; the equivalence suite
-        asserts these match bit-for-bit across backends.
-        """
-        raise NotImplementedError
+        """``(H per machine, H per route, wait_sum)`` of a mapped string
+        (introspection for tests and diagnostics)."""
+        rec = self._records[string_id]
+        return dict(rec.H_m), dict(rec.H_r), rec.wait_sum
 
     def machine_users(self, j: int) -> IntArray:
         """Ascending ids of mapped strings with applications on ``j``."""
-        raise NotImplementedError
+        return np.asarray(self._machine_users[j], dtype=np.int64)
 
     def route_users(self, j1: int, j2: int) -> IntArray:
         """Ascending ids of mapped strings with transfers on the route."""
-        raise NotImplementedError
+        return np.asarray(
+            self._route_users.get((j1, j2), []), dtype=np.int64
+        )
 
     # -- snapshot / restore ------------------------------------------------------
 
-    def snapshot(self) -> "StateSnapshotLike":
-        """Detached copy of the mutable core (profiles shared)."""
-        raise NotImplementedError
+    def snapshot(self) -> StateSnapshot:
+        """Detached copy of the mutable core (records share profiles).
 
-    def restore(self, snapshot: "StateSnapshotLike") -> None:
-        """Reset this state to ``snapshot`` (which stays reusable)."""
-        raise NotImplementedError
+        Cost is ``O(mapped strings × touched resources)`` — far cheaper
+        than replaying the IMR + feasibility analysis that produced the
+        state.
+        """
+        return StateSnapshot(
+            machine_util=self.machine_util.copy(),
+            route_util=self.route_util.copy(),
+            records={k: rec.clone() for k, rec in self._records.items()},
+            machine_users=[users.copy() for users in self._machine_users],
+            route_users={r: users.copy() for r, users in self._route_users.items()},
+            worth=self._worth,
+        )
+
+    def restore(self, snapshot: StateSnapshot) -> None:
+        """Reset this state to ``snapshot`` (which stays reusable).
+
+        The snapshot's arrays, records, and user lists are copied again
+        so later mutations of this state never leak back into the
+        snapshot — a cached snapshot can seed any number of states.
+        """
+        self.machine_util = snapshot.machine_util.copy()
+        self.route_util = snapshot.route_util.copy()
+        self._records = {k: rec.clone() for k, rec in snapshot.records.items()}
+        self._machine_users = [users.copy() for users in snapshot.machine_users]
+        self._route_users = {
+            r: users.copy() for r, users in snapshot.route_users.items()
+        }
+        self._worth = snapshot.worth
+        self._mapped_cache = None
+        self.last_rejection = None
 
     # -- string profiling -------------------------------------------------------
 
@@ -463,173 +384,6 @@ class AllocationState:
         the state is left untouched, ``False`` returned, and
         :attr:`last_rejection` describes the first violated constraint.
         """
-        raise NotImplementedError
-
-    def remove(self, string_id: int) -> None:
-        """Remove a mapped string, restoring all cached quantities.
-
-        The inverse of a successful :meth:`try_add`; used by local-search
-        extensions and by tests that verify the cache algebra.
-        """
-        raise NotImplementedError
-
-    # -- queries used by the IMR --------------------------------------------------
-
-    def machine_util_if(
-        self, j: int, string_id: int, app_index: int, extra: float = 0.0
-    ) -> float:
-        """``U_machine[j, i, k]``: utilization of ``j`` if app ``i`` joins.
-
-        ``extra`` lets the IMR account for applications of the same
-        string already tentatively placed on ``j`` but not yet committed
-        to the state.
-        """
-        s = self.model.strings[string_id]
-        share = s.work[app_index, j] / s.period
-        return float(self.machine_util[j] + extra + share)
-
-    def route_util_if(
-        self,
-        j1: int,
-        j2: int,
-        string_id: int,
-        transfer_index: int,
-        extra: float = 0.0,
-    ) -> float:
-        """``U_route[j1, j2, i, k]``: route utilization if transfer joins.
-
-        ``transfer_index`` is the index of the *sending* application;
-        the transfer carries ``output_sizes[transfer_index]`` bytes.
-        Intra-machine routes always report utilization 0.
-        """
-        if j1 == j2:
-            return 0.0
-        s = self.model.strings[string_id]
-        demand = (
-            s.output_sizes[transfer_index]
-            / s.period
-            * self.model.network.inv_bandwidth[j1, j2]
-        )
-        return float(self.route_util[j1, j2] + extra + demand)
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(n_strings={self.n_strings}, "
-            f"worth={self._worth:g}, slack={self.slackness():.4f})"
-        )
-
-
-class RecordAllocationState(AllocationState):
-    """The dict-and-record reference backend (``backend="record"``).
-
-    One :class:`_StringRecord` per mapped string plus ascending
-    per-resource user lists.  All scalar accumulations follow the
-    canonical order shared with the struct-of-arrays kernel (see the
-    module docstring), so the two backends stay bit-identical.
-    """
-
-    backend = "record"
-
-    def __init__(
-        self,
-        model: SystemModel,
-        tol: float = DEFAULT_TOL,
-        profile_cache: ProfileCache | None = None,
-        backend: str | None = None,
-    ) -> None:
-        super().__init__(model, tol, profile_cache)
-        M = model.n_machines
-        self.machine_util = np.zeros(M)
-        self.route_util = np.zeros((M, M))
-        self._records: dict[int, _StringRecord] = {}
-        # resource -> ascending list of string ids using it
-        self._machine_users: list[list[int]] = [[] for _ in range(M)]
-        self._route_users: dict[Route, list[int]] = {}
-
-    # -- read-only views -------------------------------------------------------
-
-    @property
-    def n_strings(self) -> int:
-        return len(self._records)
-
-    def _compute_mapped_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._records))
-
-    def machines_for(self, string_id: int) -> IntArray:
-        return self._records[string_id].profile.machines
-
-    def __contains__(self, string_id: int) -> bool:
-        return string_id in self._records
-
-    def as_allocation(self) -> Allocation:
-        return Allocation(
-            self.model,
-            {k: rec.profile.machines for k, rec in self._records.items()},
-        )
-
-    def estimated_latency(self, string_id: int) -> float:
-        rec = self._records[string_id]
-        return rec.profile.nominal_path + rec.profile.period * rec.wait_sum
-
-    def interference_terms(
-        self, string_id: int
-    ) -> tuple[dict[int, float], dict[Route, float], float]:
-        rec = self._records[string_id]
-        return dict(rec.H_m), dict(rec.H_r), rec.wait_sum
-
-    def machine_users(self, j: int) -> IntArray:
-        return np.asarray(self._machine_users[j], dtype=np.int64)
-
-    def route_users(self, j1: int, j2: int) -> IntArray:
-        return np.asarray(
-            self._route_users.get((j1, j2), []), dtype=np.int64
-        )
-
-    # -- snapshot / restore ------------------------------------------------------
-
-    def snapshot(self) -> StateSnapshot:
-        """Detached copy of the mutable core (records share profiles).
-
-        Cost is ``O(mapped strings × touched resources)`` — far cheaper
-        than replaying the IMR + feasibility analysis that produced the
-        state.
-        """
-        return StateSnapshot(
-            machine_util=self.machine_util.copy(),
-            route_util=self.route_util.copy(),
-            records={k: rec.clone() for k, rec in self._records.items()},
-            machine_users=[users.copy() for users in self._machine_users],
-            route_users={r: users.copy() for r, users in self._route_users.items()},
-            worth=self._worth,
-        )
-
-    def restore(self, snapshot: "StateSnapshotLike") -> None:
-        """Reset this state to ``snapshot`` (which stays reusable).
-
-        The snapshot's arrays, records, and user lists are copied again
-        so later mutations of this state never leak back into the
-        snapshot — a cached snapshot can seed any number of states.
-        """
-        if not isinstance(snapshot, StateSnapshot):
-            raise TypeError(
-                f"cannot restore a {type(snapshot).__name__} into the "
-                f"'record' backend; snapshots do not transfer between "
-                f"backends"
-            )
-        self.machine_util = snapshot.machine_util.copy()
-        self.route_util = snapshot.route_util.copy()
-        self._records = {k: rec.clone() for k, rec in snapshot.records.items()}
-        self._machine_users = [users.copy() for users in snapshot.machine_users]
-        self._route_users = {
-            r: users.copy() for r, users in snapshot.route_users.items()
-        }
-        self._worth = snapshot.worth
-        self._mapped_cache = None
-        self.last_rejection = None
-
-    # -- the core operation -----------------------------------------------------
-
-    def try_add(self, string_id: int, machines: IntVectorLike) -> bool:
         if string_id in self._records:
             raise AllocationError(f"string {string_id} is already mapped")
         self.last_rejection = None
@@ -656,7 +410,7 @@ class RecordAllocationState(AllocationState):
         # ---- stage 2a: the new string under existing interference -----------
         # H for the new string comes from its *priority predecessor* w —
         # the lowest-priority user above the new key:  H = H[w] + load[w].
-        # This is the canonical derivation shared with the SoA kernel.
+        # This is the canonical derivation shared with the batched kernel.
         key = prof.key
         for j in prof.m_load:
             pred: _StringRecord | None = None
@@ -791,6 +545,11 @@ class RecordAllocationState(AllocationState):
         return True
 
     def remove(self, string_id: int) -> None:
+        """Remove a mapped string, restoring all cached quantities.
+
+        The inverse of a successful :meth:`try_add`; used by local-search
+        extensions and by tests that verify the cache algebra.
+        """
         rec = self._records.pop(string_id, None)
         if rec is None:
             raise AllocationError(f"string {string_id} is not mapped")
@@ -818,3 +577,55 @@ class RecordAllocationState(AllocationState):
                     del self._route_users[r]
         self._worth -= self.model.strings[string_id].worth
         self._mapped_cache = None
+
+    # -- queries used by the IMR --------------------------------------------------
+
+    def machine_util_if(
+        self, j: int, string_id: int, app_index: int, extra: float = 0.0
+    ) -> float:
+        """``U_machine[j, i, k]``: utilization of ``j`` if app ``i`` joins.
+
+        ``extra`` lets the IMR account for applications of the same
+        string already tentatively placed on ``j`` but not yet committed
+        to the state.
+        """
+        s = self.model.strings[string_id]
+        share = s.work[app_index, j] / s.period
+        return float(self.machine_util[j] + extra + share)
+
+    def route_util_if(
+        self,
+        j1: int,
+        j2: int,
+        string_id: int,
+        transfer_index: int,
+        extra: float = 0.0,
+    ) -> float:
+        """``U_route[j1, j2, i, k]``: route utilization if transfer joins.
+
+        ``transfer_index`` is the index of the *sending* application;
+        the transfer carries ``output_sizes[transfer_index]`` bytes.
+        Intra-machine routes always report utilization 0.
+        """
+        if j1 == j2:
+            return 0.0
+        s = self.model.strings[string_id]
+        demand = (
+            s.output_sizes[transfer_index]
+            / s.period
+            * self.model.network.inv_bandwidth[j1, j2]
+        )
+        return float(self.route_util[j1, j2] + extra + demand)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(n_strings={self.n_strings}, "
+            f"worth={self._worth:g}, slack={self.slackness():.4f})"
+        )
+
+
+#: The scalar kernel under its former backend name.  Only
+#: ``perfbench/tracing.py`` still looks it up; the name goes once the
+#: tracer reads built-in spans instead (the observability item of
+#: ROADMAP.md).
+RecordAllocationState = AllocationState

@@ -1,15 +1,39 @@
-"""Batched population evaluation over stacked SoA buffers.
+"""Batched population evaluation over stacked struct-of-arrays buffers.
 
-The scalar kernels (:mod:`repro.core.state_soa` and friends) score one
-candidate ordering at a time; every NumPy operation they issue touches a
-``(c, N)`` block small enough that per-call dispatch overhead rivals the
-arithmetic.  This module amortizes that overhead across a *population*:
-:class:`BatchSoaState` stacks ``B`` independent lane states into one
-``(B, 7 + 4·(C+1), N)`` float64 buffer and runs the two-stage
-feasibility analysis for one candidate string **per lane** as vectorized
-passes over the whole batch — stage-1 capacity, stage-2a/2b
+The scalar kernel (:class:`repro.core.state.AllocationState`) scores one
+candidate ordering at a time.  This module amortizes per-call overhead
+across a *population*: :class:`BatchSoaState` stacks ``B`` independent
+lane states into one ``(B, 7 + 4·(C+1), N)`` float64 buffer and runs the
+two-stage feasibility analysis for one candidate string **per lane** as
+vectorized passes over the whole batch — stage-1 capacity, stage-2a/2b
 interference and latency re-checks, worth accumulation, and commit all
-execute once per placement step instead of once per lane.
+execute once per placement step instead of once per lane.  The lanes
+are built from model and profile data alone; no scalar state is read.
+
+Layout
+------
+Resources live on a *fused axis* of size ``C = M + M²``: machine ``j``
+is resource ``j``; inter-machine route ``(j1, j2)`` is resource
+``M + j1*M + j2`` (the axis of
+:attr:`~repro.core.profile.StringProfile.res_idx`).  Per lane, slot
+``z`` is string ``z``:
+
+====================  =======================================================
+rows                  contents
+====================  =======================================================
+``0..6``              ``period``, ``nominal_path``, ``max_latency``,
+                      ``tightness``, ``wait_sum``, and the pre-multiplied
+                      bounds ``period*(1+tol)`` / ``max_latency*(1+tol)``
+                      (zero when unmapped)
+block 1               ``load[ρ, z]`` — stage-1 utilization contribution
+block 2               ``tmax[ρ, z]`` — binding nominal time on ``ρ``
+block 3               ``count[ρ, z]`` — apps/transfers of ``z`` on ``ρ``
+                      (doubles as the membership table: ``count > 0``)
+block 4               ``H[ρ, z]`` — higher-priority interference on ``ρ``
+====================  =======================================================
+
+Each block has ``C + 1`` rows: the extra one is the dummy row below.
+Stage-1 utilization is a separate fused ``(B, C + 1)`` array.
 
 Lanes are independent: an ordering that fails at step ``s`` simply goes
 inactive (early-exit masking) while the rest of the batch keeps
@@ -32,17 +56,28 @@ Bit-identity
 ------------
 Batched and scalar evaluation are bit-identical — same fitness, same
 ``last_rejection`` fields, same committed state per lane.  The batched
-passes perform the scalar kernels' IEEE-754 operations elementwise with
-the lane axis prepended; the two genuinely sequential accumulations
-(the new string's ``wait_sum`` chain and the stage-2b per-slot wait
-fold) are explicit Python loops over the resource axis — vectorized
-across lanes, sequential within a lane — because handing them to
-``np.add.reduce`` over an *inner* array axis would invite NumPy's
-pairwise summation and silently reassociate the chain.  Zero-initialized
-accumulators match the scalar chains exactly: every addend is
-non-negative, and ``0.0 + x == x`` holds bitwise for non-negative
-``x``.  The randomized equivalence walks in ``tests/test_state_batch.py``
-gate all of this against the scalar backends.
+passes perform the scalar kernel's IEEE-754 operations elementwise with
+the lane axis prepended:
+
+* the new string's interference ``H`` comes from its priority
+  predecessor per resource — an ``argmin`` over the reversed slot axis
+  (minimum tightness, largest id on ties), the scalar kernel's exact
+  selection;
+* the two genuinely sequential accumulations (the new string's
+  ``wait_sum`` chain and the stage-2b per-slot wait fold) are explicit
+  Python loops over the resource axis — vectorized across lanes,
+  sequential within a lane — because handing them to ``np.add.reduce``
+  over an *inner* array axis would invite NumPy's pairwise summation and
+  silently reassociate the chain;
+* first-reported rejections scan resources in fused order and users in
+  ascending id order, matching the scalar loops.
+
+Zero-initialized accumulators match the scalar chains exactly: every
+addend is non-negative, and ``0.0 + x == x`` holds bitwise for
+non-negative ``x``.  The randomized equivalence walks in
+``tests/test_state_batch.py`` gate all of this against the scalar
+kernel, and ``REPRO_STATE_BACKEND=sanitize`` re-checks every lane of
+every PSG initial population (:mod:`repro.core.state_sanitize`).
 """
 
 from __future__ import annotations
@@ -56,7 +91,6 @@ from .metrics import Fitness
 from .model import SystemModel
 from .profile import ProfileCache, StringProfile, compute_profile
 from .state import AllocationState, RejectionReason
-from .state_soa import SoaAllocationState
 from .types import FloatArray, IntVectorLike
 
 __all__ = [
@@ -65,11 +99,10 @@ __all__ = [
     "BatchSoaState",
     "DEFAULT_MAX_LANES",
     "evaluate_batch",
-    "probe_try_add",
     "project_batch",
 ]
 
-#: Scalar rows ahead of the per-resource blocks (mirrors state_soa).
+#: Scalar rows ahead of the per-resource blocks (see the module docstring).
 _SCALAR_ROWS = 7
 
 #: Default lane-chunk width: bounds the stacked buffer to a few tens of
@@ -174,9 +207,8 @@ def _staged_checks(
 
     The per-lane state arrays arrive pre-gathered with the lane axis
     prepended — ``util`` is ``(A, ·)``, ``tight``/``wait``/… are
-    ``(A, N)``, and the resource blocks are ``(A, c, N)`` — so the same
-    code serves both the stacked buffer (lanes gathered per step) and
-    the broadcast single-state probe.  Nothing here mutates state.
+    ``(A, N)``, and the resource blocks are ``(A, c, N)``.  Nothing here
+    mutates state.
     """
     r = _StageResults()
     bound = 1.0 + tol
@@ -231,8 +263,8 @@ def _staged_checks(
     r.viol2b = (r.lhs2b > pbound[:, None, :]) & Ml
     r.f2b = r.viol2b.any(axis=(1, 2))
 
-    # Per-slot wait increments: same explicit sequential fold over the
-    # resource axis as the scalar kernels' np.add.reduce over rows.
+    # Per-slot wait increments: an explicit sequential fold over the
+    # resource axis, the scalar kernel's per-resource chain.
     prods = np.where(Ml, cnt * sa.Rload[:, :, None], 0.0)
     wd = np.zeros((A, N))
     for ci in range(cmax):
@@ -256,7 +288,7 @@ def _decode_rejection(
 ) -> RejectionReason:
     """Scalar-identical ``last_rejection`` for stepping lane ``i``.
 
-    The scalar kernels report the *first* violated check in stage order,
+    The scalar kernel reports the *first* violated check in stage order,
     scanning resources in fused order and slots ascending; the argmaxes
     below reproduce exactly that scan.
     """
@@ -301,8 +333,8 @@ def _decode_rejection(
 class BatchSoaState:
     """``B`` lane states stacked into one buffer, stepped together.
 
-    Each lane is an independent allocation state with the exact SoA
-    layout (plus the dummy resource row); :meth:`try_add_batch` performs
+    Each lane is an independent allocation state in the layout of the
+    module docstring; :meth:`try_add_batch` performs
     one scalar-identical ``try_add`` per listed lane as a handful of
     whole-batch vectorized passes.
     """
@@ -479,75 +511,6 @@ class BatchSoaState:
                     ),
                 ))
         return results
-
-
-def probe_try_add(
-    state: SoaAllocationState,
-    candidates: Sequence[tuple[int, IntVectorLike]],
-    profile_cache: ProfileCache | None = None,
-) -> list[tuple[bool, RejectionReason | None]]:
-    """Score many candidate ``try_add`` calls against one scalar state.
-
-    Commit-free neighborhood scoring: every candidate is checked against
-    the *same* base state (broadcast, not copied per lane), returning
-    the exact ``(accepted, last_rejection)`` the scalar ``try_add``
-    would produce — without mutating ``state``.  Callers commit the
-    winning candidate through the scalar path.  Bit-identical because a
-    failed scalar ``try_add`` leaves the state untouched, so successive
-    scalar probes from an unchanged state see exactly this base.
-    """
-    if not candidates:
-        return []
-    model = state.model
-    profs = []
-    sids = []
-    for sid, machines in candidates:
-        sids.append(sid)
-        if profile_cache is not None:
-            profs.append(
-                profile_cache.get_or_compute(model, sid, machines)
-            )
-        else:
-            profs.append(state._get_profile(sid, machines))
-    C = model.n_machines + model.n_machines**2
-    sa = _StepArrays(
-        lanes=[0] * len(sids), sids=sids, profs=profs, dummy_row=C
-    )
-    A = len(sids)
-    N = len(model.strings)
-    # Broadcast the single state across the lane axis; padded entries
-    # are masked via sa.valid (there is no dummy row in a scalar state,
-    # so the pad index C is clamped to a real row and masked instead).
-    Ridx_safe = np.where(sa.valid, sa.Ridx, 0)
-    sa.Ridx = Ridx_safe
-    r = _staged_checks(
-        sa,
-        util=state._util[Ridx_safe],
-        tight=np.broadcast_to(state._tight, (A, N)),
-        cnt=state._cntT[Ridx_safe],
-        load=state._loadT[Ridx_safe],
-        tmax=state._tmaxT[Ridx_safe],
-        H=state._HT[Ridx_safe],
-        period=np.broadcast_to(state._period, (A, N)),
-        wait=np.broadcast_to(state._wait, (A, N)),
-        nominal=np.broadcast_to(state._nominal, (A, N)),
-        pbound=np.broadcast_to(state._pbound, (A, N)),
-        lbound=np.broadcast_to(state._lbound, (A, N)),
-        ids=state._ids,
-        tol=state.tol,
-    )
-    out: list[tuple[bool, RejectionReason | None]] = []
-    for i in range(A):
-        if r.ok[i]:
-            out.append((True, None))
-        else:
-            out.append((
-                False,
-                _decode_rejection(
-                    r, sa, i, state._period, state._maxlat, model.n_machines
-                ),
-            ))
-    return out
 
 
 class BatchOutcome:

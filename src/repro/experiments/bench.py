@@ -23,13 +23,13 @@ accumulates a benchmark trajectory.  The record schema is
     rate.  ``null`` when the cache is disabled.
 
 :func:`run_state_micro` is the companion micro-benchmark for the
-feasibility kernel itself (``repro bench --name state-micro``): it
-replays a realistic MWF allocation through
-:class:`~repro.core.state.AllocationState` and times raw ``try_add``
-and ``snapshot``/``restore`` throughput for every backend, reporting
-the struct-of-arrays speedup over the record backend.  Timing rounds
-are interleaved across backends and the median is kept, which is much
-more stable than best-of-N on shared runners.
+feasibility kernels themselves (``repro bench --name state-micro``):
+it replays a realistic MWF allocation through the scalar
+:class:`~repro.core.state.AllocationState` and the batched population
+kernel, timing raw ``try_add``, ``snapshot``/``restore`` and per-lane
+``try_add_batch`` throughput.  Timing rounds are interleaved across the
+two kernels and the median is kept, which is much more stable than
+best-of-N on shared runners.
 
 :func:`compare_to_baseline` implements the CI gate: the run fails when
 any of the record's gate metrics (``evals_per_second`` for the PSG
@@ -51,7 +51,7 @@ from typing import Any
 
 from ..core.profile import ProfileCache
 from ..io_utils.atomic import atomic_write_text
-from ..core.state import STATE_BACKENDS, AllocationState
+from ..core.state import AllocationState
 from ..genitor import GenitorConfig
 from ..genitor.stopping import StoppingRules
 from ..heuristics import best_of_trials, psg, seeded_psg
@@ -177,56 +177,46 @@ def run_bench(
     }
 
 
-def _bench_state_backend(
+def _bench_scalar_micro(
     model: Any,
     pairs: list[tuple[int, Any]],
-    backend: str,
-    rounds: int,
     snap_reps: int,
-) -> tuple[list[float], list[float]]:
-    """One backend's raw samples: (try_add seconds/op, snap+restore s/op).
+) -> tuple[float, float]:
+    """One round of the scalar kernel: (try_add s/op, snap+restore s/op).
 
-    Each try_add round restores the empty state and replays every pair;
-    each snapshot round takes ``snap_reps`` snapshot+restore pairs on the
-    fully loaded state.  Returns the per-round per-operation times so the
-    caller can interleave rounds across backends and take medians.
+    The try_add half restores the empty state and replays every pair;
+    the snapshot half takes ``snap_reps`` snapshot+restore pairs on the
+    fully loaded state.
 
     The state gets its own :class:`ProfileCache`, warmed by a replay
-    before timing starts, so the rounds measure the feasibility kernel
+    before timing starts, so the round measures the feasibility kernel
     rather than profile computation (every real search path — PSG, the
     sequential allocators — runs with the cache on).
     """
-    state = AllocationState(
-        model, backend=backend, profile_cache=ProfileCache()
-    )
+    state = AllocationState(model, profile_cache=ProfileCache())
     empty = state.snapshot()
     for string_id, machines in pairs:
         state.try_add(string_id, machines)  # warmup (fills caches)
     loaded = state.snapshot()
-    add_samples: list[float] = []
-    snap_samples: list[float] = []
-    for _ in range(rounds):
-        state.restore(empty)
-        t0 = time.perf_counter()
-        for string_id, machines in pairs:
-            state.try_add(string_id, machines)
-        add_samples.append((time.perf_counter() - t0) / len(pairs))
-        state.restore(loaded)
-        t0 = time.perf_counter()
-        for _ in range(snap_reps):
-            snap = state.snapshot()
-            state.restore(snap)
-        snap_samples.append((time.perf_counter() - t0) / snap_reps)
-    return add_samples, snap_samples
+    state.restore(empty)
+    t0 = time.perf_counter()
+    for string_id, machines in pairs:
+        state.try_add(string_id, machines)
+    add_s = (time.perf_counter() - t0) / len(pairs)
+    state.restore(loaded)
+    t0 = time.perf_counter()
+    for _ in range(snap_reps):
+        snap = state.snapshot()
+        state.restore(snap)
+    return add_s, (time.perf_counter() - t0) / snap_reps
 
 
 def _bench_batch_micro(
     model: Any,
     pairs: list[tuple[int, Any]],
     n_lanes: int,
-    rounds: int,
-) -> list[float]:
-    """Per-lane-op times of the batched try_add kernel.
+) -> float:
+    """One round's per-lane-op time of the batched try_add kernel.
 
     Replays the same accepted (string, machines) pairs as the scalar
     rounds, but across ``n_lanes`` identical lanes of one
@@ -245,19 +235,12 @@ def _bench_batch_micro(
         string_id: state.get_profile(string_id, machines)
         for string_id, machines in pairs
     }  # warmed once: the scalar rounds also time with a hot cache
-    samples: list[float] = []
-    for _ in range(rounds):
-        for b in lanes:
-            state.reset_lane(b)
-        t0 = time.perf_counter()
-        for string_id, _machines in pairs:
-            state.try_add_batch(
-                lanes, [string_id] * n_lanes, [profs[string_id]] * n_lanes
-            )
-        samples.append(
-            (time.perf_counter() - t0) / (len(pairs) * n_lanes)
+    t0 = time.perf_counter()
+    for string_id, _machines in pairs:
+        state.try_add_batch(
+            lanes, [string_id] * n_lanes, [profs[string_id]] * n_lanes
         )
-    return samples
+    return (time.perf_counter() - t0) / (len(pairs) * n_lanes)
 
 
 def run_state_micro(
@@ -266,35 +249,22 @@ def run_state_micro(
     n_machines: int = 8,
     rounds: int = 9,
     snap_reps: int = 50,
-    backends: tuple[str, ...] | None = None,
     batch_lanes: int = 32,
 ) -> dict[str, Any]:
-    """Micro-benchmark the feasibility kernel (``AllocationState``).
+    """Micro-benchmark the feasibility kernels.
 
     Replays the MWF allocation of the paper-scale benchmark workload —
-    a realistic mix of accepted mappings — through each requested state
-    backend, timing ``try_add`` and ``snapshot``/``restore`` throughput.
-    Rounds are interleaved across backends and summarized by the median,
-    so a CPU-frequency wobble hits all backends alike instead of biasing
-    whichever ran last.  The top-level gate metrics
-    (``try_add_ops_per_sec``, ``snapshot_restore_ops_per_sec``) are the
-    default backend's (struct-of-arrays); the per-backend numbers and
-    the soa-over-record speedups ride along for inspection.  A third
-    gate metric, ``batch_try_add_ops_per_sec``, times the same replay
-    across ``batch_lanes`` lanes of the batched kernel and reports
-    per-lane-op throughput — the dispatch amortization the population
-    evaluator relies on.
+    a realistic mix of accepted mappings — through the scalar
+    :class:`~repro.core.state.AllocationState`, timing ``try_add`` and
+    ``snapshot``/``restore`` throughput (the gate metrics
+    ``try_add_ops_per_sec`` and ``snapshot_restore_ops_per_sec``), and
+    across ``batch_lanes`` lanes of the batched kernel, reporting
+    per-lane-op throughput (``batch_try_add_ops_per_sec``) — the
+    dispatch amortization the population evaluator relies on.  Rounds
+    alternate between the two kernels and are summarized by the median,
+    so a CPU-frequency wobble hits both alike instead of biasing
+    whichever ran last.
     """
-    if backends is None:
-        # Time only the real implementations: the "sanitize" verifier
-        # runs both backends internally and would distort the medians.
-        backends = ("soa", "record")
-    for backend in backends:
-        if backend not in STATE_BACKENDS:
-            raise ValueError(
-                f"unknown state backend {backend!r}; choose from "
-                f"{STATE_BACKENDS}"
-            )
     params = get_scenario("1").scaled(
         n_strings=n_strings, n_machines=n_machines
     )
@@ -305,48 +275,17 @@ def run_state_micro(
         (string_id, allocation.machines_for(string_id))
         for string_id in allocation.string_ids
     ]
-    add_raw: dict[str, list[float]] = {b: [] for b in backends}
-    snap_raw: dict[str, list[float]] = {b: [] for b in backends}
+    add_raw: list[float] = []
+    snap_raw: list[float] = []
     batch_raw: list[float] = []
-    # One interleaved round across every backend per outer iteration
-    # (the batched kernel participates in the interleave for the same
-    # frequency-wobble fairness).
     for _ in range(rounds):
-        for backend in backends:
-            add_s, snap_s = _bench_state_backend(
-                model, pairs, backend, rounds=1, snap_reps=snap_reps
-            )
-            add_raw[backend] += add_s
-            snap_raw[backend] += snap_s
-        batch_raw += _bench_batch_micro(
-            model, pairs, n_lanes=batch_lanes, rounds=1
-        )
-    per_backend: dict[str, dict[str, float]] = {}
-    for backend in backends:
-        add_med = statistics.median(add_raw[backend])
-        snap_med = statistics.median(snap_raw[backend])
-        per_backend[backend] = {
-            "try_add_us": add_med * 1e6,
-            "try_add_ops_per_sec": 1.0 / add_med if add_med > 0 else 0.0,
-            "snapshot_restore_us": snap_med * 1e6,
-            "snapshot_restore_ops_per_sec": (
-                1.0 / snap_med if snap_med > 0 else 0.0
-            ),
-        }
+        add_s, snap_s = _bench_scalar_micro(model, pairs, snap_reps)
+        add_raw.append(add_s)
+        snap_raw.append(snap_s)
+        batch_raw.append(_bench_batch_micro(model, pairs, batch_lanes))
+    add_med = statistics.median(add_raw)
+    snap_med = statistics.median(snap_raw)
     batch_med = statistics.median(batch_raw)
-    gate_backend = backends[0]
-    speedup: dict[str, float] | None = None
-    if "soa" in per_backend and "record" in per_backend:
-        speedup = {
-            "try_add": (
-                per_backend["record"]["try_add_us"]
-                / per_backend["soa"]["try_add_us"]
-            ),
-            "snapshot_restore": (
-                per_backend["record"]["snapshot_restore_us"]
-                / per_backend["soa"]["snapshot_restore_us"]
-            ),
-        }
     return {
         "schema": BENCH_SCHEMA,
         "name": "state_micro",
@@ -361,26 +300,20 @@ def run_state_micro(
         "config": {
             "rounds": rounds,
             "snap_reps": snap_reps,
-            "backends": list(backends),
-            "gate_backend": gate_backend,
             "batch_lanes": batch_lanes,
         },
-        "try_add_ops_per_sec": per_backend[gate_backend][
-            "try_add_ops_per_sec"
-        ],
-        "snapshot_restore_ops_per_sec": per_backend[gate_backend][
-            "snapshot_restore_ops_per_sec"
-        ],
+        "try_add_ops_per_sec": 1.0 / add_med if add_med > 0 else 0.0,
+        "try_add_us": add_med * 1e6,
+        "snapshot_restore_ops_per_sec": (
+            1.0 / snap_med if snap_med > 0 else 0.0
+        ),
+        "snapshot_restore_us": snap_med * 1e6,
         "batch_try_add_ops_per_sec": (
             1.0 / batch_med if batch_med > 0 else 0.0
         ),
         "batch_try_add_us": batch_med * 1e6,
-        "backends": per_backend,
-        "speedup": speedup,
         "batch_speedup_over_scalar": (
-            per_backend[gate_backend]["try_add_us"] / (batch_med * 1e6)
-            if batch_med > 0
-            else 0.0
+            add_med / batch_med if batch_med > 0 else 0.0
         ),
     }
 

@@ -13,6 +13,10 @@ directly on the incremental :class:`~repro.core.state.AllocationState`:
   string in worth order (freed capacity may admit strings the original
   allocate-until-failure pass never reached).
 
+Both steps run on the scalar kernel, one ``try_add`` per probe: a
+batched repair probe was measured slower (up to 2x at 100 strings x
+8 machines) and removed.
+
 The search is deterministic, anytime, and strictly non-degrading —
 ``local_search(result).fitness >= result.fitness`` always holds, which
 the test suite asserts property-style.  ``mwf+ls`` (MWF followed by this
@@ -27,8 +31,6 @@ import numpy as np
 
 from ..core.model import SystemModel
 from ..core.state import AllocationState
-from ..core.state_batch import DEFAULT_MAX_LANES, probe_try_add
-from ..core.state_soa import SoaAllocationState
 from .base import HeuristicResult, timed_section
 from .imr import imr_map_string
 from .mwf import most_worth_first, mwf_order
@@ -36,14 +38,8 @@ from .mwf import most_worth_first, mwf_order
 __all__ = ["local_search", "mwf_with_local_search"]
 
 
-def _try_repair(
-    state: AllocationState,
-    order: tuple[int, ...],
-    use_batch: bool = False,
-) -> int:
+def _try_repair(state: AllocationState, order: tuple[int, ...]) -> int:
     """Attempt to map every unmapped string, returning how many stuck."""
-    if use_batch and isinstance(state, SoaAllocationState):
-        return _try_repair_batched(state, order)
     added = 0
     for k in order:
         if k in state:
@@ -54,47 +50,10 @@ def _try_repair(
     return added
 
 
-def _try_repair_batched(
-    state: SoaAllocationState, order: tuple[int, ...]
-) -> int:
-    """The repair step with its feasibility probes scored in batch.
-
-    Bit-identical to the scalar walk: a failed ``try_add`` leaves the
-    state exactly untouched, so every candidate up to the next *success*
-    sees the same base state the scalar walk would — one
-    :func:`~repro.core.state_batch.probe_try_add` call scores a whole
-    chunk of them at once.  The first success in a chunk is committed
-    through the scalar ``try_add`` (the probe already proved it
-    feasible) and probing resumes from the post-commit state, exactly
-    where the scalar walk would recompute.
-
-    Only the repair step batches: the reinsertion moves in the main
-    sweep cycle ``remove``/``try_add`` pairs, whose utilization
-    re-accumulation is not float-exact against a from-scratch state, so
-    they stay on the scalar path.
-    """
-    added = 0
-    pending = [k for k in order if k not in state]
-    i = 0
-    while i < len(pending):
-        chunk = pending[i : i + DEFAULT_MAX_LANES]
-        cands = [(k, imr_map_string(state, k)) for k in chunk]
-        results = probe_try_add(state, cands)
-        for (k, assignment), (ok, _rej) in zip(cands, results):
-            i += 1
-            if ok:
-                accepted = state.try_add(k, assignment)
-                assert accepted, "probe accepted but scalar try_add failed"
-                added += 1
-                break  # state changed: re-probe the remainder
-    return added
-
-
 def local_search(
     model: SystemModel,
     initial: HeuristicResult,
     max_rounds: int = 10,
-    use_batch: bool | None = None,
 ) -> HeuristicResult:
     """Improve an existing heuristic result by reinsertion moves.
 
@@ -107,14 +66,6 @@ def local_search(
     max_rounds:
         Upper bound on improvement sweeps (each sweep visits every
         mapped string once, then runs a repair step).
-    use_batch:
-        Score the repair step's feasibility probes through the batched
-        kernel (:func:`~repro.core.state_batch.probe_try_add`) —
-        bit-identical to the scalar walk, only faster.  Default
-        (``None``) enables it exactly when the state backend is
-        SoA-family; ``record`` and ``sanitize`` backends stay scalar
-        (an explicit ``True`` also degrades to scalar on them — the
-        probe reads SoA buffers that those backends do not have).
 
     Returns
     -------
@@ -132,11 +83,6 @@ def local_search(
                     f"initial allocation infeasible at string {k}"
                 )
         repair_order = mwf_order(model)
-        if use_batch is None:
-            # The batched probe reads SoA buffers directly, so only the
-            # SoA-family backends qualify (record and the lockstep
-            # sanitize wrapper keep every probe on the scalar path).
-            use_batch = isinstance(state, SoaAllocationState)
         moves = 0
         rounds = 0
         for _round in range(max_rounds):
@@ -160,7 +106,7 @@ def local_search(
                     state.remove(k)
                 restored = state.try_add(k, original)
                 assert restored, "restoring a feasible placement failed"
-            if _try_repair(state, repair_order, use_batch=use_batch) > 0:
+            if _try_repair(state, repair_order) > 0:
                 moves += 1
                 improved = True
             if not improved:

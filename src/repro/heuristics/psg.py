@@ -16,10 +16,11 @@ knobs are exposed here (``config`` and :func:`best_of_trials`).
 Performance (see ``docs/performance.md``): each run shares one
 :class:`~repro.core.profile.ProfileCache` across every chromosome
 projection, the initial population is scored in one pass through the
-batched kernel, and :func:`best_of_trials` fans independent trials over
-a :class:`~repro.parallel.SupervisedPool` (``n_workers``) with a
-precomputed seed stream so parallel and serial execution produce
-identical results — even under injected worker failure (see
+batched kernel (every lane re-checked against the scalar projection
+under ``REPRO_STATE_BACKEND=sanitize``), and :func:`best_of_trials`
+fans independent trials over a :class:`~repro.parallel.SupervisedPool`
+(``n_workers``) with a precomputed seed stream so parallel and serial
+execution produce identical results — even under injected worker failure (see
 ``docs/robustness.md``).
 """
 
@@ -33,12 +34,9 @@ import numpy as np
 from ..core.metrics import Fitness
 from ..core.model import SystemModel
 from ..core.profile import ProfileCache
-from ..core.state import (
-    AUTO_BACKEND,
-    get_default_state_backend,
-    resolve_auto_backend,
-)
+from ..core.state import get_default_state_backend
 from ..core.state_batch import BatchEvaluator
+from ..core.state_sanitize import SanitizeBatchEvaluator
 from ..genitor import Chromosome, GenitorConfig, GenitorEngine
 from ..parallel import (
     ChaosPolicy,
@@ -76,16 +74,13 @@ def _make_fitness_fn(
 
 def _make_batch_evaluator(
     model: SystemModel, prof_cache: ProfileCache
-) -> BatchEvaluator | None:
-    """Bulk evaluator over the batched stacked-buffer kernel, or ``None``
-    under the ``sanitize`` backend — its whole point is lockstep-checking
-    every scalar projection, which the batched kernel would bypass.
+) -> BatchEvaluator:
+    """Bulk evaluator over the batched stacked-buffer kernel; under the
+    ``sanitize`` backend it also re-projects every ordering through the
+    scalar kernel and raises on the first lane that differs.
     """
-    backend = get_default_state_backend()
-    if backend == AUTO_BACKEND:
-        backend = resolve_auto_backend(model)
-    if backend == "sanitize":
-        return None
+    if get_default_state_backend() == "sanitize":
+        return SanitizeBatchEvaluator(model, profile_cache=prof_cache)
     return BatchEvaluator(model, profile_cache=prof_cache)
 
 

@@ -151,39 +151,29 @@ class TestStateMicro:
         assert micro_record["schema"] == BENCH_SCHEMA
         assert micro_record["name"] == "state_micro"
         assert micro_record["workload"]["mapped_strings"] > 0
-        assert set(micro_record["backends"]) == {"soa", "record"}
-        for nums in micro_record["backends"].values():
-            assert nums["try_add_ops_per_sec"] > 0
-            assert nums["snapshot_restore_ops_per_sec"] > 0
-        speedup = micro_record["speedup"]
-        assert speedup is not None
-        assert speedup["try_add"] > 0
-        assert speedup["snapshot_restore"] > 0
+        for metric in (
+            "try_add_ops_per_sec",
+            "snapshot_restore_ops_per_sec",
+            "batch_try_add_ops_per_sec",
+            "batch_speedup_over_scalar",
+        ):
+            assert micro_record[metric] > 0
+        # one scalar kernel: no per-backend breakdown any more
+        for gone in ("backends", "speedup"):
+            assert gone not in micro_record
+        assert "gate_backend" not in micro_record["config"]
 
-    def test_gate_metrics_are_soa(self, micro_record):
-        soa = micro_record["backends"]["soa"]
-        assert micro_record["config"]["gate_backend"] == "soa"
-        assert (
-            micro_record["try_add_ops_per_sec"]
-            == soa["try_add_ops_per_sec"]
+    def test_gate_metrics_are_record(self, micro_record):
+        """The gated scalar rates are the record kernel's medians."""
+        assert micro_record["try_add_ops_per_sec"] == pytest.approx(
+            1e6 / micro_record["try_add_us"]
         )
-        assert (
-            micro_record["snapshot_restore_ops_per_sec"]
-            == soa["snapshot_restore_ops_per_sec"]
+        assert micro_record["snapshot_restore_ops_per_sec"] == (
+            pytest.approx(1e6 / micro_record["snapshot_restore_us"])
         )
-
-    def test_single_backend_run(self):
-        record = run_state_micro(
-            seed=7, n_strings=8, n_machines=3, rounds=1, snap_reps=3,
-            backends=("record",),
+        assert micro_record["batch_speedup_over_scalar"] == pytest.approx(
+            micro_record["try_add_us"] / micro_record["batch_try_add_us"]
         )
-        assert set(record["backends"]) == {"record"}
-        assert record["speedup"] is None
-        assert record["config"]["gate_backend"] == "record"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown state backend"):
-            run_state_micro(backends=("simd",))
 
 
 class TestPersistence:
@@ -238,10 +228,9 @@ class TestCli:
         out = tmp_path / "BENCH_state_micro.json"
         code = main([
             "bench", "--name", "state-micro", "--json", str(out),
-            "--state-backend", "record",
         ])
         assert code == 0
         record = json.loads(out.read_text())
         assert record["name"] == "state_micro"
-        assert set(record["backends"]) == {"record"}
-        assert "try_add" in capsys.readouterr().out
+        assert record["try_add_ops_per_sec"] > 0
+        assert "scalar kernel: try_add" in capsys.readouterr().out

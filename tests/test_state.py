@@ -11,8 +11,10 @@ from repro.core import (
     SystemModel,
     analyze,
 )
+from repro.core.state_batch import BatchSoaState
 from repro.core.timing import TimingEstimator
-from repro.workload import SCENARIO_1, SCENARIO_2, generate_model
+from repro.heuristics.imr import imr_map_string
+from repro.workload import SCENARIO_1, SCENARIO_2, SCENARIO_3, generate_model
 
 from conftest import build_string, uniform_network
 
@@ -183,6 +185,41 @@ class TestIncrementalMatchesFull:
                 est[k].end_to_end_latency(), rel=1e-9
             )
 
+    @pytest.mark.parametrize("scenario,n_strings,n_machines,seed", [
+        (SCENARIO_1, 14, 3, 21),
+        (SCENARIO_1, 14, 3, 22),
+        # plan-psg's model, and a slice shaped like a fleet-large shard
+        (SCENARIO_1, 50, 8, 1),
+        (SCENARIO_3, 120, 16, 1009),
+    ])
+    def test_accepted_states_are_analyze_feasible(
+        self, scenario, n_strings, n_machines, seed
+    ):
+        """Whatever the kernel accepts, the from-scratch analysis
+        confirms; whatever it rejects, the analysis rejects too.  Half
+        the candidates are IMR placements, so the walk keeps accepting
+        on the larger models instead of stalling at the first strings."""
+        params = scenario.scaled(n_strings=n_strings, n_machines=n_machines)
+        model = generate_model(params, seed=seed)
+        rng = np.random.default_rng(seed)
+        state = AllocationState(model)
+        decisions = []
+        for sid in range(model.n_strings):
+            if rng.random() < 0.5:
+                m = imr_map_string(state, sid)
+            else:
+                m = random_assignment(model, model.strings[sid], rng)
+            ok = state.try_add(sid, m)
+            decisions.append(ok)
+            report = analyze(
+                state.as_allocation()
+                if ok
+                else state.as_allocation().with_string(sid, m)
+            )
+            assert report.feasible == ok
+        assert analyze(state.as_allocation()).feasible
+        assert any(decisions) and not all(decisions)
+
     def test_utilization_accumulators_match(self, scenario1_small):
         from repro.core import machine_utilization, route_utilization
 
@@ -253,6 +290,26 @@ class TestSnapshotRestore:
         assert np.array_equal(state.machine_util, other.machine_util)
         assert state.fitness() == other.fitness()
 
+    def test_snapshot_detached(self, small_model):
+        state = AllocationState(small_model)
+        assert state.try_add(0, [0, 1, 2])
+        snap = state.snapshot()
+        assert state.try_add(2, [1])
+        state.restore(snap)
+        assert state.mapped_ids == (0,)
+        state.restore(snap)  # snapshots stay reusable
+        assert state.mapped_ids == (0,)
+
+    def test_restore_clears_rejection_after_error(self, small_model):
+        state = AllocationState(small_model)
+        snap = state.snapshot()
+        with pytest.raises(AllocationError):
+            state.try_add(0, [9, 9, 9])
+        assert state.try_add(0, [0, 1, 2])
+        state.restore(snap)
+        assert state.last_rejection is None
+        assert state.n_strings == 0
+
     def test_restore_clears_rejection(self):
         from conftest import build_string, uniform_network
 
@@ -271,3 +328,78 @@ class TestSnapshotRestore:
         assert state.last_rejection is not None
         state.restore(snap)
         assert state.last_rejection is None
+
+
+def _batch_try_add(model, sid, machines, tol):
+    """``(accepted, rejection)`` of one try_add on a fresh 1-lane batch."""
+    batch = BatchSoaState(model, 1, tol=tol)
+    return batch.try_add_batch([0], [sid], [batch.get_profile(sid, machines)])[0]
+
+
+class TestBoundaryTolerance:
+    """Quantities landing exactly on a bound are accepted (strict >
+    comparisons against bound * (1 + tol)); one ulp past the scaled
+    bound is rejected — identically in the scalar kernel and in one lane
+    of the batched kernel."""
+
+    def _one_string_model(self, period, t, u):
+        net = uniform_network(2)
+        s = build_string(0, 1, 2, period=period, t=t, u=u, latency=1e9)
+        return SystemModel(net, [s])
+
+    @staticmethod
+    def _both(model, tol=1e-9):
+        """The scalar and 1-lane batched verdicts on string 0 -> [0]."""
+        state = AllocationState(model, tol=tol)
+        ok = state.try_add(0, [0])
+        return (ok, state.last_rejection), _batch_try_add(model, 0, [0], tol)
+
+    def test_exact_capacity_accepted(self):
+        model = self._one_string_model(period=10.0, t=10.0, u=1.0)
+        scalar, batched = self._both(model, tol=0.0)  # util == 1.0 exactly
+        assert scalar == batched == (True, None)
+
+    def test_capacity_one_step_over_rejected(self):
+        over = np.nextafter(1.0, 2.0) * 10.0
+        model = self._one_string_model(period=10.0, t=over, u=1.0)
+        scalar, batched = self._both(model, tol=0.0)
+        assert scalar == batched
+        assert not scalar[0]
+        assert scalar[1].stage == 1
+
+    def test_tolerance_admits_slight_overshoot(self):
+        over = 10.0 * (1.0 + 5e-10)  # within the default 1e-9 tol
+        model = self._one_string_model(period=10.0, t=over, u=1.0)
+        scalar, batched = self._both(model)
+        assert scalar == batched == (True, None)
+
+    def test_rejection_values_identical(self):
+        model = self._one_string_model(period=10.0, t=30.0, u=1.0)
+        scalar, batched = self._both(model)
+        assert scalar == batched  # RejectionReason == compares floats exactly
+        assert scalar[1].value == 3.0
+        assert scalar[1].bound == 1.0
+
+
+class TestMappedIdsCache:
+    def test_cache_invalidated_on_mutation(self, small_model):
+        state = AllocationState(small_model)
+        assert state.mapped_ids == ()
+        assert state.try_add(2, [1])
+        assert state.try_add(0, [0, 1, 2])
+        assert state.mapped_ids == (0, 2)
+        first = state.mapped_ids
+        assert state.mapped_ids is first  # cached between mutations
+        state.remove(2)
+        assert state.mapped_ids == (0,)
+
+    def test_failed_add_keeps_cache_valid(self):
+        net = uniform_network(2)
+        big = build_string(0, 1, 2, period=10.0, t=20.0, u=1.0)
+        ok = build_string(1, 1, 2, period=10.0, t=1.0, u=0.1)
+        model = SystemModel(net, [big, ok])
+        state = AllocationState(model)
+        assert state.try_add(1, [0])
+        assert state.mapped_ids == (1,)
+        assert not state.try_add(0, [0])
+        assert state.mapped_ids == (1,)

@@ -1,14 +1,16 @@
-"""Lockstep sanitize backend: parity with soa, and divergence detection.
+"""The ``sanitize`` check: every batched lane against the scalar kernel.
 
-The whole point of ``backend="sanitize"`` is that it is behaviorally
-indistinguishable from the shipped soa kernel while silently
-cross-checking the record backend — so these tests drive identical
-operation sequences through both and compare observables, then *inject*
-divergence into one child and require :class:`StateDivergenceError`.
+Under ``REPRO_STATE_BACKEND=sanitize`` the PSG initial-population
+evaluator re-projects each ordering through the scalar
+``allocate_sequence`` and raises :class:`StateDivergenceError` on the
+first field that differs.  These tests check that it is selected, that
+it is silent when the kernels agree, and that a divergence *planted*
+into one batched lane is caught.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,18 +18,23 @@ import sys
 import numpy as np
 import pytest
 
+import repro.core.state as state_mod
+import repro.core.state_batch as state_batch
+import repro.core.state_sanitize as state_sanitize
 from repro.core import (
     STATE_BACKENDS,
-    AllocationError,
     AllocationState,
-    SanitizeAllocationState,
-    SanitizeStateSnapshot,
+    BatchEvaluator,
+    Fitness,
+    RecordAllocationState,
+    SanitizeBatchEvaluator,
     StateDivergenceError,
 )
 from repro.core.state import (
     get_default_state_backend,
     set_default_state_backend,
 )
+from repro.heuristics.psg import _make_batch_evaluator
 from repro.workload import SCENARIO_1, generate_model
 
 
@@ -36,38 +43,49 @@ def _model(n_strings=16, n_machines=4, seed=7):
     return generate_model(params, seed=seed)
 
 
+def _orderings(model, seed=17, n=12):
+    rng = np.random.default_rng(seed)
+    return [
+        [int(x) for x in rng.permutation(model.n_strings)] for _ in range(n)
+    ]
+
+
 # ---------------------------------------------------------------------------
-# dispatch
+# selection
 # ---------------------------------------------------------------------------
 
 
 def test_sanitize_is_a_registered_backend():
-    assert "sanitize" in STATE_BACKENDS
-
-
-def test_constructor_dispatches_on_backend_argument():
-    st = AllocationState(_model(), backend="sanitize")
-    assert isinstance(st, SanitizeAllocationState)
-    assert st.backend == "sanitize"
+    assert STATE_BACKENDS == ("record", "sanitize")
 
 
 def test_set_default_state_backend_routes_to_sanitizer():
+    model = _model()
     previous = get_default_state_backend()
     try:
         set_default_state_backend("sanitize")
-        st = AllocationState(_model())
-        assert isinstance(st, SanitizeAllocationState)
+        evaluator = _make_batch_evaluator(model, None)
+        assert isinstance(evaluator, SanitizeBatchEvaluator)
+        assert type(AllocationState(model)) is RecordAllocationState
+        set_default_state_backend("record")
+        assert type(_make_batch_evaluator(model, None)) is BatchEvaluator
     finally:
         set_default_state_backend(previous)
+    with pytest.raises(ValueError):
+        set_default_state_backend("soa")
 
 
 def test_env_var_selects_sanitizer_in_fresh_process():
     code = (
-        "from repro.core import AllocationState, SanitizeAllocationState\n"
+        "from repro.core import RecordAllocationState, AllocationState\n"
+        "from repro.core import SanitizeBatchEvaluator\n"
+        "from repro.heuristics.psg import _make_batch_evaluator\n"
         "from repro.workload import SCENARIO_1, generate_model\n"
         "params = SCENARIO_1.scaled(n_strings=4, n_machines=2)\n"
-        "st = AllocationState(generate_model(params, seed=1))\n"
-        "assert isinstance(st, SanitizeAllocationState), type(st)\n"
+        "model = generate_model(params, seed=1)\n"
+        "ev = _make_batch_evaluator(model, None)\n"
+        "assert isinstance(ev, SanitizeBatchEvaluator), type(ev)\n"
+        "assert type(AllocationState(model)) is RecordAllocationState\n"
         "print('ok')\n"
     )
     env = dict(os.environ, REPRO_STATE_BACKEND="sanitize")
@@ -83,130 +101,100 @@ def test_env_var_selects_sanitizer_in_fresh_process():
     assert proc.stdout.strip() == "ok"
 
 
+@pytest.mark.parametrize("retired", ["soa", "jit", "auto"])
+def test_retired_backend_values_warn_and_use_record(retired, monkeypatch):
+    """The deleted kernels' names are unknown outside input now: they
+    warn and fall back to the record kernel, like any other typo."""
+    monkeypatch.setenv("REPRO_STATE_BACKEND", retired)
+    with pytest.warns(RuntimeWarning, match=retired):
+        assert state_mod._env_default_backend() == "record"
+    assert type(AllocationState(_model())) is RecordAllocationState
+
+
 # ---------------------------------------------------------------------------
-# parity with the plain soa backend
+# agreement is silent
 # ---------------------------------------------------------------------------
 
 
-def test_random_walk_matches_plain_soa_backend():
-    model = _model(seed=29)
-    rng = np.random.default_rng(29)
-    plain = AllocationState(model, backend="soa")
-    guard = AllocationState(model, backend="sanitize")
-    snaps = [(plain.snapshot(), guard.snapshot())]
-    decisions = []
-    for _ in range(250):
-        op = rng.random()
-        if op < 0.62:
-            sid = int(rng.integers(model.n_strings))
-            if sid in plain:
-                continue
-            m = rng.integers(
-                0, model.n_machines, size=model.strings[sid].n_apps
-            )
-            ok_plain = plain.try_add(sid, m)
-            ok_guard = guard.try_add(sid, m.copy())
-            assert ok_plain == ok_guard
-            decisions.append(ok_plain)
-        elif op < 0.77 and plain.mapped_ids:
-            sid = int(rng.choice(plain.mapped_ids))
-            plain.remove(sid)
-            guard.remove(sid)
-        elif op < 0.9:
-            snaps.append((plain.snapshot(), guard.snapshot()))
-        else:
-            k = int(rng.integers(len(snaps)))
-            plain.restore(snaps[k][0])
-            guard.restore(snaps[k][1])
-        assert plain.mapped_ids == guard.mapped_ids
-        assert plain.total_worth == guard.total_worth
-        np.testing.assert_array_equal(plain.machine_util, guard.machine_util)
-        np.testing.assert_array_equal(plain.route_util, guard.route_util)
-    assert any(decisions) and not all(decisions)  # walk was non-trivial
+def test_sanitize_evaluator_matches_plain_evaluator():
+    model = _model()
+    orderings = _orderings(model) + [[]]
+    plain = BatchEvaluator(model)(orderings)
+    checked = SanitizeBatchEvaluator(model)(orderings)
+    assert checked == plain
+    # the orderings exercise both completions and early failures
+    outcomes = state_batch.project_batch(model, orderings)
+    assert any(o.complete for o in outcomes)
+    assert not all(o.complete for o in outcomes)
 
 
-def test_read_api_delegates_coherently():
-    model = _model(seed=5)
-    st = AllocationState(model, backend="sanitize")
-    rng = np.random.default_rng(5)
-    for sid in range(model.n_strings):
-        m = rng.integers(0, model.n_machines, size=model.strings[sid].n_apps)
-        st.try_add(sid, m)
-    assert st.mapped_ids
-    assert st.n_strings == len(st.mapped_ids)
-    alloc = st.as_allocation()
-    assert alloc.string_ids == st.mapped_ids
-    for sid in st.mapped_ids:
-        assert st.estimated_latency(sid) > 0.0
-        np.testing.assert_array_equal(
-            st.machines_for(sid), alloc.machines_for(sid)
+# ---------------------------------------------------------------------------
+# planted divergence must be caught
+# ---------------------------------------------------------------------------
+
+
+def test_injected_worth_divergence_raises(monkeypatch):
+    lane_fitness = state_batch.BatchSoaState.lane_fitness
+
+    def planted(self, b):
+        fit = lane_fitness(self, b)
+        if b == 0:
+            return Fitness(worth=fit.worth + 1.0, slackness=fit.slackness)
+        return fit
+
+    monkeypatch.setattr(state_batch.BatchSoaState, "lane_fitness", planted)
+    model = _model()
+    with pytest.raises(StateDivergenceError, match="fitness"):
+        SanitizeBatchEvaluator(model)(_orderings(model))
+
+
+def test_injected_worth_divergence_fails_snapshot(monkeypatch):
+    """Worth drift in the scalar side's final state (what a snapshot of
+    it would copy) is caught as well as drift in a batched lane."""
+    import repro.heuristics.ordering as ordering
+
+    allocate_sequence = ordering.allocate_sequence
+
+    def planted(*args, **kwargs):
+        outcome = allocate_sequence(*args, **kwargs)
+        outcome.state._worth += 1.0
+        return outcome
+
+    monkeypatch.setattr(ordering, "allocate_sequence", planted)
+    model = _model()
+    with pytest.raises(StateDivergenceError, match="worth"):
+        SanitizeBatchEvaluator(model)(_orderings(model))
+
+
+def test_injected_membership_divergence_raises(monkeypatch):
+    project_batch = state_sanitize.project_batch
+
+    def planted(*args, **kwargs):
+        outcomes = project_batch(*args, **kwargs)
+        # silently drop the last mapped string from one lane only
+        outcomes[0].mapped_ids = outcomes[0].mapped_ids[:-1]
+        return outcomes
+
+    monkeypatch.setattr(state_sanitize, "project_batch", planted)
+    model = _model()
+    with pytest.raises(StateDivergenceError, match="mapped ids"):
+        SanitizeBatchEvaluator(model)(_orderings(model))
+
+
+def test_injected_rejection_divergence_raises(monkeypatch):
+    decode = state_batch._decode_rejection
+
+    def planted(*args, **kwargs):
+        rejection = decode(*args, **kwargs)
+        # one ulp of drift in the reported value
+        return dataclasses.replace(
+            rejection, value=float(np.nextafter(rejection.value, np.inf))
         )
-    for j in range(model.n_machines):
-        users = st.machine_users(j)
-        assert set(users) <= set(st.mapped_ids)
 
-
-def test_allocation_errors_stay_in_lockstep():
-    model = _model(seed=3)
-    st = AllocationState(model, backend="sanitize")
-    # removing an unmapped string must raise on both children and
-    # surface as the ordinary AllocationError, not a divergence
-    with pytest.raises(AllocationError):
-        st.remove(0)
-    with pytest.raises(AllocationError):
-        st.try_add(0, [0])  # wrong machine-vector length
-    assert st.mapped_ids == ()
-
-
-def test_snapshots_do_not_transfer_between_backends():
-    model = _model(seed=3)
-    plain = AllocationState(model, backend="soa")
-    guard = AllocationState(model, backend="sanitize")
-    snap = guard.snapshot()
-    assert isinstance(snap, SanitizeStateSnapshot)
-    assert snap.n_strings == 0
-    with pytest.raises(TypeError):
-        guard.restore(plain.snapshot())
-
-
-# ---------------------------------------------------------------------------
-# injected divergence must be caught
-# ---------------------------------------------------------------------------
-
-
-def _occupied_sanitize_state(seed=17):
-    model = _model(seed=seed)
-    st = AllocationState(model, backend="sanitize")
-    rng = np.random.default_rng(seed)
-    for sid in range(model.n_strings):
-        m = rng.integers(0, model.n_machines, size=model.strings[sid].n_apps)
-        st.try_add(sid, m)
-    assert st.mapped_ids
-    return st, rng
-
-
-def test_injected_worth_divergence_raises():
-    st, rng = _occupied_sanitize_state()
-    st._rec._worth += 1.0
-    sid = st.mapped_ids[0]
-    with pytest.raises(StateDivergenceError, match="worth"):
-        st.remove(sid)
-
-
-def test_injected_worth_divergence_fails_snapshot():
-    st, _ = _occupied_sanitize_state()
-    st._rec._worth += 1.0
-    with pytest.raises(StateDivergenceError, match="worth"):
-        st.snapshot()
-
-
-def test_injected_membership_divergence_raises():
-    st, _ = _occupied_sanitize_state()
-    sid = st.mapped_ids[0]
-    # silently drop the string from the record child only
-    st._rec.remove(sid)
-    with pytest.raises(StateDivergenceError):
-        st.snapshot()
+    monkeypatch.setattr(state_batch, "_decode_rejection", planted)
+    model = _model()
+    with pytest.raises(StateDivergenceError, match="rejection"):
+        SanitizeBatchEvaluator(model)(_orderings(model))
 
 
 def test_divergence_error_is_an_assertion_error():
