@@ -1,16 +1,20 @@
 """Parallel shard solving and global composition.
 
 Each shard's standalone :class:`~repro.core.model.SystemModel` (per-shard
-state cost ``O((M/K)²)``) is solved independently; solves fan out over
-:class:`~repro.parallel.supervisor.SupervisedPool` with the shard models
-broadcast zero-copy via :func:`~repro.parallel.broadcast.broadcast_models`
-(pickled per task when broadcast setup fails) and one persistent
-:class:`~repro.core.profile.ProfileCache` per worker.  Results are
-collected *by shard index*, and every per-shard solve is a pure function
-of ``(shard model, solver, seed, shard index)`` — never of worker
-identity or scheduling — so the composed result is bit-reproducible
-across runs and worker counts.  With ``n_workers=1`` (or a single
-shard), solves run inline through the exact same task function.
+state cost ``O((M/K)²)``) is built *inside the task that solves it* and
+dropped when the task returns.  Solves fan out over
+:class:`~repro.parallel.supervisor.SupervisedPool`; the compact
+:class:`~repro.workload.fleet.FleetWorkload` reaches each worker once,
+through the pool initializer (inherited under ``fork``, pickled once per
+worker under ``spawn``), and each task carries only its
+:class:`~repro.fleet.partition.Shard`.  The parent holds no dense shard
+model on the pooled path and at most one at a time inline.  Results are
+collected *by shard index*.  Every per-shard solve is a pure function of
+``(shard model, solver, seed, shard index)``, and the shard model one of
+the shard's ids — never of worker identity or scheduling — so the
+composed result is bit-reproducible across runs, worker counts and
+start methods.  With ``n_workers=1`` (or a single shard), shards are
+built and solved inline one after another.
 
 After solving, :func:`repro.fleet.rebalance.rebalance` migrates boundary
 strings between shards; :func:`compose` then assembles the global
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import uuid
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -30,17 +35,9 @@ import numpy as np
 
 from ..core.exceptions import ModelError
 from ..core.feasibility import analyze
-from ..core.model import SystemModel
 from ..core.profile import ProfileCache
 from ..heuristics import allocate_sequence, mwf_order, seeded_psg
-from ..parallel import (
-    ChaosPolicy,
-    SupervisedPool,
-    SupervisorConfig,
-    Task,
-    broadcast_models,
-    get_worker_context,
-)
+from ..parallel import ChaosPolicy, SupervisedPool, SupervisorConfig, Task
 from ..workload.fleet import FleetWorkload, materialize_model
 from .partition import FleetPartition, Shard, partition_fleet
 
@@ -115,26 +112,29 @@ class FleetResult:
         return h.hexdigest()
 
 
-def _solve_shard_task(
-    model_ref: str | SystemModel,
-    shard_index: int,
-    solver: str,
-    seed: int,
-) -> dict[str, Any]:
-    """Solve one shard (worker-side; also the inline/replay path).
+#: Workloads of the live pooled solves, by token.  The pool initializer
+#: installs the workload once per worker (inherited under ``fork``,
+#: pickled once per worker under ``spawn``); the parent holds the same
+#: entry for the pool's lifetime so quarantined tasks replay in place.
+_WORKLOADS: dict[str, FleetWorkload] = {}
 
-    ``model_ref`` is either a broadcast token (resolved through
-    :func:`get_worker_context`, which also yields the persistent
-    per-worker :class:`ProfileCache`) or a pickled shard model for the
-    no-broadcast fallback.  Returns a plain picklable payload in
-    shard-local ids; the parent converts to global ids.
+
+def _install_workload(token: str, workload: FleetWorkload) -> None:
+    """Pool initializer: make ``workload`` resolvable under ``token``."""
+    _WORKLOADS[token] = workload
+
+
+def _solve_shard_payload(
+    workload: FleetWorkload, shard: Shard, solver: str, seed: int
+) -> dict[str, Any]:
+    """Materialize one shard, solve it, and drop its model on return.
+
+    Returns a plain picklable payload in shard-local ids; the parent
+    converts to global ids.  ``runtime`` includes the materialization.
     """
     start = time.perf_counter()
-    cache: ProfileCache | None
-    if isinstance(model_ref, str):
-        model, cache = get_worker_context(model_ref)
-    else:
-        model, cache = model_ref, ProfileCache()
+    model = materialize_model(workload, shard.machine_ids, shard.string_ids)
+    cache = ProfileCache()
 
     if solver == "skip-ahead":
         outcome = allocate_sequence(
@@ -155,7 +155,7 @@ def _solve_shard_task(
         fitness = state.fitness()
     elif solver == "psg":
         rng = np.random.default_rng(
-            np.random.SeedSequence((seed, _SOLVER_TAG, shard_index))
+            np.random.SeedSequence((seed, _SOLVER_TAG, shard.index))
         )
         result = seeded_psg(model, rng=rng, profile_cache=cache)
         allocation = result.allocation
@@ -173,13 +173,21 @@ def _solve_shard_task(
         k for k in range(model.n_strings) if k not in mapped
     )
     return {
-        "shard": shard_index,
+        "shard": shard.index,
         "mapped": mapped,
         "rejected": rejected,
         "worth": float(fitness.worth),
         "slackness": float(fitness.slackness),
         "runtime": time.perf_counter() - start,
     }
+
+
+def _solve_shard_task(
+    token: str, shard: Shard, solver: str, seed: int
+) -> dict[str, Any]:
+    """Pool task (also the in-parent replay): solve one shard of the
+    workload installed under ``token``."""
+    return _solve_shard_payload(_WORKLOADS[token], shard, solver, seed)
 
 
 def _to_global(
@@ -212,19 +220,16 @@ def solve_shard(
     *,
     solver: str = "skip-ahead",
     seed: int | None = None,
-    model: SystemModel | None = None,
 ) -> ShardSolution:
     """Solve a single shard inline (no pool) and return global-id results."""
-    if model is None:
-        model = materialize_model(workload, shard.machine_ids, shard.string_ids)
-    payload = _solve_shard_task(
-        model, shard.index, solver, workload.seed if seed is None else seed
+    payload = _solve_shard_payload(
+        workload, shard, solver, workload.seed if seed is None else seed
     )
     return _to_global(payload, shard, solver)
 
 
 def _solve_all_shards(
-    models: list[SystemModel],
+    workload: FleetWorkload,
     partition: FleetPartition,
     solver: str,
     seed: int,
@@ -232,34 +237,37 @@ def _solve_all_shards(
     chaos: ChaosPolicy | None,
     pool_stats: dict[str, Any],
 ) -> list[ShardSolution]:
-    """Fan shard solves over the supervised pool (or run inline)."""
+    """Fan shard solves over the supervised pool (or stream them inline).
+
+    Either way each shard's dense model is built inside the task that
+    solves it and dropped when the task returns, so the parent never
+    holds more than one shard model at a time (and none when pooled).
+    """
     shards = partition.shards
     if n_workers <= 1 or len(shards) == 1:
         return [
-            _to_global(
-                _solve_shard_task(models[s.index], s.index, solver, seed),
-                s,
-                solver,
-            )
-            for s in shards
+            solve_shard(workload, s, solver=solver, seed=seed) for s in shards
         ]
 
-    with broadcast_models(models) as shared, SupervisedPool(
-        max_workers=n_workers,
-        initializer=shared.initializer,
-        initargs=shared.initargs,
-        config=SupervisorConfig(),
-        chaos=chaos,
-    ) as pool:
-        tasks = [
-            Task(
-                _solve_shard_task,
-                (shared.refs[s.index], s.index, solver, seed),
+    token = f"fleet-{uuid.uuid4().hex[:12]}"
+    _install_workload(token, workload)
+    try:
+        with SupervisedPool(
+            max_workers=n_workers,
+            initializer=_install_workload,
+            initargs=(token, workload),
+            config=SupervisorConfig(),
+            chaos=chaos,
+        ) as pool:
+            outcomes = pool.run(
+                [
+                    Task(_solve_shard_task, (token, s, solver, seed))
+                    for s in shards
+                ]
             )
-            for s in shards
-        ]
-        outcomes = pool.run(tasks)
-        pool_stats.update(pool.stats.as_dict())
+            pool_stats.update(pool.stats.as_dict())
+    finally:
+        _WORKLOADS.pop(token, None)
 
     solutions: list[ShardSolution] = []
     for shard, outcome in zip(shards, outcomes):
@@ -461,14 +469,9 @@ def solve_fleet(
         n_workers = min(n_shards, 4)
 
     partition = partition_fleet(workload, n_shards, seed=seed)
-    models = [
-        materialize_model(workload, s.machine_ids, s.string_ids)
-        for s in partition.shards
-    ]
-
     pool_stats: dict[str, Any] = {}
     solutions = _solve_all_shards(
-        models, partition, solver, seed, n_workers, chaos, pool_stats
+        workload, partition, solver, seed, n_workers, chaos, pool_stats
     )
 
     stats: dict[str, Any] = {"pool": pool_stats} if pool_stats else {}

@@ -1,8 +1,8 @@
 """Zero-copy :class:`~repro.core.model.SystemModel` broadcast to workers.
 
-The process-parallel paths (``best_of_trials``, the fleet shard solves,
-soak, survivability, the experiments runner) repeatedly ship
-the same read-only model to every worker.  Pickling it into every task
+The process-parallel trial paths (``best_of_trials``, hence soak,
+survivability and the experiments runner) repeatedly ship the same
+read-only model to every worker.  Pickling it into every task
 costs serialization *per task* and a private copy *per worker*.  This
 module broadcasts the model's large arrays **once per worker**:
 
@@ -29,6 +29,9 @@ fails (e.g. ``/dev/shm`` is full), and reports which transport it
 used.  The transport never changes results — the same seed produces
 the same elite over a broadcast or over pickling, which
 ``tests/test_broadcast.py`` asserts.
+
+Fleet shard solves do not broadcast: each worker builds its own shard
+models from the compact workload (see :mod:`repro.fleet.solver`).
 """
 
 from __future__ import annotations
@@ -329,7 +332,7 @@ def _init_worker_shm_group(
 
 
 class SharedModelGroup:
-    """Broadcast several models (e.g. one per fleet shard) at once.
+    """Broadcast several models at once.
 
     Wraps one :class:`SharedModel` per model under a single context
     manager and merges their pool wiring: :attr:`tokens` lists one token

@@ -246,8 +246,9 @@ class SupervisedPool:
         Worker process count (and the in-flight dispatch cap).
     initializer / initargs:
         Forwarded to every (re)created executor — the
-        :class:`~repro.parallel.broadcast.SharedModel` attach hook rides
-        here, so pool restarts transparently re-broadcast.
+        :class:`~repro.parallel.broadcast.SharedModel` attach hook and
+        the fleet's workload install ride here, so pool restarts
+        transparently re-broadcast.
     config:
         Supervision knobs (defaults are fine for short tasks).
     chaos:

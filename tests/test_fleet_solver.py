@@ -3,7 +3,13 @@ invariants (repro.fleet.solver)."""
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import weakref
+from multiprocessing import shared_memory
+
 import pytest
+
+import repro.fleet.solver as fleet_solver
 
 from repro.core.exceptions import ModelError
 from repro.fleet import (
@@ -13,7 +19,7 @@ from repro.fleet import (
     solve_shard,
 )
 from repro.fleet.solver import SHARD_SOLVERS, compose, validate_result
-from repro.parallel import ChaosPolicy
+from repro.parallel import ChaosPolicy, active_segment_names
 from repro.workload.fleet import FLEET_SMOKE, generate_fleet
 
 SEED = 21
@@ -179,3 +185,95 @@ class TestChaos:
         # Conservation: every shard task accounted for, none lost.
         if pool:
             assert pool["tasks"] == pool["completed"] + pool["task_errors"]
+
+
+class TestShardMaterialization:
+    """Each shard's dense model is built inside the task that solves it:
+    pooled, the parent builds none; inline, one is alive at a time."""
+
+    def test_pooled_parent_materializes_nothing(
+        self, workload, result, monkeypatch
+    ):
+        parent_calls = []
+        build = fleet_solver.materialize_model
+
+        def counting(*args, **kwargs):
+            # Forked workers inherit this wrapper but append to their
+            # own copy of the list, so it only counts parent calls.
+            parent_calls.append(args[1])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(fleet_solver, "materialize_model", counting)
+        pooled = solve_fleet(workload, 2, seed=SEED, n_workers=2)
+        assert parent_calls == []
+        assert pooled.stats["pool"]["replayed_in_process"] == 0
+        assert pooled.signature() == result.signature()
+
+    def test_inline_streams_one_shard_model_at_a_time(
+        self, workload, monkeypatch
+    ):
+        # SystemModel has no weakref slot; its bandwidth matrix lives
+        # exactly as long as the model does, so it stands in for it.
+        alive_at_build = []
+        refs = []
+        build = fleet_solver.materialize_model
+
+        def tracking(*args, **kwargs):
+            alive_at_build.append(sum(r() is not None for r in refs))
+            model = build(*args, **kwargs)
+            refs.append(weakref.ref(model.network.bandwidth))
+            return model
+
+        monkeypatch.setattr(fleet_solver, "materialize_model", tracking)
+        solve_fleet(
+            workload, 4, seed=SEED, n_workers=1, rebalance_rounds=0
+        )
+        assert len(refs) == 4
+        assert alive_at_build == [0, 0, 0, 0]
+        assert all(r() is None for r in refs)
+
+
+@pytest.fixture
+def spawn_start_method():
+    if "spawn" not in mp.get_all_start_methods():
+        pytest.skip("spawn start method unavailable")
+    previous = mp.get_start_method()
+    mp.set_start_method("spawn", force=True)
+    try:
+        yield
+    finally:
+        mp.set_start_method(previous, force=True)
+
+
+class TestPoolTransport:
+    """The workload reaches workers through the pool initializer, so
+    every start method and the in-parent replay compose the inline
+    signature — and no shared-memory segment is ever created."""
+
+    def test_spawn_pool_composes_inline_result(
+        self, workload, result, spawn_start_method, monkeypatch
+    ):
+        created = []
+
+        def no_shm(*args, **kwargs):
+            created.append(kwargs)
+            raise OSError("the fleet path must not create shared memory")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", no_shm)
+        pooled = solve_fleet(workload, 2, seed=SEED, n_workers=2)
+        assert created == []
+        assert active_segment_names() == ()
+        assert pooled.signature() == result.signature()
+        assert pooled.total_worth == result.total_worth
+
+    def test_quarantined_shards_replay_in_parent(self, workload, result):
+        replayed = solve_fleet(
+            workload,
+            2,
+            seed=SEED,
+            n_workers=2,
+            chaos=ChaosPolicy(kill_rate=1.0, seed=3),
+        )
+        assert replayed.stats["pool"]["replayed_in_process"] == 2
+        assert replayed.signature() == result.signature()
+        assert replayed.total_worth == result.total_worth
