@@ -326,9 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help=(
             "chaos soak: run best-of-trials clean vs. fault-injected "
-            "on a SupervisedPool and verify bit-identical results, "
-            "zero lost tasks, zero leaked shm segments "
-            "(see docs/robustness.md)"
+            "on a SupervisedPool and verify bit-identical results "
+            "and zero lost tasks (see docs/robustness.md)"
         ),
     )
     p.add_argument("--rounds", type=int, default=2,
@@ -662,11 +661,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             f"worth={fleet.chaos_worth:g}"
         )
     print(report["summary"])
-    if report["new_shm_entries"]:
-        print(
-            f"leaked shm entries: {report['new_shm_entries']}",
-            file=sys.stderr,
-        )
     print("PASS" if report["ok"] else "FAIL")
     return 0 if report["ok"] else 1
 

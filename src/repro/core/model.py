@@ -126,30 +126,6 @@ class Network:
         # over all M^2 ordered pairs.
         self._avg_inv_bandwidth = float(inv.sum() / (self.n_machines**2))
 
-    @classmethod
-    def _attach(cls, bandwidth: FloatArray) -> "Network":
-        """Trusted zero-copy constructor for broadcast attach paths.
-
-        ``bandwidth`` must be the canonical matrix of an already
-        validated :class:`Network` (diagonal ``inf``, read-only) — e.g.
-        a shared-memory view shipped by
-        :mod:`repro.parallel.broadcast`.  The array is adopted without
-        copy or validation; derived quantities are recomputed with the
-        identical operations ``__init__`` performs, so the attached
-        network is bit-identical to the source.
-        """
-        net = object.__new__(cls)
-        net.bandwidth = bandwidth
-        net.n_machines = bandwidth.shape[0]
-        inv = np.zeros_like(bandwidth)
-        finite = np.isfinite(bandwidth)
-        inv[finite] = 1.0 / bandwidth[finite]
-        inv.setflags(write=False)
-        net._inv_bandwidth = inv
-        net._inv_bw_rows = None
-        net._avg_inv_bandwidth = float(inv.sum() / (net.n_machines**2))
-        return net
-
     @property
     def inv_bandwidth(self) -> FloatArray:
         """``1 / w`` matrix; zero where bandwidth is infinite."""
@@ -328,14 +304,14 @@ class AppString:
         output_sizes: FloatArray,
         name: str = "",
     ) -> "AppString":
-        """Trusted zero-copy constructor for broadcast attach paths.
+        """Trusted zero-copy constructor for pre-validated arrays.
 
-        The arrays must come from an already validated
-        :class:`AppString` (read-only, canonical float64) — e.g.
-        shared-memory views shipped by :mod:`repro.parallel.broadcast`.
+        The arrays must be read-only, canonical float64 and already
+        satisfy every check ``__init__`` makes — e.g. the per-shard
+        tables :func:`repro.workload.fleet.materialize_model` builds.
         They are adopted without copy or validation; the derived arrays
         are recomputed with the identical operations ``__init__``
-        performs, so the attached string is bit-identical to the source.
+        performs, so the result is bit-identical to a validated string.
         """
         s = object.__new__(cls)
         s.string_id = string_id

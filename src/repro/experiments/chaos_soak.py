@@ -3,7 +3,7 @@
 The acceptance contract of the supervised parallel runtime
 (``docs/robustness.md``) is that process-level failure — killed
 workers, stalled tasks, corrupted returns — costs wall-clock time but
-never changes results, loses tasks, or leaks shared-memory segments.
+never changes results or loses tasks.
 :func:`run_chaos_soak` drives that contract against the real PSG
 pipeline: each round runs :func:`~repro.heuristics.best_of_trials` on a
 sampled workload twice with the same RNG — once on a healthy
@@ -14,10 +14,7 @@ sampled workload twice with the same RNG — once on a healthy
   fitness list are exactly equal between the two runs;
 * **no lost tasks**: every trial produced a fitness, and the
   supervisor's conservation counter (``tasks = completed +
-  task_errors``) holds;
-* **no leaked shm**: :func:`repro.parallel.active_segment_names` is
-  empty after each round and ``/dev/shm`` holds no new ``repro-*``
-  blocks at the end.
+  task_errors``) holds.
 
 The ``repro chaos`` CLI subcommand wraps this with flags and a
 non-zero exit code on violation — the CI chaos smoke job runs it on
@@ -27,28 +24,15 @@ every push.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..fleet import solve_fleet
 from ..genitor import GenitorConfig, StoppingRules
 from ..heuristics import best_of_trials, seeded_psg
-from ..parallel import ChaosPolicy, active_segment_names
+from ..parallel import ChaosPolicy
 from ..workload import SCENARIO_1, ScenarioParameters, generate_model
 from ..workload.fleet import FLEET_SMOKE, generate_fleet
 
 __all__ = ["ChaosSoakRound", "FleetChaosRound", "run_chaos_soak"]
-
-_SHM_DIR = Path("/dev/shm")
-
-
-def _repro_shm_entries() -> frozenset[str]:
-    """Names of live ``/dev/shm`` entries created by model broadcasts."""
-    if not _SHM_DIR.is_dir():  # non-POSIX / no tmpfs: nothing to leak-check
-        return frozenset()
-    return frozenset(
-        p.name for p in _SHM_DIR.iterdir() if p.name.startswith("repro-")
-    )
-
 
 @dataclass(frozen=True)
 class ChaosSoakRound:
@@ -57,7 +41,6 @@ class ChaosSoakRound:
     index: int
     identical: bool
     lost_tasks: int
-    leaked_segments: tuple[str, ...]
     clean_fitness: tuple[float, float]
     chaos_fitness: tuple[float, float]
     retries: int
@@ -67,11 +50,7 @@ class ChaosSoakRound:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.identical
-            and self.lost_tasks == 0
-            and not self.leaked_segments
-        )
+        return self.identical and self.lost_tasks == 0
 
 
 @dataclass(frozen=True)
@@ -88,7 +67,6 @@ class FleetChaosRound:
     n_shards: int
     identical: bool
     lost_tasks: int
-    leaked_segments: tuple[str, ...]
     clean_signature: str
     chaos_signature: str
     clean_worth: float
@@ -99,11 +77,7 @@ class FleetChaosRound:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.identical
-            and self.lost_tasks == 0
-            and not self.leaked_segments
-        )
+        return self.identical and self.lost_tasks == 0
 
 
 def _run_fleet_round(
@@ -128,7 +102,6 @@ def _run_fleet_round(
         n_shards=n_shards,
         identical=clean.signature() == chaotic.signature(),
         lost_tasks=lost,
-        leaked_segments=active_segment_names(),
         clean_signature=clean.signature(),
         chaos_signature=chaotic.signature(),
         clean_worth=clean.total_worth,
@@ -153,10 +126,8 @@ def run_chaos_soak(
     """Run paired clean/chaotic ``best_of_trials`` rounds and verify.
 
     Returns ``{"rounds": [ChaosSoakRound], "fleet": FleetChaosRound |
-    None, "ok": bool, "summary": str, "new_shm_entries": [str]}``.
-    ``ok`` is True only when every round was bit-identical with zero
-    lost tasks and no shared-memory segment outlived its round
-    (including at the ``/dev/shm`` level).
+    None, "ok": bool, "summary": str}``.  ``ok`` is True only when
+    every round was bit-identical with zero lost tasks.
 
     ``fleet_shards >= 2`` appends one sharded-fleet round: a paired
     clean/chaotic :func:`~repro.fleet.solve_fleet` on the smoke fleet,
@@ -174,7 +145,6 @@ def run_chaos_soak(
         population_size=8,
         rules=StoppingRules(max_iterations=30, max_stale_iterations=15),
     )
-    shm_before = _repro_shm_entries()
     results: list[ChaosSoakRound] = []
     for i in range(rounds):
         model = generate_model(params, seed=seed + i)
@@ -210,7 +180,6 @@ def run_chaos_soak(
                 index=i,
                 identical=identical,
                 lost_tasks=lost,
-                leaked_segments=active_segment_names(),
                 clean_fitness=clean.fitness.as_tuple(),
                 chaos_fitness=chaotic.fitness.as_tuple(),
                 retries=sup.get("retries", 0),
@@ -232,12 +201,7 @@ def run_chaos_soak(
             ),
             seed=seed,
         )
-    new_entries = sorted(_repro_shm_entries() - shm_before)
-    ok = (
-        all(r.ok for r in results)
-        and (fleet is None or fleet.ok)
-        and not new_entries
-    )
+    ok = all(r.ok for r in results) and (fleet is None or fleet.ok)
     injected = sum(
         r.retries + r.worker_deaths + r.corrupted for r in results
     )
@@ -249,8 +213,7 @@ def run_chaos_soak(
         f"({sum(r.worker_deaths for r in results)} worker death(s), "
         f"{sum(r.corrupted for r in results)} corrupted return(s), "
         f"{sum(r.replayed_in_process for r in results)} in-process "
-        f"replay(s)), "
-        f"{len(new_entries)} leaked shm segment(s)"
+        f"replay(s))"
     )
     if fleet is not None:
         summary += (
@@ -265,5 +228,4 @@ def run_chaos_soak(
         "fleet": fleet,
         "ok": ok,
         "summary": summary,
-        "new_shm_entries": new_entries,
     }

@@ -2,8 +2,8 @@
 
 Splits a fleet workload into K shards by transfer affinity
 (:mod:`repro.fleet.partition`), solves each shard independently over the
-supervised process pool with zero-copy model broadcast
-(:mod:`repro.fleet.solver`), then reconciles shard boundaries by
+supervised process pool, each worker building its own shard models
+from the compact workload (:mod:`repro.fleet.solver`), then reconciles shard boundaries by
 migrating strings between shards (:mod:`repro.fleet.rebalance`) and
 composes a conservation-checked global result.  Per-shard state cost
 stays ``O((M/K)²)`` against the monolithic ``O(M²)`` — see

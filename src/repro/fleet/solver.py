@@ -5,8 +5,9 @@ state cost ``O((M/K)²)``) is built *inside the task that solves it* and
 dropped when the task returns.  Solves fan out over
 :class:`~repro.parallel.supervisor.SupervisedPool`; the compact
 :class:`~repro.workload.fleet.FleetWorkload` reaches each worker once,
-through the pool initializer (inherited under ``fork``, pickled once per
-worker under ``spawn``), and each task carries only its
+through a :class:`~repro.parallel.SharedModelGroup` and the pool
+initializer (inherited under ``fork``, pickled once per worker under
+``spawn``), and each task carries only its token and its
 :class:`~repro.fleet.partition.Shard`.  The parent holds no dense shard
 model on the pooled path and at most one at a time inline.  Results are
 collected *by shard index*.  Every per-shard solve is a pure function of
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-import uuid
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -37,7 +37,14 @@ from ..core.exceptions import ModelError
 from ..core.feasibility import analyze
 from ..core.profile import ProfileCache
 from ..heuristics import allocate_sequence, mwf_order, seeded_psg
-from ..parallel import ChaosPolicy, SupervisedPool, SupervisorConfig, Task
+from ..parallel import (
+    ChaosPolicy,
+    SharedModelGroup,
+    SupervisedPool,
+    SupervisorConfig,
+    Task,
+    get_shared,
+)
 from ..workload.fleet import FleetWorkload, materialize_model
 from .partition import FleetPartition, Shard, partition_fleet
 
@@ -112,18 +119,6 @@ class FleetResult:
         return h.hexdigest()
 
 
-#: Workloads of the live pooled solves, by token.  The pool initializer
-#: installs the workload once per worker (inherited under ``fork``,
-#: pickled once per worker under ``spawn``); the parent holds the same
-#: entry for the pool's lifetime so quarantined tasks replay in place.
-_WORKLOADS: dict[str, FleetWorkload] = {}
-
-
-def _install_workload(token: str, workload: FleetWorkload) -> None:
-    """Pool initializer: make ``workload`` resolvable under ``token``."""
-    _WORKLOADS[token] = workload
-
-
 def _solve_shard_payload(
     workload: FleetWorkload, shard: Shard, solver: str, seed: int
 ) -> dict[str, Any]:
@@ -186,8 +181,8 @@ def _solve_shard_task(
     token: str, shard: Shard, solver: str, seed: int
 ) -> dict[str, Any]:
     """Pool task (also the in-parent replay): solve one shard of the
-    workload installed under ``token``."""
-    return _solve_shard_payload(_WORKLOADS[token], shard, solver, seed)
+    workload shared under ``token``."""
+    return _solve_shard_payload(get_shared(token), shard, solver, seed)
 
 
 def _to_global(
@@ -249,25 +244,18 @@ def _solve_all_shards(
             solve_shard(workload, s, solver=solver, seed=seed) for s in shards
         ]
 
-    token = f"fleet-{uuid.uuid4().hex[:12]}"
-    _install_workload(token, workload)
-    try:
-        with SupervisedPool(
-            max_workers=n_workers,
-            initializer=_install_workload,
-            initargs=(token, workload),
-            config=SupervisorConfig(),
-            chaos=chaos,
-        ) as pool:
-            outcomes = pool.run(
-                [
-                    Task(_solve_shard_task, (token, s, solver, seed))
-                    for s in shards
-                ]
-            )
-            pool_stats.update(pool.stats.as_dict())
-    finally:
-        _WORKLOADS.pop(token, None)
+    with SharedModelGroup([workload]) as shared, SupervisedPool(
+        max_workers=n_workers,
+        initializer=shared.initializer,
+        initargs=shared.initargs,
+        config=SupervisorConfig(),
+        chaos=chaos,
+    ) as pool:
+        (token,) = shared.tokens
+        outcomes = pool.run(
+            [Task(_solve_shard_task, (token, s, solver, seed)) for s in shards]
+        )
+        pool_stats.update(pool.stats.as_dict())
 
     solutions: list[ShardSolution] = []
     for shard, outcome in zip(shards, outcomes):

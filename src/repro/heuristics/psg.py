@@ -27,7 +27,7 @@ execution produce identical results — even under injected worker failure (see
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Union
+from typing import Any, Callable
 
 import numpy as np
 
@@ -40,10 +40,10 @@ from ..core.state_sanitize import SanitizeBatchEvaluator
 from ..genitor import Chromosome, GenitorConfig, GenitorEngine
 from ..parallel import (
     ChaosPolicy,
+    SharedModelGroup,
     SupervisedPool,
     SupervisorConfig,
     Task,
-    broadcast_models,
     get_worker_context,
 )
 from .base import HeuristicResult, timed_section
@@ -52,10 +52,6 @@ from .ordering import allocate_sequence
 from .tf import tf_order
 
 __all__ = ["psg", "seeded_psg", "best_of_trials"]
-
-#: A model, or a broadcast token resolvable via repro.parallel.
-_ModelRef = Union[SystemModel, str]
-
 
 def _make_fitness_fn(
     model: SystemModel,
@@ -189,26 +185,23 @@ def seeded_psg(
 
 def _trial_worker(
     heuristic: Callable[..., HeuristicResult],
-    model_ref: _ModelRef,
+    token: str,
     seed: int,
     kwargs: dict[str, Any],
 ) -> HeuristicResult:
     """One independent trial in a worker process (module-level: pickles).
 
-    A broadcast-token ``model_ref`` resolves to the worker's zero-copy
-    model plus its persistent :class:`ProfileCache`, which is handed to
-    heuristics that accept one so profile memoization survives across
-    the trials a warm worker serves.
+    ``token`` resolves to the model this worker was handed plus its
+    persistent :class:`ProfileCache`, which is passed to heuristics
+    that accept one so profile memoization survives across the trials
+    a warm worker serves.
     """
-    if isinstance(model_ref, str):
-        model, profile_cache = get_worker_context(model_ref)
-        if (
-            "profile_cache" not in kwargs
-            and "profile_cache" in inspect.signature(heuristic).parameters
-        ):
-            kwargs = {**kwargs, "profile_cache": profile_cache}
-    else:
-        model = model_ref
+    model, profile_cache = get_worker_context(token)
+    if (
+        "profile_cache" not in kwargs
+        and "profile_cache" in inspect.signature(heuristic).parameters
+    ):
+        kwargs = {**kwargs, "profile_cache": profile_cache}
     return heuristic(model, rng=np.random.default_rng(seed), **kwargs)
 
 
@@ -229,16 +222,15 @@ def best_of_trials(
     per-trial fitness list recorded in ``stats``.
 
     With ``n_workers`` > 1 the trials fan out over a
-    :class:`~repro.parallel.SupervisedPool`, with the model broadcast
-    once per worker via :func:`~repro.parallel.broadcast_models`
-    instead of pickled per trial (it falls back to pickling when
-    broadcast setup fails; ``stats["model_transport"]`` records the
-    transport used).  The per-trial seeds are drawn from the trial RNG *before*
-    dispatch — the identical stream the serial path consumes — and
-    results are collected by trial index, so the parallel path returns
-    bit-identical results (including the ``max`` tie-break in trial
-    order) to ``n_workers=1`` for the same ``rng``.  Worker deaths,
-    per-trial deadline expiries (``trial_timeout`` seconds), and
+    :class:`~repro.parallel.SupervisedPool`, with the model handed to
+    each worker once through a :class:`~repro.parallel.SharedModelGroup`
+    instead of pickled per trial.  The per-trial seeds are drawn from
+    the trial RNG *before* dispatch — the identical stream the serial
+    path consumes — and results are collected by trial index, so the
+    parallel path returns bit-identical results (including the ``max``
+    tie-break in trial order) to ``n_workers=1`` for the same ``rng``.
+    Worker deaths, per-trial deadline expiries (``trial_timeout``
+    seconds; a non-positive value is rejected on both paths), and
     corrupted returns are retried by the supervisor and, when
     exhausted, replayed deterministically in-process;
     ``stats["trial_failures"]`` counts such recoveries and
@@ -254,32 +246,30 @@ def best_of_trials(
         raise ValueError("n_trials must be >= 1")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
+    # Built up front so both paths reject a non-positive trial_timeout.
+    config = SupervisorConfig(task_timeout=trial_timeout)
     rng = np.random.default_rng(rng)
     trial_seeds = [int(rng.integers(2**63)) for _ in range(n_trials)]
     trial_failures = 0
-    transport = "none"
     supervisor_stats: dict[str, int] | None = None
     with timed_section() as elapsed:
         if n_workers == 1 or n_trials == 1:
             results: list[HeuristicResult] = [
-                _trial_worker(heuristic, model, seed, kwargs)
+                heuristic(model, rng=np.random.default_rng(seed), **kwargs)
                 for seed in trial_seeds
             ]
         else:
-            with broadcast_models([model]) as shared, SupervisedPool(
+            with SharedModelGroup([model]) as shared, SupervisedPool(
                 min(n_workers, n_trials),
                 initializer=shared.initializer,
                 initargs=shared.initargs,
-                config=SupervisorConfig(task_timeout=trial_timeout),
+                config=config,
                 chaos=chaos,
             ) as pool:
-                transport = shared.transport
+                (token,) = shared.tokens
                 outcomes = pool.run(
                     [
-                        Task(
-                            _trial_worker,
-                            (heuristic, shared.refs[0], seed, kwargs),
-                        )
+                        Task(_trial_worker, (heuristic, token, seed, kwargs))
                         for seed in trial_seeds
                     ]
                 )
@@ -297,7 +287,6 @@ def best_of_trials(
     best.stats["n_trials"] = n_trials
     best.stats["n_workers"] = n_workers
     best.stats["trial_failures"] = trial_failures
-    best.stats["model_transport"] = transport
     best.stats["supervisor"] = supervisor_stats
     best.stats["trial_fitnesses"] = [r.fitness.as_tuple() for r in results]
     best.stats["total_runtime_seconds"] = sum(

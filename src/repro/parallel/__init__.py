@@ -7,21 +7,14 @@ quarantine with deterministic in-process replay, and result-envelope
 integrity checks.  :class:`ChaosPolicy` (:mod:`repro.parallel.chaos`)
 injects seeded worker kills / delays / corrupted returns through it for
 tests and the ``repro chaos`` soak.  :mod:`repro.parallel.broadcast`
-provides the zero-copy model transports, the one helper that picks
-between them and pickling (:func:`broadcast_models`), and the
-shared-memory leak registry; :mod:`repro.parallel.retry` is the shared
-home of the jittered-backoff helpers.  See ``docs/robustness.md`` for the
-determinism-under-failure contract and ``docs/performance.md`` for when
-the broadcast engages.
+ships read-only payloads (models, fleet workloads) to workers once per
+worker through the pool initializer (:class:`SharedModelGroup`);
+:mod:`repro.parallel.retry` is the shared home of the jittered-backoff
+helpers.  See ``docs/robustness.md`` for the determinism-under-failure
+contract and ``docs/performance.md`` for how payloads reach workers.
 """
 
-from .broadcast import (
-    SharedModel,
-    SharedModelGroup,
-    active_segment_names,
-    broadcast_models,
-    get_worker_context,
-)
+from .broadcast import SharedModelGroup, get_shared, get_worker_context
 from .chaos import ChaosDecision, ChaosPolicy
 from .retry import RetryError, RetryPolicy, backoff_delays, retry_call
 from .supervisor import (
@@ -41,16 +34,14 @@ __all__ = [
     "PoolStats",
     "RetryError",
     "RetryPolicy",
-    "SharedModel",
     "SharedModelGroup",
     "SupervisedPool",
     "SupervisorConfig",
     "Task",
     "TaskOutcome",
     "TaskQuarantinedError",
-    "active_segment_names",
     "backoff_delays",
-    "broadcast_models",
+    "get_shared",
     "get_worker_context",
     "retry_call",
 ]

@@ -245,10 +245,9 @@ class SupervisedPool:
     max_workers:
         Worker process count (and the in-flight dispatch cap).
     initializer / initargs:
-        Forwarded to every (re)created executor — the
-        :class:`~repro.parallel.broadcast.SharedModel` attach hook and
-        the fleet's workload install ride here, so pool restarts
-        transparently re-broadcast.
+        Forwarded to every (re)created executor.  A
+        :class:`~repro.parallel.SharedModelGroup` installs its payloads
+        here, so workers of a restarted pool get them again.
     config:
         Supervision knobs (defaults are fine for short tasks).
     chaos:

@@ -11,10 +11,11 @@ can witness:
     and a worker function must not mutate module-level mutable globals
     (the parent never sees the write; under ``spawn`` each worker gets
     its own copy).  Cross-process state must flow through the sanctioned
-    broadcast registry (:mod:`repro.parallel.broadcast`).  Re-enabling
-    writes on a read-only array view (``setflags(write=True)``) is
-    likewise flagged: attached :class:`~repro.parallel.SharedModel`
-    views are deliberately frozen.
+    token registry (:mod:`repro.parallel.broadcast`), which the pool
+    initializer installs in every worker.  Re-enabling writes on a
+    read-only array view (``setflags(write=True)``) is likewise
+    flagged: model arrays are deliberately frozen, because models and
+    their derived tables are shared without copying.
 ``RPR010``
     RNG provenance.  Every ``np.random.default_rng`` / ``Generator``
     construction site must derive its seed from injected state — a
@@ -166,10 +167,10 @@ class ForkPickleSafetyRule(ProjectRule):
       the *worker's* copy and the parent never observes it, so the
       program is wrong under every start method;
     * ``array.setflags(write=True)``, which re-enables writes on a
-      read-only view — the guard that keeps workers from corrupting an
-      attached shared-memory model.
+      read-only view — the guard that keeps code from corrupting a
+      model whose arrays are shared without copying.
 
-    The broadcast registry (:mod:`repro.parallel.broadcast`) is the one
+    The token registry (:mod:`repro.parallel.broadcast`) is the one
     sanctioned home for cross-process module state and is exempt.
     """
 
@@ -207,7 +208,7 @@ class ForkPickleSafetyRule(ProjectRule):
                     ctx,
                     node,
                     "setflags(write=True) re-enables writes on a read-only "
-                    "view (shared-memory models are deliberately frozen)",
+                    "view (model arrays are deliberately frozen)",
                     hint="copy the array instead of unfreezing the view",
                 )
                 continue

@@ -992,7 +992,7 @@ class BarePoolConstructionRule(Rule):
                     f"bare `{qualname}` construction outside "
                     "repro.parallel",
                     hint="use repro.parallel.SupervisedPool (supervised "
-                    "retry, deadlines, quarantine, shm cleanup)",
+                    "retry, deadlines, quarantine, in-process replay)",
                 )
 
     @staticmethod

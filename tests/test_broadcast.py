@@ -1,10 +1,11 @@
-"""Tests for the zero-copy model broadcast (repro.parallel.broadcast):
-transport roundtrips must be bit-identical, and neither sharing nor
-its pickle fallback may change heuristic results."""
+"""Tests for the token registry that ships read-only data to pool workers
+(repro.parallel.broadcast): tokens resolve in the parent and in workers,
+and neither the start method nor an in-parent replay changes what
+``best_of_trials`` returns."""
 
-import errno
 import multiprocessing as mp
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -13,17 +14,10 @@ from repro.genitor import GenitorConfig, StoppingRules
 from repro.heuristics.psg import _trial_worker, best_of_trials, seeded_psg
 import repro.parallel.broadcast as broadcast
 from repro.parallel import (
-    SharedModel,
+    ChaosPolicy,
     SharedModelGroup,
-    active_segment_names,
+    get_shared,
     get_worker_context,
-)
-from repro.parallel.broadcast import (
-    _init_worker_shm,
-    _pack_model,
-    _unpack_model,
-    _WORKER_SHM,
-    _WORKER_STATE,
 )
 from repro.workload import SCENARIO_1, generate_model
 
@@ -41,141 +35,101 @@ def _tiny_config():
     )
 
 
-def _assert_models_identical(a, b):
-    np.testing.assert_array_equal(a.network.bandwidth, b.network.bandwidth)
-    np.testing.assert_array_equal(
-        a.network.inv_bandwidth, b.network.inv_bandwidth
-    )
-    assert a.network.avg_inv_bandwidth == b.network.avg_inv_bandwidth
-    assert len(a.strings) == len(b.strings)
-    for s, t in zip(a.strings, b.strings):
-        assert s.string_id == t.string_id
-        assert s.worth == t.worth
-        assert s.period == t.period
-        assert s.max_latency == t.max_latency
-        assert s.name == t.name
-        np.testing.assert_array_equal(s.comp_times, t.comp_times)
-        np.testing.assert_array_equal(s.cpu_utils, t.cpu_utils)
-        np.testing.assert_array_equal(s.output_sizes, t.output_sizes)
-        np.testing.assert_array_equal(s.avg_comp_times, t.avg_comp_times)
-        np.testing.assert_array_equal(s.avg_cpu_utils, t.avg_cpu_utils)
-        np.testing.assert_array_equal(s.work, t.work)
-    assert [m.name for m in a.machines] == [m.name for m in b.machines]
+def _assert_same_best(got, want):
+    assert got.fitness == want.fitness
+    assert got.order == want.order
+    assert got.stats["trial_fitnesses"] == want.stats["trial_fitnesses"]
 
 
 class TestSharedModelLifecycle:
     def test_inherit_token_resolves_in_process(self, model):
-        with SharedModel(model, transport="inherit") as shared:
-            resolved, cache = get_worker_context(shared.token)
+        with SharedModelGroup([model]) as shared:
+            (token,) = shared.tokens
+            resolved, cache = get_worker_context(token)
             assert resolved is model
             # the per-token cache is persistent across resolutions
-            assert get_worker_context(shared.token)[1] is cache
+            assert get_worker_context(token)[1] is cache
         with pytest.raises(KeyError):
-            get_worker_context(shared.token)
-
-    def test_shm_pack_unpack_roundtrip(self, model):
-        with SharedModel(model, transport="shm") as shared:
-            rebuilt = _unpack_model(shared._shm, shared._meta)
-            _assert_models_identical(model, rebuilt)
-            # the rebuilt arrays are read-only views into shared memory
-            with pytest.raises(ValueError):
-                rebuilt.network.bandwidth[0, 0] = 1.0
-            with pytest.raises(ValueError):
-                rebuilt.strings[0].comp_times[0, 0] = 1.0
-
-    def test_shm_block_unlinked_on_exit(self, model):
-        from multiprocessing import shared_memory
-
-        shared = SharedModel(model, transport="shm")
-        with shared:
-            name = shared._shm.name
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+            get_worker_context(token)
 
     def test_not_reentrant(self, model):
-        shared = SharedModel(model, transport="inherit")
+        shared = SharedModelGroup([model])
         with shared:
             with pytest.raises(RuntimeError):
                 shared.__enter__()
-
-    def test_unknown_transport_rejected(self, model):
-        with pytest.raises(ValueError):
-            SharedModel(model, transport="mmap")
 
     def test_unknown_token_raises(self):
         with pytest.raises(KeyError):
             get_worker_context("repro-nonexistent")
 
-    def test_initializer_only_for_shm(self, model):
-        inherit = SharedModel(model, transport="inherit")
-        assert inherit.initializer is None
-        assert inherit.initargs == ()
-        with SharedModel(model, transport="shm") as shm:
-            assert shm.initializer is _init_worker_shm
-            assert shm.initargs[0] == shm.token
+    def test_unknown_transport_rejected(self, model):
+        # The transport knob is gone: there is one way to reach workers.
+        with pytest.raises(TypeError):
+            SharedModelGroup([model], transport="shm")
+
+    def test_initializer_installs_every_entry(self, model):
+        """What each worker runs: the initializer makes every payload
+        resolvable, in order, and exiting drops them again."""
+        shared = SharedModelGroup([model, "fleet workload"])
+        assert len(set(shared.tokens)) == 2
+        with pytest.raises(KeyError):
+            get_shared(shared.tokens[0])
+        try:
+            shared.initializer(*shared.initargs)
+            assert get_shared(shared.tokens[0]) is model
+            assert get_shared(shared.tokens[1]) == "fleet workload"
+        finally:
+            shared.__exit__(None, None, None)
+        for token in shared.tokens:
+            with pytest.raises(KeyError):
+                get_shared(token)
 
 
 class TestLeakRegistry:
-    """Regression: shm segments must never outlive their owner.
-
-    The parent-side leak registry guarantees that a segment created by
-    ``SharedModel(transport="shm")`` is unlinked even when the owning
-    context manager never exits (worker crash, KeyboardInterrupt, a
-    supervisor tearing down a broken pool mid-broadcast)."""
+    """Regression: registry entries never outlive their group, so a
+    long-lived parent does not accumulate models or profile caches."""
 
     def test_normal_exit_leaves_registry_empty(self, model):
-        with SharedModel(model, transport="shm"):
-            assert len(active_segment_names()) == 1
-        assert active_segment_names() == ()
-
-    def test_abandoned_segment_is_tracked_and_reclaimed(self, model):
-        from multiprocessing import shared_memory
-
-        shared = SharedModel(model, transport="shm")
-        shared.__enter__()  # simulate a crash: __exit__ never runs
-        name = shared._shm.name
-        assert name in active_segment_names()
-
-        broadcast._cleanup_parent_segments()  # the atexit crash path
-        assert active_segment_names() == ()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        # late __exit__ after cleanup must not raise (already unlinked)
-        shared.__exit__(None, None, None)
-
-    def test_inherit_transport_registers_nothing(self, model):
-        with SharedModel(model, transport="inherit"):
-            assert active_segment_names() == ()
+        before = (dict(broadcast._SHARED), dict(broadcast._CACHES))
+        with SharedModelGroup([model, model]) as shared:
+            for token in shared.tokens:
+                get_worker_context(token)
+            assert set(shared.tokens) <= set(broadcast._CACHES)
+        with pytest.raises(ValueError):
+            with SharedModelGroup([model]) as failing:
+                get_worker_context(failing.tokens[0])
+                raise ValueError("task failed")
+        assert (broadcast._SHARED, broadcast._CACHES) == before
 
 
 class TestWorkerAttach:
-    def test_init_worker_shm_in_process(self, model):
-        """The initializer path, exercised in-process: a trial on the
-        attached model returns the same elite as on the original."""
-        kwargs = {"config": _tiny_config()}
-        ref = _trial_worker(seeded_psg, model, 3, kwargs)
-        with SharedModel(model, transport="shm") as shared:
-            _init_worker_shm(shared.token, shared._shm.name, shared._meta)
-            try:
-                attached, _ = get_worker_context(shared.token)
-                _assert_models_identical(model, attached)
-                got = _trial_worker(seeded_psg, shared.token, 3, kwargs)
-                assert got.fitness == ref.fitness
-                assert got.order == ref.order
-            finally:
-                _WORKER_STATE.pop(shared.token, None)
-                shm = _WORKER_SHM.pop(shared.token, None)
-                if shm is not None:
-                    shm.close()
-
     def test_trial_worker_resolves_token(self, model):
         cfg = _tiny_config()
-        ref = _trial_worker(seeded_psg, model, 3, {"config": cfg})
-        with SharedModel(model, transport="inherit") as shared:
-            via_token = _trial_worker(seeded_psg, shared.token, 3,
-                                      {"config": cfg})
+        ref = seeded_psg(model, rng=np.random.default_rng(3), config=cfg)
+        with SharedModelGroup([model]) as shared:
+            via_token = _trial_worker(
+                seeded_psg, shared.tokens[0], 3, {"config": cfg}
+            )
         assert via_token.fitness == ref.fitness
         assert via_token.order == ref.order
+
+    def test_pickled_initargs_run_trial_identically(self, model):
+        """The ``spawn`` path in-process: the initargs cross a pickle
+        round trip, and a trial on the unpickled model returns the same
+        elite as on the original."""
+        cfg = _tiny_config()
+        ref = seeded_psg(model, rng=np.random.default_rng(3), config=cfg)
+        shared = SharedModelGroup([model])
+        try:
+            shared.initializer(*pickle.loads(pickle.dumps(shared.initargs)))
+            assert get_worker_context(shared.tokens[0])[0] is not model
+            got = _trial_worker(
+                seeded_psg, shared.tokens[0], 3, {"config": cfg}
+            )
+        finally:
+            shared.__exit__(None, None, None)
+        assert got.fitness == ref.fitness
+        assert got.order == ref.order
 
 
 class TestBestOfTrialsSharing:
@@ -187,59 +141,59 @@ class TestBestOfTrialsSharing:
         shared = best_of_trials(
             seeded_psg, model, 2, rng=4, n_workers=2, config=cfg
         )
-        assert shared.fitness == serial.fitness
-        assert shared.order == serial.order
-        assert (
-            shared.stats["trial_fitnesses"]
-            == serial.stats["trial_fitnesses"]
+        _assert_same_best(shared, serial)
+
+
+@pytest.fixture
+def spawn_start_method():
+    if "spawn" not in mp.get_all_start_methods():
+        pytest.skip("spawn start method unavailable")
+    previous = mp.get_start_method()
+    mp.set_start_method("spawn", force=True)
+    try:
+        yield
+    finally:
+        mp.set_start_method(previous, force=True)
+
+
+class TestPoolTransport:
+    """The model reaches workers through the pool initializer, so every
+    start method and the in-parent replay return the serial result — and
+    no shared-memory segment is ever created."""
+
+    def test_spawn_pool_matches_serial(
+        self, model, spawn_start_method, monkeypatch
+    ):
+        created = []
+
+        def no_shm(*args, **kwargs):
+            created.append(kwargs)
+            raise OSError("best_of_trials must not create shared memory")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", no_shm)
+        cfg = _tiny_config()
+        serial = best_of_trials(
+            seeded_psg, model, 2, rng=4, n_workers=1, config=cfg
         )
-        assert serial.stats["model_transport"] == "none"
-        assert shared.stats["model_transport"] in ("inherit", "shm")
+        pooled = best_of_trials(
+            seeded_psg, model, 2, rng=4, n_workers=2, config=cfg
+        )
+        assert created == []
+        _assert_same_best(pooled, serial)
 
-
-def test_broadcast_setup_failure_falls_back_to_pickle(model, monkeypatch):
-    """When broadcast setup raises (here: a full ``/dev/shm``),
-    ``best_of_trials`` ships the model pickled and returns what the
-    serial run returns."""
-
-    def enospc(self):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    monkeypatch.setattr(SharedModel, "__enter__", enospc)
-    monkeypatch.setattr(SharedModelGroup, "__enter__", enospc)
-
-    cfg = _tiny_config()
-    serial = best_of_trials(
-        seeded_psg, model, 2, rng=4, n_workers=1, config=cfg
-    )
-    pooled = best_of_trials(
-        seeded_psg, model, 2, rng=4, n_workers=2, config=cfg
-    )
-    assert pooled.fitness == serial.fitness
-    assert pooled.order == serial.order
-    assert pooled.stats["trial_fitnesses"] == serial.stats["trial_fitnesses"]
-    assert pooled.stats["model_transport"] == "pickle"
-
-
-@pytest.mark.skipif(
-    "spawn" not in mp.get_all_start_methods(),
-    reason="spawn start method unavailable",
-)
-def test_spawn_pool_shm_roundtrip(model):
-    """Full cross-process shm path: a spawned worker attaches the block
-    and runs a trial identically to the parent."""
-    kwargs = {"config": _tiny_config()}
-    ref = _trial_worker(seeded_psg, model, 3, kwargs)
-    ctx = mp.get_context("spawn")
-    with SharedModel(model, transport="shm") as shared:
-        with ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=ctx,
-            initializer=shared.initializer,
-            initargs=shared.initargs,
-        ) as pool:
-            got = pool.submit(
-                _trial_worker, seeded_psg, shared.token, 3, kwargs
-            ).result()
-    assert got.fitness == ref.fitness
-    assert got.order == ref.order
+    def test_quarantined_trials_replay_in_parent(self, model):
+        cfg = _tiny_config()
+        serial = best_of_trials(
+            seeded_psg, model, 3, rng=4, n_workers=1, config=cfg
+        )
+        replayed = best_of_trials(
+            seeded_psg,
+            model,
+            3,
+            rng=4,
+            n_workers=2,
+            chaos=ChaosPolicy(kill_rate=1.0, seed=3),
+            config=cfg,
+        )
+        assert replayed.stats["supervisor"]["replayed_in_process"] == 3
+        _assert_same_best(replayed, serial)

@@ -4,9 +4,11 @@ The acceptance criterion of the supervised parallel runtime: with a
 seeded :class:`~repro.parallel.ChaosPolicy` injecting worker kills,
 delays, and corrupted returns, ``best_of_trials``, the experiment
 runner, and the survivability experiment must produce results
-bit-identical to a chaos-free run — no silently dropped tasks, no
-leaked shared-memory segments.
+bit-identical to a chaos-free run — no silently dropped tasks, and no
+shared-memory segment created along the way.
 """
+
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -15,7 +17,7 @@ from repro.experiments import run_chaos_soak, run_experiment, run_survivability
 from repro.experiments.runner import ExperimentConfig, ExperimentScale
 from repro.genitor import GenitorConfig, StoppingRules
 from repro.heuristics import best_of_trials, seeded_psg
-from repro.parallel import ChaosPolicy, active_segment_names
+from repro.parallel import ChaosPolicy
 from repro.workload import SCENARIO_1, SCENARIO_3, generate_model
 
 #: The issue's acceptance policy: kill-rate 0.1, delay-rate 0.1, seeded.
@@ -87,13 +89,24 @@ class TestBestOfTrialsBitIdentity:
         )
         assert faults > 0, "dense chaos policy injected nothing"
 
-    def test_no_shared_memory_leak_after_chaotic_runs(self):
+    def test_no_shared_memory_leak_after_chaotic_runs(self, monkeypatch):
+        # Nothing can leak because nothing is created: workers, restarted
+        # pools and in-parent replays all get the model through the pool
+        # initializer or the parent's registry.
+        created = []
+
+        def no_shm(*args, **kwargs):
+            created.append(kwargs)
+            raise OSError("best_of_trials must not create shared memory")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", no_shm)
         model = tiny_model()
-        best_of_trials(
+        chaotic = best_of_trials(
             seeded_psg, model, n_trials=3, rng=17, n_workers=2,
             chaos=DENSE_CHAOS, config=TINY_GA,
         )
-        assert active_segment_names() == ()
+        assert created == []
+        assert len(chaotic.stats["trial_fitnesses"]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +238,9 @@ class TestChaosSoak:
             kill_rate=0.3, delay_rate=0.1, corrupt_rate=0.3, seed=770,
         )
         assert report["ok"], report["summary"]
-        assert report["new_shm_entries"] == []
         (round_,) = report["rounds"]
         assert round_.identical
         assert round_.lost_tasks == 0
-        assert round_.leaked_segments == ()
         fleet = report["fleet"]
         assert fleet is not None
         assert fleet.ok

@@ -19,7 +19,7 @@ from repro.fleet import (
     solve_shard,
 )
 from repro.fleet.solver import SHARD_SOLVERS, compose, validate_result
-from repro.parallel import ChaosPolicy, active_segment_names
+from repro.parallel import ChaosPolicy
 from repro.workload.fleet import FLEET_SMOKE, generate_fleet
 
 SEED = 21
@@ -262,7 +262,6 @@ class TestPoolTransport:
         monkeypatch.setattr(shared_memory, "SharedMemory", no_shm)
         pooled = solve_fleet(workload, 2, seed=SEED, n_workers=2)
         assert created == []
-        assert active_segment_names() == ()
         assert pooled.signature() == result.signature()
         assert pooled.total_worth == result.total_worth
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import analyze
+from repro.core.exceptions import ModelError
 from repro.genitor import GenitorConfig, StoppingRules
 from repro.heuristics import (
     best_of_trials,
@@ -172,6 +173,19 @@ class TestParallelTrials:
             best_of_trials(
                 psg, scenario3_small, n_trials=2, n_workers=0,
                 config=SMALL_CONFIG,
+            )
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("trial_timeout", [0, -1.0])
+    def test_nonpositive_trial_timeout_rejected(
+        self, scenario3_small, n_workers, trial_timeout
+    ):
+        # The serial path has no deadline to enforce, but it must reject
+        # the same arguments the pooled path does.
+        with pytest.raises(ModelError, match="task_timeout"):
+            best_of_trials(
+                psg, scenario3_small, n_trials=2, n_workers=n_workers,
+                trial_timeout=trial_timeout, config=SMALL_CONFIG,
             )
 
     def test_aggregate_stats_present(self, scenario3_small):
