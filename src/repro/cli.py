@@ -762,10 +762,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"({record['try_add_ops_per_sec']:,.0f} ops/s)  "
               f"snap+restore {record['snapshot_restore_us']:.1f}us/pair "
               f"({record['snapshot_restore_ops_per_sec']:,.0f} pairs/s)")
-        print(f"batched kernel ({record['config']['batch_lanes']} lanes): "
-              f"{record['batch_try_add_us']:.1f}us/lane-op "
-              f"({record['batch_try_add_ops_per_sec']:,.0f} lane-ops/s, "
-              f"{record['batch_speedup_over_scalar']:.2f}x scalar try_add)")
         print(f"record written to {out_path}")
     else:
         record, prof_stats = _profiled(

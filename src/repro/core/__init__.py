@@ -27,21 +27,11 @@ from .model import WORTH_FACTORS, AppString, Machine, Network, SystemModel
 from .numeric import ABS_TOL, REL_TOL, is_zero, isclose
 from .profile import ProfileCache, StringProfile, compute_profile
 from .state import (
-    STATE_BACKENDS,
     AllocationState,
     RecordAllocationState,
     RejectionReason,
     StateSnapshot,
-    get_default_state_backend,
-    set_default_state_backend,
 )
-from .state_batch import (
-    BatchEvaluator,
-    BatchSoaState,
-    evaluate_batch,
-    project_batch,
-)
-from .state_sanitize import SanitizeBatchEvaluator, StateDivergenceError
 from .tightness import (
     average_tightness,
     priority_key,
@@ -63,8 +53,6 @@ __all__ = [
     "AllocationError",
     "AllocationState",
     "AppString",
-    "BatchEvaluator",
-    "BatchSoaState",
     "DEFAULT_TOL",
     "FeasibilityReport",
     "Fitness",
@@ -77,11 +65,8 @@ __all__ = [
     "RecordAllocationState",
     "RejectionReason",
     "ReproError",
-    "STATE_BACKENDS",
-    "SanitizeBatchEvaluator",
     "SimulationError",
     "SolverError",
-    "StateDivergenceError",
     "StateSnapshot",
     "StringProfile",
     "StringTiming",
@@ -94,17 +79,13 @@ __all__ = [
     "average_tightness",
     "compute_profile",
     "evaluate",
-    "evaluate_batch",
-    "get_default_state_backend",
     "is_feasible",
     "is_zero",
     "isclose",
     "machine_utilization",
     "priority_key",
-    "project_batch",
     "relative_tightness",
     "route_utilization",
-    "set_default_state_backend",
     "string_machine_load",
     "string_route_load",
     "system_slackness",

@@ -28,24 +28,15 @@ check touches exactly those strings.  The test suite asserts that the
 accept/reject decisions and all cached quantities agree with the
 from-scratch analysis.
 
-:class:`AllocationState` is the one scalar kernel: one ``dict``-based
-record per mapped string plus sorted per-resource user lists.  The
-batched population kernel (:mod:`repro.core.state_batch`) is
-bit-identical to it because both perform the same scalar floating-point
-operations in the same canonical order — interference ``H`` for a newly
-added string is derived from its *priority predecessor* (``H[w] +
-load[w]`` for the lowest-priority user ``w`` above the new key),
-waiting-term accumulations run over touched resources in ascending
-fused-resource order, and per-user scans run in ascending string-id
-order.
-
-``REPRO_STATE_BACKEND`` (or :func:`set_default_state_backend`) takes one
-of :data:`STATE_BACKENDS`.  ``"record"`` is the default; ``"sanitize"``
-makes the PSG initial-population evaluator re-project every ordering
-through the scalar kernel and raise
-:class:`~repro.core.state_sanitize.StateDivergenceError` at the first
-lane that is not bit-identical, turning any test run into an
-equivalence audit of the two kernels.
+:class:`AllocationState` is the one feasibility kernel: one
+``dict``-based record per mapped string plus sorted per-resource user
+lists.  Its floating-point accumulations follow one canonical order —
+interference ``H`` for a newly added string is derived from its
+*priority predecessor* (``H[w] + load[w]`` for the lowest-priority user
+``w`` above the new key), waiting terms accumulate over the touched
+resources in the profile's key order (machines ascending, then routes
+ascending), and per-user scans run in ascending string-id order — so a
+seeded search reproduces its elites bit for bit.
 
 The immutable part of the per-string record (loads, tmax, counts,
 nominal path, priority key) lives in :class:`~repro.core.profile.StringProfile`
@@ -57,8 +48,6 @@ and can be memoized across states through a
 
 from __future__ import annotations
 
-import os
-import warnings
 from bisect import insort
 from dataclasses import dataclass, field
 
@@ -73,60 +62,11 @@ from .profile import ProfileCache, Route, StringProfile, compute_profile
 from .types import FloatArray, IntArray, IntVectorLike
 
 __all__ = [
-    "STATE_BACKENDS",
     "AllocationState",
     "RecordAllocationState",
     "RejectionReason",
     "StateSnapshot",
-    "get_default_state_backend",
-    "set_default_state_backend",
 ]
-
-#: Recognized ``REPRO_STATE_BACKEND`` values.  ``"record"`` is the
-#: scalar kernel every state runs; ``"sanitize"`` additionally
-#: cross-checks every batched projection against it — a verification
-#: tool, never a benchmark target (see
-#: :mod:`repro.core.state_sanitize`).
-STATE_BACKENDS: tuple[str, ...] = ("record", "sanitize")
-
-
-def _env_default_backend() -> str:
-    name = os.environ.get("REPRO_STATE_BACKEND", "").strip().lower()
-    if not name:
-        return "record"
-    if name not in STATE_BACKENDS:
-        warnings.warn(
-            f"REPRO_STATE_BACKEND={name!r} is not one of "
-            f"{STATE_BACKENDS}; using 'record'",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "record"
-    return name
-
-
-_default_backend: str = _env_default_backend()
-
-
-def get_default_state_backend() -> str:
-    """The selected :data:`STATE_BACKENDS` value (``"record"`` unless
-    ``"sanitize"`` was requested)."""
-    return _default_backend
-
-
-def set_default_state_backend(name: str) -> None:
-    """Select ``"record"`` or ``"sanitize"`` process-wide.
-
-    The initial value comes from the ``REPRO_STATE_BACKEND`` environment
-    variable (``"record"`` when unset).  Only evaluators built after the
-    call are affected.
-    """
-    if name not in STATE_BACKENDS:
-        raise ValueError(
-            f"unknown state backend {name!r}; choose from {STATE_BACKENDS}"
-        )
-    global _default_backend
-    _default_backend = name
 
 
 @dataclass(frozen=True)
@@ -220,8 +160,7 @@ class AllocationState:
 
     One :class:`_StringRecord` per mapped string plus ascending
     per-resource user lists.  All scalar accumulations follow the
-    canonical order shared with the batched kernel (see the module
-    docstring), so the two stay bit-identical.
+    canonical order described in the module docstring.
 
     Parameters
     ----------
@@ -410,7 +349,6 @@ class AllocationState:
         # ---- stage 2a: the new string under existing interference -----------
         # H for the new string comes from its *priority predecessor* w —
         # the lowest-priority user above the new key:  H = H[w] + load[w].
-        # This is the canonical derivation shared with the batched kernel.
         key = prof.key
         for j in prof.m_load:
             pred: _StringRecord | None = None

@@ -23,20 +23,20 @@ accumulates a benchmark trajectory.  The record schema is
     rate.  ``null`` when the cache is disabled.
 
 :func:`run_state_micro` is the companion micro-benchmark for the
-feasibility kernels themselves (``repro bench --name state-micro``):
-it replays a realistic MWF allocation through the scalar
-:class:`~repro.core.state.AllocationState` and the batched population
-kernel, timing raw ``try_add``, ``snapshot``/``restore`` and per-lane
-``try_add_batch`` throughput.  Timing rounds are interleaved across the
-two kernels and the median is kept, which is much more stable than
-best-of-N on shared runners.
+feasibility kernel itself (``repro bench --name state-micro``): it
+replays a realistic MWF allocation through
+:class:`~repro.core.state.AllocationState`, timing raw ``try_add`` and
+``snapshot``/``restore`` throughput.  The median over timing rounds is
+kept, which is much more stable than best-of-N on shared runners.
 
 :func:`compare_to_baseline` implements the CI gate: the run fails when
 any of the record's gate metrics (``evals_per_second`` for the PSG
 benchmarks; try_add and snapshot/restore ops/sec for ``state_micro``)
 regresses more than ``max_regression`` (fractional) below a committed
-baseline record.  Throughput baselines are inherently
-machine-dependent; commit baselines produced on the CI runner class.
+baseline record, when the baseline belongs to another benchmark, or
+when no gate metric could be compared at all.  Throughput baselines
+are inherently machine-dependent; commit baselines produced on the CI
+runner class.
 """
 
 from __future__ import annotations
@@ -73,11 +73,7 @@ _HEURISTICS = {"psg": psg, "seeded-psg": seeded_psg}
 
 #: Gate metrics per benchmark name (default: the PSG throughput metric).
 _GATE_METRICS: dict[str, tuple[str, ...]] = {
-    "state_micro": (
-        "try_add_ops_per_sec",
-        "snapshot_restore_ops_per_sec",
-        "batch_try_add_ops_per_sec",
-    ),
+    "state_micro": ("try_add_ops_per_sec", "snapshot_restore_ops_per_sec"),
     # Both fleet gate metrics are same-host ratios (K=max vs K=1), so
     # the committed baseline transfers across machine classes.
     "fleet": ("speedup", "worth_ratio"),
@@ -177,12 +173,12 @@ def run_bench(
     }
 
 
-def _bench_scalar_micro(
+def _bench_micro_round(
     model: Any,
     pairs: list[tuple[int, Any]],
     snap_reps: int,
 ) -> tuple[float, float]:
-    """One round of the scalar kernel: (try_add s/op, snap+restore s/op).
+    """One timing round: (try_add s/op, snap+restore s/op).
 
     The try_add half restores the empty state and replays every pair;
     the snapshot half takes ``snap_reps`` snapshot+restore pairs on the
@@ -211,59 +207,21 @@ def _bench_scalar_micro(
     return add_s, (time.perf_counter() - t0) / snap_reps
 
 
-def _bench_batch_micro(
-    model: Any,
-    pairs: list[tuple[int, Any]],
-    n_lanes: int,
-) -> float:
-    """One round's per-lane-op time of the batched try_add kernel.
-
-    Replays the same accepted (string, machines) pairs as the scalar
-    rounds, but across ``n_lanes`` identical lanes of one
-    :class:`~repro.core.state_batch.BatchSoaState` — each
-    ``try_add_batch`` call performs one feasibility analysis per lane,
-    so one replay does ``len(pairs) * n_lanes`` lane-ops.  The per-op
-    median against the scalar ``try_add_ops_per_sec`` is exactly the
-    dispatch amortization the batched population evaluator buys.
-    """
-    from ..core.state_batch import BatchSoaState
-
-    cache = ProfileCache()
-    state = BatchSoaState(model, n_lanes, profile_cache=cache)
-    lanes = list(range(n_lanes))
-    profs = {
-        string_id: state.get_profile(string_id, machines)
-        for string_id, machines in pairs
-    }  # warmed once: the scalar rounds also time with a hot cache
-    t0 = time.perf_counter()
-    for string_id, _machines in pairs:
-        state.try_add_batch(
-            lanes, [string_id] * n_lanes, [profs[string_id]] * n_lanes
-        )
-    return (time.perf_counter() - t0) / (len(pairs) * n_lanes)
-
-
 def run_state_micro(
     seed: int = 1_234,
     n_strings: int = 50,
     n_machines: int = 8,
     rounds: int = 9,
     snap_reps: int = 50,
-    batch_lanes: int = 32,
 ) -> dict[str, Any]:
-    """Micro-benchmark the feasibility kernels.
+    """Micro-benchmark the feasibility kernel.
 
     Replays the MWF allocation of the paper-scale benchmark workload —
-    a realistic mix of accepted mappings — through the scalar
+    a realistic mix of accepted mappings — through
     :class:`~repro.core.state.AllocationState`, timing ``try_add`` and
     ``snapshot``/``restore`` throughput (the gate metrics
-    ``try_add_ops_per_sec`` and ``snapshot_restore_ops_per_sec``), and
-    across ``batch_lanes`` lanes of the batched kernel, reporting
-    per-lane-op throughput (``batch_try_add_ops_per_sec``) — the
-    dispatch amortization the population evaluator relies on.  Rounds
-    alternate between the two kernels and are summarized by the median,
-    so a CPU-frequency wobble hits both alike instead of biasing
-    whichever ran last.
+    ``try_add_ops_per_sec`` and ``snapshot_restore_ops_per_sec``).
+    Each is summarized by its median over ``rounds`` rounds.
     """
     params = get_scenario("1").scaled(
         n_strings=n_strings, n_machines=n_machines
@@ -277,15 +235,12 @@ def run_state_micro(
     ]
     add_raw: list[float] = []
     snap_raw: list[float] = []
-    batch_raw: list[float] = []
     for _ in range(rounds):
-        add_s, snap_s = _bench_scalar_micro(model, pairs, snap_reps)
+        add_s, snap_s = _bench_micro_round(model, pairs, snap_reps)
         add_raw.append(add_s)
         snap_raw.append(snap_s)
-        batch_raw.append(_bench_batch_micro(model, pairs, batch_lanes))
     add_med = statistics.median(add_raw)
     snap_med = statistics.median(snap_raw)
-    batch_med = statistics.median(batch_raw)
     return {
         "schema": BENCH_SCHEMA,
         "name": "state_micro",
@@ -297,24 +252,13 @@ def run_state_micro(
             "seed": seed,
             "mapped_strings": len(pairs),
         },
-        "config": {
-            "rounds": rounds,
-            "snap_reps": snap_reps,
-            "batch_lanes": batch_lanes,
-        },
+        "config": {"rounds": rounds, "snap_reps": snap_reps},
         "try_add_ops_per_sec": 1.0 / add_med if add_med > 0 else 0.0,
         "try_add_us": add_med * 1e6,
         "snapshot_restore_ops_per_sec": (
             1.0 / snap_med if snap_med > 0 else 0.0
         ),
         "snapshot_restore_us": snap_med * 1e6,
-        "batch_try_add_ops_per_sec": (
-            1.0 / batch_med if batch_med > 0 else 0.0
-        ),
-        "batch_try_add_us": batch_med * 1e6,
-        "batch_speedup_over_scalar": (
-            add_med / batch_med if batch_med > 0 else 0.0
-        ),
     }
 
 
@@ -330,16 +274,23 @@ def compare_to_baseline(
     benchmarks; ``try_add_ops_per_sec`` and
     ``snapshot_restore_ops_per_sec`` for ``state_micro``) fell more
     than ``max_regression`` (a fraction, e.g. ``0.30``) below the
-    baseline's.
+    baseline's.  It is also false when the baseline names a different
+    benchmark than the record, or when no gate metric is present in
+    both, so a mismatched or empty comparison can never pass.
     """
     if not 0.0 <= max_regression < 1.0:
         raise ValueError(
             f"max_regression must be in [0, 1), got {max_regression}"
         )
-    metrics = _GATE_METRICS.get(
-        str(record.get("name", "")), _DEFAULT_GATE_METRICS
-    )
+    name = str(record.get("name", ""))
+    if "name" in baseline and baseline["name"] != name:
+        return False, (
+            f"baseline is for benchmark {baseline['name']!r}, "
+            f"record is {name!r}; nothing compared"
+        )
+    metrics = _GATE_METRICS.get(name, _DEFAULT_GATE_METRICS)
     ok = True
+    compared = 0
     parts: list[str] = []
     for metric in metrics:
         if metric not in baseline or metric not in record:
@@ -348,6 +299,7 @@ def compare_to_baseline(
             # in docs/performance.md refreshes the committed record.
             parts.append(f"{metric} absent from record/baseline, skipped")
             continue
+        compared += 1
         base_rate = float(baseline[metric])
         rate = float(record[metric])
         floor = base_rate * (1.0 - max_regression)
@@ -364,6 +316,9 @@ def compare_to_baseline(
         if rate < floor:
             ok = False
         parts.append(message)
+    if not compared:
+        ok = False
+        parts.append("no gate metric in both record and baseline")
     return ok, "; ".join(parts)
 
 

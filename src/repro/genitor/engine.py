@@ -93,12 +93,9 @@ class GenitorEngine:
     seeds:
         Chromosomes guaranteed a slot in the initial population (the
         Seeded PSG passes the MWF and TF orderings).
-    initial_evaluator:
-        Optional bulk evaluator for the initial population: called once
-        with the list of distinct initial chromosomes, must return their
-        fitness values in the same order.  Lets a driver score the
-        whole initial population in one bulk pass (the PSG driver uses
-        the batched kernel); must agree exactly with ``fitness_fn``.
+
+    The initial population is scored through ``fitness_fn`` like every
+    offspring, so a duplicate initial chromosome counts as a cache hit.
     """
 
     def __init__(
@@ -108,9 +105,6 @@ class GenitorEngine:
         config: GenitorConfig,
         rng: np.random.Generator,
         seeds: Sequence[Chromosome] = (),
-        initial_evaluator: Callable[
-            [Sequence[Chromosome]], Sequence[Fitness]
-        ] | None = None,
     ):
         self.genes = tuple(genes)
         self.fitness_fn = fitness_fn
@@ -134,23 +128,9 @@ class GenitorEngine:
         while len(chromosomes) < config.population_size:
             perm = tuple(int(g) for g in rng.permutation(self.genes))
             chromosomes.append(perm)
-        if initial_evaluator is not None:
-            distinct = list(dict.fromkeys(chromosomes))
-            fitnesses = list(initial_evaluator(distinct))
-            if len(fitnesses) != len(distinct):
-                raise ValueError(
-                    f"initial_evaluator returned {len(fitnesses)} fitness "
-                    f"values for {len(distinct)} chromosomes"
-                )
-            self._cache.update(zip(distinct, fitnesses))
-            self.stats.evaluations += len(distinct)
-            self.population = Population(
-                [Individual(c, self._cache[c]) for c in chromosomes]
-            )
-        else:
-            self.population = Population(
-                [Individual(c, self._evaluate(c)) for c in chromosomes]
-            )
+        self.population = Population(
+            [Individual(c, self._evaluate(c)) for c in chromosomes]
+        )
 
     # -- internals ---------------------------------------------------------------
 

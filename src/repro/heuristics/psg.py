@@ -15,11 +15,10 @@ knobs are exposed here (``config`` and :func:`best_of_trials`).
 
 Performance (see ``docs/performance.md``): each run shares one
 :class:`~repro.core.profile.ProfileCache` across every chromosome
-projection, the initial population is scored in one pass through the
-batched kernel (every lane re-checked against the scalar projection
-under ``REPRO_STATE_BACKEND=sanitize``), and :func:`best_of_trials`
-fans independent trials over a :class:`~repro.parallel.SupervisedPool`
-(``n_workers``) with a precomputed seed stream so parallel and serial
+projection, including the initial population's, and
+:func:`best_of_trials` fans independent trials over a
+:class:`~repro.parallel.SupervisedPool` (``n_workers``) with a
+precomputed seed stream so parallel and serial
 execution produce identical results — even under injected worker failure (see
 ``docs/robustness.md``).
 """
@@ -34,9 +33,6 @@ import numpy as np
 from ..core.metrics import Fitness
 from ..core.model import SystemModel
 from ..core.profile import ProfileCache
-from ..core.state import get_default_state_backend
-from ..core.state_batch import BatchEvaluator
-from ..core.state_sanitize import SanitizeBatchEvaluator
 from ..genitor import Chromosome, GenitorConfig, GenitorEngine
 from ..parallel import (
     ChaosPolicy,
@@ -68,18 +64,6 @@ def _make_fitness_fn(
     return fitness_fn
 
 
-def _make_batch_evaluator(
-    model: SystemModel, prof_cache: ProfileCache
-) -> BatchEvaluator:
-    """Bulk evaluator over the batched stacked-buffer kernel; under the
-    ``sanitize`` backend it also re-projects every ordering through the
-    scalar kernel and raises on the first lane that differs.
-    """
-    if get_default_state_backend() == "sanitize":
-        return SanitizeBatchEvaluator(model, profile_cache=prof_cache)
-    return BatchEvaluator(model, profile_cache=prof_cache)
-
-
 def _run_engine(
     name: str,
     model: SystemModel,
@@ -92,16 +76,12 @@ def _run_engine(
         prof_cache = (
             profile_cache if profile_cache is not None else ProfileCache()
         )
-        # The initial population goes through the batched kernel
-        # (bit-identical to fitness_fn); the engine's steady-state
-        # single-offspring iterations stay scalar.
         engine = GenitorEngine(
             genes=range(model.n_strings),
             fitness_fn=_make_fitness_fn(model, profile_cache=prof_cache),
             config=config,
             rng=rng,
             seeds=seeds,
-            initial_evaluator=_make_batch_evaluator(model, prof_cache),
         )
         best = engine.run()
         # Re-project the elite to materialize its allocation.

@@ -115,16 +115,36 @@ def allocation_to_dict(allocation: Allocation) -> dict[str, Any]:
 def allocation_from_dict(
     data: dict[str, Any], model: SystemModel
 ) -> Allocation:
-    """Decode :func:`allocation_to_dict` output against ``model``."""
+    """Decode :func:`allocation_to_dict` output against ``model``.
+
+    This is the boundary for outside input (``load_allocation``,
+    ``repro evaluate``): a string id that is not a decimal integer, or a
+    machine index that is not a JSON integer (``1.9``, ``"2"``,
+    ``true``), raises :class:`ModelError` instead of being coerced.
+    Range and length checks stay with :class:`Allocation`.
+    """
     if data.get("schema") != _SCHEMA or data.get("kind") != "allocation":
         raise ModelError(
             f"not a {_SCHEMA} allocation document "
             f"(schema={data.get('schema')!r}, kind={data.get('kind')!r})"
         )
-    return Allocation(
-        model,
-        {int(k): v for k, v in data["assignments"].items()},
-    )
+    assignments = data.get("assignments")
+    if not isinstance(assignments, dict):
+        raise ModelError("allocation document has no assignments object")
+    decoded: dict[int, list[int]] = {}
+    for key, machines in assignments.items():
+        # JSON object keys are strings; accept only plain decimal ids.
+        if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+            raise ModelError(f"string id {key!r} is not a decimal integer")
+        if not isinstance(machines, list) or not all(
+            type(j) is int for j in machines
+        ):
+            raise ModelError(
+                f"string {key}: machine indices {machines!r} are not "
+                f"all integers"
+            )
+        decoded[int(key)] = machines
+    return Allocation(model, decoded)
 
 
 def save_model(model: SystemModel, path: str | Path) -> None:

@@ -9,6 +9,7 @@ that record or against hand-built ones.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +139,41 @@ class TestBaselineGate:
         )
         assert not ok
 
+    def test_other_benchmark_baseline_fails(self):
+        # A psg record gated against the state_micro baseline compares
+        # nothing; it must not pass as "skipped".
+        record = {"name": "psg", "evals_per_second": 1e9}
+        ok, message = compare_to_baseline(
+            record, self.micro_record(1_000.0, 10_000.0)
+        )
+        assert not ok
+        assert "state_micro" in message
+
+    def test_no_gate_metric_compared_fails(self):
+        base = self.micro_record(1_000.0, 10_000.0)
+        ok, message = compare_to_baseline({"name": "state_micro"}, base)
+        assert not ok
+        assert "no gate metric" in message
+        # one remaining metric is enough to gate
+        record = {"name": "state_micro", "try_add_ops_per_sec": 900.0}
+        ok, message = compare_to_baseline(record, base, max_regression=0.5)
+        assert ok
+        assert "snapshot_restore_ops_per_sec absent" in message
+
+    def test_committed_state_micro_baseline_gates_both(self):
+        path = (
+            Path(__file__).resolve().parents[1]
+            / "benchmarks" / "baselines" / "BENCH_state_micro.json"
+        )
+        base = json.loads(path.read_text())
+        record = dict(base)
+        ok, message = compare_to_baseline(record, base)
+        assert ok
+        assert "skipped" not in message
+        for metric in ("try_add_ops_per_sec", "snapshot_restore_ops_per_sec"):
+            slow = dict(base, **{metric: base[metric] * 0.5})
+            assert not compare_to_baseline(slow, base)[0]
+
 
 class TestStateMicro:
     @pytest.fixture(scope="class")
@@ -151,17 +187,17 @@ class TestStateMicro:
         assert micro_record["schema"] == BENCH_SCHEMA
         assert micro_record["name"] == "state_micro"
         assert micro_record["workload"]["mapped_strings"] > 0
-        for metric in (
-            "try_add_ops_per_sec",
-            "snapshot_restore_ops_per_sec",
+        for metric in ("try_add_ops_per_sec", "snapshot_restore_ops_per_sec"):
+            assert micro_record[metric] > 0
+        # one kernel: no per-backend breakdown and no batched half
+        for gone in (
+            "backends",
+            "speedup",
             "batch_try_add_ops_per_sec",
             "batch_speedup_over_scalar",
         ):
-            assert micro_record[metric] > 0
-        # one scalar kernel: no per-backend breakdown any more
-        for gone in ("backends", "speedup"):
             assert gone not in micro_record
-        assert "gate_backend" not in micro_record["config"]
+        assert set(micro_record["config"]) == {"rounds", "snap_reps"}
 
     def test_gate_metrics_are_record(self, micro_record):
         """The gated scalar rates are the record kernel's medians."""
@@ -170,9 +206,6 @@ class TestStateMicro:
         )
         assert micro_record["snapshot_restore_ops_per_sec"] == (
             pytest.approx(1e6 / micro_record["snapshot_restore_us"])
-        )
-        assert micro_record["batch_speedup_over_scalar"] == pytest.approx(
-            micro_record["try_add_us"] / micro_record["batch_try_add_us"]
         )
 
 

@@ -134,6 +134,22 @@ class TestStats:
         assert engine.stats.cache_hits > 0
         assert engine.stats.evaluations <= 6
 
+    def test_initial_duplicates_are_cache_hits(self):
+        calls = []
+
+        def counting_fitness(chromosome):
+            calls.append(chromosome)
+            return sortedness_fitness(chromosome)
+
+        dup = tuple(range(8))
+        engine = make_engine(fitness_fn=counting_fitness, pop=5,
+                             seeds=(dup, dup, dup))
+        # scored through fitness_fn once per distinct chromosome; the
+        # repeats are answered from the evaluation cache
+        assert len(calls) == len(set(calls)) == engine.stats.evaluations
+        assert engine.stats.cache_hits == 5 - len(set(calls))
+        assert engine.stats.cache_hits >= 2
+
     def test_insertions_bounded_by_considered(self):
         engine = make_engine(max_iter=60, stale=60)
         engine.run()

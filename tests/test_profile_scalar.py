@@ -1,11 +1,12 @@
-"""Bit-identity of the scalar ``compute_profile`` fast path.
+"""``compute_profile`` against the reference per-string load vectors.
 
-The dispatcher sends small strings (``n_apps <= _SCALAR_MAX_APPS``)
-through a dict-accumulating scalar kernel instead of the
-``np.unique``/``bincount`` vector kernel.  The two must agree to the
-last bit — every downstream consumer (feasibility kernel, priority
-keys, fleet solves) assumes profiles are a pure function of
-``(model, string, mapping)``, not of which kernel computed them.
+A :class:`~repro.core.profile.StringProfile` holds, per touched machine
+and route, the stage-1 load, the largest nominal time and the use count
+of one ``(string, assignment)`` pair.  Every downstream consumer
+(feasibility kernel, priority keys, fleet solves) assumes those values
+equal the from-scratch quantities of :mod:`repro.core.utilization` and
+:mod:`repro.core.tightness` to the last bit, and that the dicts iterate
+in a fixed order (the kernel's waiting-term sums follow it).
 """
 
 from __future__ import annotations
@@ -13,30 +14,47 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import AllocationState
+from repro.core import AllocationState, AppString, SystemModel
 from repro.core.exceptions import AllocationError
-from repro.core.profile import (
-    _SCALAR_MAX_APPS,
-    ProfileCache,
-    _profile_scalar,
-    _profile_vector,
-    compute_profile,
-)
+from repro.core.profile import ProfileCache, compute_profile
+from repro.core.tightness import priority_key, relative_tightness
+from repro.core.utilization import string_machine_load, string_route_load
 from repro.workload import generate_model, get_scenario
 from repro.workload.fleet import FLEET_SMOKE, generate_fleet, materialize_model
 
+from conftest import uniform_network
 
-def _profiles_bit_equal(a, b):
-    assert a.key == b.key
-    assert a.period == b.period
-    assert a.max_latency == b.max_latency
-    assert a.nominal_path == b.nominal_path
-    assert a.n_machines == b.n_machines
-    assert np.array_equal(a.machines, b.machines)
-    assert a.res_idx.tobytes() == b.res_idx.tobytes()
-    assert a.res_load.tobytes() == b.res_load.tobytes()
-    assert a.res_tmax.tobytes() == b.res_tmax.tobytes()
-    assert a.res_count.tobytes() == b.res_count.tobytes()
+
+def _assert_matches_reference(model, k, machines):
+    """Every profile field equals its from-scratch reference, exactly."""
+    s = model.strings[k]
+    m = np.asarray(machines, dtype=np.int64)
+    prof = compute_profile(model, k, m)
+    assert np.array_equal(prof.machines, m)
+    assert prof.period == s.period
+    assert prof.max_latency == s.max_latency
+    assert prof.nominal_path == s.nominal_path_time(m, model.network)
+    assert prof.key == priority_key(
+        relative_tightness(s, m, model.network), k
+    )
+
+    load = string_machine_load(s, m)
+    t = s.comp_times[np.arange(s.n_apps), m]
+    used = sorted(set(m.tolist()))
+    assert prof.m_load == {j: float(load[j]) for j in used}
+    assert prof.m_tmax == {j: float(t[m == j].max()) for j in used}
+    assert prof.m_count == {j: int((m == j).sum()) for j in used}
+
+    rload = string_route_load(s, m, model.network)
+    src, dst = m[:-1], m[1:]
+    times = s.output_sizes * model.network.inv_bandwidth[src, dst]
+    routes = sorted(
+        {(a, b) for a, b in zip(src.tolist(), dst.tolist()) if a != b}
+    )
+    on = {r: (src == r[0]) & (dst == r[1]) for r in routes}
+    assert prof.r_load == {r: float(rload[r]) for r in routes}
+    assert prof.r_tmax == {r: float(times[on[r]].max()) for r in routes}
+    assert prof.r_count == {r: int(on[r].sum()) for r in routes}
 
 
 def _mappings(model, string_id, rng):
@@ -49,7 +67,22 @@ def _mappings(model, string_id, rng):
         yield rng.integers(0, M, size=n).astype(np.int64)
 
 
-class TestScalarVectorParity:
+def _long_string_model(n_apps=40, n_machines=6, seed=0):
+    """One string longer than any workload string, random parameters."""
+    rng = np.random.default_rng(seed)
+    s = AppString(
+        string_id=0,
+        worth=1.0,
+        period=500.0,
+        max_latency=1e6,
+        comp_times=rng.uniform(0.5, 5.0, size=(n_apps, n_machines)),
+        cpu_utils=rng.uniform(0.1, 1.0, size=(n_apps, n_machines)),
+        output_sizes=rng.uniform(100.0, 5_000.0, size=n_apps - 1),
+    )
+    return SystemModel(uniform_network(n_machines), [s])
+
+
+class TestReferenceLoads:
     def test_paper_scale_model(self):
         model = generate_model(
             get_scenario("1").scaled(n_strings=20, n_machines=8), seed=3
@@ -57,10 +90,7 @@ class TestScalarVectorParity:
         rng = np.random.default_rng(7)
         for k in range(model.n_strings):
             for m in _mappings(model, k, rng):
-                _profiles_bit_equal(
-                    _profile_scalar(model, k, m),
-                    _profile_vector(model, k, m),
-                )
+                _assert_matches_reference(model, k, m)
 
     def test_fleet_shard_model(self):
         workload = generate_fleet(FLEET_SMOKE, seed=5)
@@ -70,26 +100,26 @@ class TestScalarVectorParity:
         rng = np.random.default_rng(11)
         for k in range(model.n_strings):
             for m in _mappings(model, k, rng):
-                _profiles_bit_equal(
-                    _profile_scalar(model, k, m),
-                    _profile_vector(model, k, m),
-                )
+                _assert_matches_reference(model, k, m)
 
-    def test_dispatcher_matches_both_kernels(self):
-        model = generate_model(
-            get_scenario("1").scaled(n_strings=10, n_machines=6), seed=9
-        )
-        rng = np.random.default_rng(13)
-        for k in range(model.n_strings):
-            m = rng.integers(0, 6, size=model.strings[k].n_apps)
-            m = m.astype(np.int64)
-            via_dispatch = compute_profile(model, k, m)
-            expected = (
-                _profile_scalar(model, k, m)
-                if model.strings[k].n_apps <= _SCALAR_MAX_APPS
-                else _profile_vector(model, k, m)
-            )
-            _profiles_bit_equal(via_dispatch, expected)
+    def test_long_string(self):
+        model = _long_string_model()
+        assert model.strings[0].n_apps > 32
+        rng = np.random.default_rng(5)
+        for m in _mappings(model, 0, rng):
+            _assert_matches_reference(model, 0, m)
+
+    def test_dict_iteration_order(self):
+        # Machines ascending; routes ascending by (j1, j2), i.e. by the
+        # flat id j1 * M + j2 — not in first-use order.
+        model = _long_string_model(n_apps=6, n_machines=4)
+        prof = compute_profile(model, 0, [3, 1, 3, 0, 2, 1])
+        assert list(prof.m_load) == [0, 1, 2, 3]
+        for d in (prof.m_tmax, prof.m_count):
+            assert list(d) == list(prof.m_load)
+        assert list(prof.r_load) == [(0, 2), (1, 3), (2, 1), (3, 0), (3, 1)]
+        for d in (prof.r_tmax, prof.r_count):
+            assert list(d) == list(prof.r_load)
 
     def test_cache_miss_path_agrees_with_compute(self):
         model = generate_model(
@@ -101,26 +131,22 @@ class TestScalarVectorParity:
             m = rng.integers(0, 5, size=model.strings[k].n_apps)
             m = m.astype(np.int64)
             cached = cache.get_or_compute(model, k, m)
-            _profiles_bit_equal(cached, compute_profile(model, k, m))
+            fresh = compute_profile(model, k, m)
+            for name in ("key", "nominal_path", "m_load", "m_tmax",
+                         "m_count", "r_load", "r_tmax", "r_count"):
+                assert getattr(cached, name) == getattr(fresh, name)
         assert cache.stats()["misses"] == model.n_strings
 
-
-class TestDispatchThreshold:
-    def test_small_strings_take_scalar_path(self):
-        assert _SCALAR_MAX_APPS >= 8, (
-            "paper workloads (up to ~8 apps per string) should use the "
-            "scalar fast path"
-        )
-
     def test_mapping_normalization(self):
-        # The dispatcher accepts any integer dtype / python list.
+        # Any integer dtype or a python list gives the same profile.
         model = generate_model(
             get_scenario("1").scaled(n_strings=4, n_machines=4), seed=2
         )
         n = model.strings[0].n_apps
         a = compute_profile(model, 0, [0] * n)
         b = compute_profile(model, 0, np.zeros(n, dtype=np.int32))
-        _profiles_bit_equal(a, b)
+        assert a.machines.dtype == b.machines.dtype == np.int64
+        assert (a.key, a.m_load, a.r_load) == (b.key, b.m_load, b.r_load)
 
 
 class TestProfileCache:

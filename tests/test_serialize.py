@@ -105,3 +105,42 @@ class TestAllocationRoundTrip:
         data = json.loads(json.dumps(allocation_to_dict(alloc)))
         restored = allocation_from_dict(data, model)
         assert 2 in restored
+
+    @pytest.mark.parametrize(
+        "key, machine",
+        [
+            ("0", 1.9),     # float index: was truncated to 1
+            ("0", "2"),     # numeric string: was coerced to 2
+            ("0", True),    # bool: was coerced to 1
+            ("0", None),
+            ("0.5", 0),     # non-integer string id: was a bare ValueError
+            ("-1", 0),
+            ("x", 0),
+        ],
+    )
+    def test_bad_indices_rejected(self, model, key, machine):
+        data = allocation_to_dict(Allocation.empty(model))
+        n = model.strings[0].n_apps
+        data["assignments"] = {key: [0] * (n - 1) + [machine]}
+        with pytest.raises(ModelError):
+            allocation_from_dict(data, model)
+
+    def test_non_list_assignment_rejected(self, model):
+        data = allocation_to_dict(Allocation.empty(model))
+        for bad in (0, "0", {"0": 0}):
+            data["assignments"] = {"0": bad}
+            with pytest.raises(ModelError):
+                allocation_from_dict(data, model)
+        data["assignments"] = [[0]]
+        with pytest.raises(ModelError):
+            allocation_from_dict(data, model)
+
+    def test_load_allocation_rejects_float_index(self, model, tmp_path):
+        alloc = Allocation(model, {0: [0] * model.strings[0].n_apps})
+        path = tmp_path / "alloc.json"
+        save_allocation(alloc, path)
+        data = json.loads(path.read_text())
+        data["assignments"]["0"][0] = 0.0
+        path.write_text(json.dumps(data))
+        with pytest.raises(ModelError):
+            load_allocation(path, model)

@@ -11,7 +11,6 @@ from repro.core import (
     SystemModel,
     analyze,
 )
-from repro.core.state_batch import BatchSoaState
 from repro.core.timing import TimingEstimator
 from repro.heuristics.imr import imr_map_string
 from repro.workload import SCENARIO_1, SCENARIO_2, SCENARIO_3, generate_model
@@ -330,17 +329,10 @@ class TestSnapshotRestore:
         assert state.last_rejection is None
 
 
-def _batch_try_add(model, sid, machines, tol):
-    """``(accepted, rejection)`` of one try_add on a fresh 1-lane batch."""
-    batch = BatchSoaState(model, 1, tol=tol)
-    return batch.try_add_batch([0], [sid], [batch.get_profile(sid, machines)])[0]
-
-
 class TestBoundaryTolerance:
     """Quantities landing exactly on a bound are accepted (strict >
     comparisons against bound * (1 + tol)); one ulp past the scaled
-    bound is rejected — identically in the scalar kernel and in one lane
-    of the batched kernel."""
+    bound is rejected."""
 
     def _one_string_model(self, period, t, u):
         net = uniform_network(2)
@@ -348,37 +340,36 @@ class TestBoundaryTolerance:
         return SystemModel(net, [s])
 
     @staticmethod
-    def _both(model, tol=1e-9):
-        """The scalar and 1-lane batched verdicts on string 0 -> [0]."""
+    def _verdict(model, tol=1e-9):
+        """``(accepted, last_rejection)`` of string 0 -> [0]."""
         state = AllocationState(model, tol=tol)
         ok = state.try_add(0, [0])
-        return (ok, state.last_rejection), _batch_try_add(model, 0, [0], tol)
+        return ok, state.last_rejection
 
     def test_exact_capacity_accepted(self):
         model = self._one_string_model(period=10.0, t=10.0, u=1.0)
-        scalar, batched = self._both(model, tol=0.0)  # util == 1.0 exactly
-        assert scalar == batched == (True, None)
+        # util == 1.0 exactly
+        assert self._verdict(model, tol=0.0) == (True, None)
 
     def test_capacity_one_step_over_rejected(self):
         over = np.nextafter(1.0, 2.0) * 10.0
         model = self._one_string_model(period=10.0, t=over, u=1.0)
-        scalar, batched = self._both(model, tol=0.0)
-        assert scalar == batched
-        assert not scalar[0]
-        assert scalar[1].stage == 1
+        ok, rejection = self._verdict(model, tol=0.0)
+        assert not ok
+        assert rejection.stage == 1
 
     def test_tolerance_admits_slight_overshoot(self):
         over = 10.0 * (1.0 + 5e-10)  # within the default 1e-9 tol
         model = self._one_string_model(period=10.0, t=over, u=1.0)
-        scalar, batched = self._both(model)
-        assert scalar == batched == (True, None)
+        assert self._verdict(model) == (True, None)
 
     def test_rejection_values_identical(self):
         model = self._one_string_model(period=10.0, t=30.0, u=1.0)
-        scalar, batched = self._both(model)
-        assert scalar == batched  # RejectionReason == compares floats exactly
-        assert scalar[1].value == 3.0
-        assert scalar[1].bound == 1.0
+        ok, rejection = self._verdict(model)
+        assert not ok
+        # the reported values are the exact doubles, not approximations
+        assert rejection.value == 3.0
+        assert rejection.bound == 1.0
 
 
 class TestMappedIdsCache:
