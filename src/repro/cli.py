@@ -209,13 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="services active at start (default: half)")
     p.add_argument("--baseline", action="store_true",
                    help="run the shed-only baseline instead of the service")
-    p.add_argument("--checkpoint", default=None,
-                   help="JSON checkpoint path (resume after a kill)")
     p.add_argument("--journal", default=None, metavar="DIR",
                    help="write-ahead journal directory: commit every "
-                        "event before applying it, recover bit-"
-                        "identically after kill -9 (excludes "
-                        "--checkpoint)")
+                        "event before applying it; rerun with the same "
+                        "DIR to resume bit-identically after kill -9")
 
     p = sub.add_parser(
         "recover",
@@ -490,11 +487,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         initial_active=initial,
         mode="shed-baseline" if args.baseline else "service",
     )
-    report = run_soak(
-        config,
-        checkpoint_path=args.checkpoint,
-        journal_dir=args.journal,
-    )
+    report = run_soak(config, journal_dir=args.journal)
     print(report.summary())
     hit = report.deadline_hit_rate
     overrun = report.max_elapsed - (config.budget + config.grace)

@@ -20,8 +20,9 @@ the commit-before-apply protocol —
 **bit-identical** to an uninterrupted reference run at the recovered
 event count, that the journal conservation counter
 ``applied == (committed + truncated_uncommitted) - truncated_uncommitted``
-holds, and that finishing the remaining events lands on the exact
-reference final state.  A separate chaos round replays the full stream
+holds, that finishing the remaining events lands on the exact
+reference final state, and that reopening the journal so finished
+recovers every event to that same state.  A separate chaos round replays the full stream
 under a seeded :class:`~repro.service.diskchaos.DiskChaosPolicy`
 (torn/fsync/ENOSPC/duplicate injection) and proves the faults actually
 fired by recomputing the expected schedule from the policy — zero
@@ -180,6 +181,9 @@ class KillRound:
     #: state after finishing the remaining events equals the
     #: uninterrupted reference final state
     identical_at_end: bool
+    #: reopening the finished journal recovers every event to the
+    #: reference final state
+    identical_at_reopen: bool
 
     @property
     def ok(self) -> bool:
@@ -188,6 +192,7 @@ class KillRound:
             and self.conserved
             and self.identical_at_recovery
             and self.identical_at_end
+            and self.identical_at_reopen
         )
 
 
@@ -245,7 +250,8 @@ class RecoverySoakReport:
                 f"committed={r.committed} reapplied={r.reapplied} "
                 f"torn={r.truncated_uncommitted} "
                 f"recover={'=' if r.identical_at_recovery else '!='} "
-                f"final={'=' if r.identical_at_end else '!='}"
+                f"final={'=' if r.identical_at_end else '!='} "
+                f"reopen={'=' if r.identical_at_reopen else '!='}"
             )
         if self.config.has_chaos:
             lines.append(
@@ -524,6 +530,12 @@ def run_recovery_soak(
         recovered.run(list(events[rec.applied :]))
         identical_at_end = _state_triple(recovered) == prefixes[-1]
         recovered.close()
+        # the journal the recovered controller wrote must itself recover
+        with _make_controller(config, journal_dir) as reopened:
+            identical_at_reopen = (
+                reopened.recovery.applied == config.n_events
+                and _state_triple(reopened) == prefixes[-1]
+            )
         report.rounds.append(
             KillRound(
                 phase=phase,
@@ -536,6 +548,7 @@ def run_recovery_soak(
                 conserved=rec.conserved,
                 identical_at_recovery=identical_at_recovery,
                 identical_at_end=identical_at_end,
+                identical_at_reopen=identical_at_reopen,
             )
         )
 

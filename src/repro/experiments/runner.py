@@ -33,6 +33,7 @@ The engine is crash-safe for multi-hour runs:
 
 from __future__ import annotations
 
+import json
 import signal
 import threading
 import time
@@ -50,7 +51,8 @@ from ..core.numeric import isclose
 from ..core.profile import ProfileCache
 from ..genitor import GenitorConfig, StoppingRules
 from ..heuristics import GA_HEURISTICS, best_of_trials, get_heuristic
-from ..io_utils.checkpoint import JsonCheckpoint, fingerprint_payload
+from ..io_utils.atomic import atomic_write_text
+from ..io_utils.checkpoint import fingerprint_payload
 from ..parallel import ChaosPolicy, SupervisedPool, Task, TaskOutcome
 from ..workload import ScenarioParameters, generate_model
 
@@ -253,9 +255,12 @@ def record_from_dict(data: dict[str, Any]) -> RunRecord:
 class ExperimentCheckpoint:
     """Multi-run experiment checkpoint bound to one configuration.
 
-    A thin typed facade over :class:`JsonCheckpoint`: records are
-    :class:`RunRecord`s.  Use :meth:`open` to
-    create-or-resume; every :meth:`add` rewrites the file atomically.
+    A JSON document of :class:`RunRecord`s plus the schema and the
+    configuration fingerprint (:func:`config_fingerprint`).  Use
+    :meth:`open` to create-or-resume; every :meth:`add` rewrites the
+    file through :func:`~repro.io_utils.atomic.atomic_write_text`, so
+    neither a ``kill -9`` mid-flush nor a power loss right after one
+    can corrupt or lose the finished runs.
     """
 
     def __init__(
@@ -278,14 +283,31 @@ class ExperimentCheckpoint:
         by a different configuration or is not a checkpoint document.
         Records beyond the configured run count are dropped.
         """
+        path = Path(path)
         fingerprint = config_fingerprint(config)
-        store = JsonCheckpoint.load(
-            path, fingerprint, _CHECKPOINT_SCHEMA, what="experiment checkpoint"
-        )
+        if not path.exists():
+            return cls(path, fingerprint)
+        try:
+            data = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ModelError(
+                f"cannot read experiment checkpoint {path}: {exc}"
+            ) from exc
+        if data.get("schema") != _CHECKPOINT_SCHEMA:
+            raise ModelError(
+                f"{path} is not a {_CHECKPOINT_SCHEMA} document "
+                f"(schema={data.get('schema')!r})"
+            )
+        if data.get("fingerprint") != fingerprint:
+            raise ModelError(
+                f"checkpoint {path} was written by a different experiment "
+                "configuration; delete it (or point --checkpoint "
+                "elsewhere) to start over"
+            )
         n_runs = config.scale.n_runs
         records = [
             record_from_dict(r)
-            for r in store.records
+            for r in data.get("records", [])
             if int(r["run_index"]) < n_runs
         ]
         return cls(path, fingerprint, records)
@@ -300,17 +322,15 @@ class ExperimentCheckpoint:
         self.flush()
 
     def flush(self) -> None:
-        store = JsonCheckpoint(
-            self.path,
-            self.fingerprint,
-            _CHECKPOINT_SCHEMA,
-            [
+        payload = {
+            "schema": _CHECKPOINT_SCHEMA,
+            "fingerprint": self.fingerprint,
+            "records": [
                 record_to_dict(r)
                 for r in sorted(self.records, key=lambda r: r.run_index)
             ],
-            what="experiment checkpoint",
-        )
-        store.flush()
+        }
+        atomic_write_text(self.path, json.dumps(payload))
 
 
 class RunTimeoutError(RuntimeError):

@@ -3,8 +3,8 @@
 :mod:`repro.io_utils.atomic` is the sanctioned durable-write layer
 (write temp → fsync → ``os.replace`` → fsync dir); every persistent
 artifact in the repository goes through it (enforced by lint rule
-RPR014).  :mod:`repro.io_utils.checkpoint` builds fingerprint-guarded
-JSON record logs on it.
+RPR014).  :mod:`repro.io_utils.checkpoint` fingerprints the
+configurations that resumable state is bound to.
 
 The DAG serializers load on first access: they need :mod:`repro.dag`,
 which imports networkx and scipy.
@@ -14,7 +14,7 @@ from typing import Any as _Any
 
 from .. import _lazy
 from .atomic import atomic_write_bytes, atomic_write_text, fsync_dir
-from .checkpoint import JsonCheckpoint, fingerprint_payload
+from .checkpoint import fingerprint_payload
 from .serialize import (
     allocation_from_dict,
     allocation_to_dict,
@@ -34,7 +34,6 @@ _LAZY = {
 }
 
 __all__ = [
-    "JsonCheckpoint",
     "allocation_from_dict",
     "allocation_to_dict",
     "atomic_write_bytes",

@@ -28,8 +28,8 @@ gracefully under pressure:
 * :mod:`repro.service.durable` — :class:`DurableMissionController`,
   the commit-before-apply wrapper whose recovery replays the journal
   to bit-identical state;
-* :mod:`repro.service.soak` — the checkpointable long-horizon soak
-  harness behind ``repro soak`` (optionally journaled).
+* :mod:`repro.service.soak` — the long-horizon soak harness behind
+  ``repro soak``, resumable on the write-ahead journal.
 
 See ``docs/service.md`` for the architecture walk-through and the
 durability contract.

@@ -168,7 +168,7 @@ class MissionController:
         self.catalog = catalog
         self.config = config or ServiceConfig()
         # per-request RNGs are derived from (base seed, request seq) so a
-        # checkpoint-resumed controller reproduces the original stream
+        # journal-recovered controller reproduces the original stream
         self._base_seed = int(np.random.default_rng(rng).integers(2**32))
         self._clock = clock
         self.cascade = SolverCascade(
@@ -228,10 +228,12 @@ class MissionController:
     def apply_event_state(self, event: MissionEvent) -> str:
         """Apply an event's *state* effect without serving a request.
 
-        Used by checkpoint resume (:mod:`repro.service.soak`) to replay
-        fault accumulation and drift for already-finished steps without
-        re-running their solves.  Arrival/departure effects are restored
-        wholesale via :meth:`restore` instead, so this skips the queue.
+        Used by durable recovery
+        (:class:`~repro.service.durable.DurableMissionController`) to
+        replay fault accumulation and drift for already-applied events
+        without re-running their solves.  Arrival/departure effects are
+        restored wholesale via :meth:`restore` instead, so this skips
+        the queue.
         """
         if isinstance(event, (StringArrival, StringDeparture)):
             return "skipped (restored from checkpoint)"
@@ -243,7 +245,7 @@ class MissionController:
         placements: dict[int, tuple[int, ...]],
         n_served: int,
     ) -> None:
-        """Restore committed allocation state from a checkpoint."""
+        """Restore committed allocation state (durable recovery)."""
         self.active = set(active)
         for sid in self.active:
             self._check_service(sid)

@@ -15,16 +15,17 @@ commit had not completed:
    "placements"}``).
 
 Recovery (run by the constructor) rebuilds bit-identical state without
-re-running a single solve, exactly like soak resume (PR 3): load the
-last snapshot, replay each (event, outcome) pair state-only — fault
-accumulation and drift via
+re-running a single solve: load the last snapshot, replay each (event,
+outcome) pair state-only — fault accumulation and drift via
 :meth:`~repro.service.controller.MissionController.apply_event_state`,
 health via :meth:`~repro.service.health.HealthMonitor.observe` with the
-recorded signals — then restore the last committed placements
-wholesale.  At most one trailing *event* record can lack an outcome (a
-crash between commit and outcome); that event is re-served live, which
-is deterministic because the per-request RNG is derived from the
-persisted ``(base_seed, seq)``.
+recorded signals (slackness, deadline hit, open-breaker count) — then
+restore the last committed placements wholesale.  This is also how
+``repro soak --journal`` resumes (:mod:`repro.service.soak`).  At most
+one trailing *event* record can lack an outcome (a crash between commit
+and outcome); that event is re-served live, which is deterministic
+because the per-request RNG is derived from the persisted
+``(base_seed, seq)``.
 
 What is **guaranteed** after recovery: ``allocation_snapshot()``,
 cumulative worth, shed/rejected totals, and health-monitor state are
@@ -37,8 +38,9 @@ What is **not** guaranteed: the in-flight event whose commit never
 completed (torn tail) is gone — callers that need exactly-once across
 the commit boundary must retry idempotently; circuit-breaker and retry
 state resets to closed (breakers are *load* signals, not mission
-state); wall-clock latencies (``elapsed_seconds``) of replayed steps
-are the recorded ones, not re-measured.
+state — only the open-breaker count each outcome fed the health
+monitor is journaled); wall-clock latencies (``elapsed_seconds``) of
+replayed steps are the recorded ones, not re-measured.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from .journal import JournalError, JournalHooks, JournalStore
 __all__ = [
     "DurableMissionController",
     "RecoveryReport",
+    "outcome_record",
 ]
 
 
@@ -108,6 +111,39 @@ class RecoveryReport:
     def conserved(self) -> bool:
         """The zero-loss invariant (see class docstring)."""
         return self.applied == self.attempted - self.truncated_uncommitted
+
+
+def outcome_record(
+    outcome: RequestOutcome,
+    active: Iterable[int],
+    placements: Mapping[int, Sequence[int]],
+    open_breakers: int = 0,
+) -> dict[str, Any]:
+    """The journal's ``outcome`` record for one successfully served event.
+
+    ``active`` / ``placements`` are the committed post-state;
+    ``open_breakers`` is the count the health monitor observed.
+    """
+    return {
+        "type": "outcome",
+        "seq": outcome.seq,
+        "status": "ok",
+        "event_kind": outcome.event_kind,
+        "worth": outcome.worth,
+        "slackness": outcome.slackness,
+        "deadline_hit": outcome.deadline_hit,
+        "elapsed_seconds": outcome.elapsed_seconds,
+        "tier_used": outcome.tier_used,
+        "health": outcome.health,
+        "open_breakers": open_breakers,
+        "n_active": outcome.n_active,
+        "n_shed": len(outcome.shed),
+        "n_rejected": len(outcome.rejected),
+        "active": sorted(active),
+        "placements": {
+            str(sid): list(m) for sid, m in placements.items()
+        },
+    }
 
 
 class DurableMissionController:
@@ -308,32 +344,17 @@ class DurableMissionController:
             raise
         self._applied = seq
         self.total_worth += outcome.worth
-        record = self._outcome_record(outcome)
+        record = outcome_record(
+            outcome,
+            inner.active,
+            inner.placements,
+            # nothing touches the breakers between the monitor's
+            # observe() and the return from handle()
+            open_breakers=inner._open_breakers(),
+        )
         self.store.append(record)
         self._last_outcome_record = record
         return outcome
-
-    def _outcome_record(self, outcome: RequestOutcome) -> dict[str, Any]:
-        inner = self._inner
-        return {
-            "type": "outcome",
-            "seq": outcome.seq,
-            "status": "ok",
-            "event_kind": outcome.event_kind,
-            "worth": outcome.worth,
-            "slackness": outcome.slackness,
-            "deadline_hit": outcome.deadline_hit,
-            "elapsed_seconds": outcome.elapsed_seconds,
-            "tier_used": outcome.tier_used,
-            "health": outcome.health,
-            "n_active": outcome.n_active,
-            "n_shed": len(outcome.shed),
-            "n_rejected": len(outcome.rejected),
-            "active": sorted(inner.active),
-            "placements": {
-                str(sid): list(m) for sid, m in inner.placements.items()
-            },
-        }
 
     # -- snapshot state --------------------------------------------------------
 
@@ -442,6 +463,7 @@ class DurableMissionController:
                 last_state = outcome
         if last_state is not None:
             self._restore_placements(report.applied, last_state)
+        self._applied = report.applied
 
         for seq in pending:
             event = event_from_record(events[seq]["event"])
@@ -472,7 +494,8 @@ class DurableMissionController:
         inner.monitor.observe(
             slackness=float(outcome["slackness"]),
             deadline_hit=bool(outcome["deadline_hit"]),
-            open_breakers=0,
+            # journals written before the count was recorded replay 0
+            open_breakers=int(outcome.get("open_breakers", 0)),
         )
         self.total_worth += float(outcome["worth"])
         inner.n_shed_total += int(outcome["n_shed"])

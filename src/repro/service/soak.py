@@ -12,22 +12,23 @@ resilience metrics the service is judged on:
 * **latency percentiles per winning tier** (p50 / p99) and the maximum
   overrun beyond budget + grace.
 
-The run is checkpointable on the generic
-:class:`~repro.io_utils.checkpoint.JsonCheckpoint` layer: every
-finished step is flushed atomically with the full committed state
-(active set + placements), so a ``kill -9`` forfeits at most the step in
-flight.  On resume the event stream is regenerated from the seed,
-finished steps are replayed *state-only* (no solving), and the run
-continues from the first unfinished step.
+With a journal directory the run sits on the fsync'd write-ahead
+journal (:mod:`repro.service.durable`): every event is committed before
+it is applied, so a ``kill -9`` at any instruction forfeits at most the
+event whose commit never completed.  Rerunning with the same directory
+regenerates the event stream from the seed, recovers the applied steps
+state-only (no solving) from their journaled outcome records, and
+continues from the first unapplied event.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from ..core.model import SystemModel
 from ..dynamic.policies import carry_forward
 from ..faults.events import FaultEvent, normalize_faults
 from ..heuristics import get_heuristic
-from ..io_utils.checkpoint import JsonCheckpoint, fingerprint_payload
+from ..io_utils.checkpoint import fingerprint_payload
 from ..workload.generator import generate_model
 from ..workload.parameters import get_scenario
 from .controller import (
@@ -46,6 +47,7 @@ from .controller import (
     ServiceConfig,
     build_working_model,
 )
+from .durable import DurableMissionController, outcome_record
 from .events import (
     DriftStep,
     FaultsCleared,
@@ -63,8 +65,6 @@ __all__ = [
     "SoakStepRecord",
     "run_soak",
 ]
-
-_SCHEMA = "repro/soak-checkpoint-v1"
 
 ProgressFn = Callable[[int, int], None]
 
@@ -106,7 +106,7 @@ class SoakConfig:
 
 @dataclass
 class SoakStepRecord:
-    """One finished soak step (JSON round-trippable)."""
+    """One finished soak step."""
 
     step: int
     event_kind: str
@@ -119,38 +119,35 @@ class SoakStepRecord:
     n_active: int
     n_shed: int
     n_rejected: int
-    #: committed state after the step, for state-only resume
+    #: committed state after the step
     active: tuple[int, ...]
     placements: dict[int, tuple[int, ...]]
 
-    def to_dict(self) -> dict[str, Any]:
-        data = dataclasses.asdict(self)
-        data["active"] = list(self.active)
-        data["placements"] = {
-            str(sid): list(m) for sid, m in self.placements.items()
-        }
-        return data
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SoakStepRecord":
-        return cls(
-            step=int(data["step"]),
-            event_kind=str(data["event_kind"]),
-            worth=float(data["worth"]),
-            slackness=float(data["slackness"]),
-            deadline_hit=bool(data["deadline_hit"]),
-            elapsed_seconds=float(data["elapsed_seconds"]),
-            tier_used=data.get("tier_used"),
-            health=str(data["health"]),
-            n_active=int(data["n_active"]),
-            n_shed=int(data["n_shed"]),
-            n_rejected=int(data["n_rejected"]),
-            active=tuple(int(s) for s in data["active"]),
-            placements={
-                int(sid): tuple(int(j) for j in machines)
-                for sid, machines in data["placements"].items()
-            },
+def _step_record(step: int, outcome: Mapping[str, Any]) -> SoakStepRecord:
+    """A soak step from a journal-format outcome record."""
+    if outcome.get("status") != "ok":
+        raise ModelError(
+            f"soak step {step} had failed: {outcome.get('error')}"
         )
+    return SoakStepRecord(
+        step=step,
+        event_kind=str(outcome["event_kind"]),
+        worth=float(outcome["worth"]),
+        slackness=float(outcome["slackness"]),
+        deadline_hit=bool(outcome["deadline_hit"]),
+        elapsed_seconds=float(outcome["elapsed_seconds"]),
+        tier_used=outcome.get("tier_used"),
+        health=str(outcome["health"]),
+        n_active=int(outcome["n_active"]),
+        n_shed=int(outcome["n_shed"]),
+        n_rejected=int(outcome["n_rejected"]),
+        active=tuple(int(s) for s in outcome["active"]),
+        placements={
+            int(sid): tuple(int(j) for j in machines)
+            for sid, machines in outcome["placements"].items()
+        },
+    )
 
 
 @dataclass
@@ -340,108 +337,72 @@ class _ShedBaseline:
         return dict(self.placements)
 
 
-def _journaled_soak(
+_Runner = _ShedBaseline | MissionController | DurableMissionController
+
+
+@contextmanager
+def _open_runner(
     config: SoakConfig,
-    journal_dir: str | Path,
-    events: Sequence[MissionEvent],
     catalog: SystemModel,
     initial: Sequence[int],
-    progress: ProgressFn | None,
-) -> SoakReport:
-    """Soak on the write-ahead journal instead of the JSON checkpoint.
+    journal_dir: str | Path | None,
+) -> Iterator[tuple[_Runner, list[SoakStepRecord]]]:
+    """The step runner, plus the records of steps it already applied.
 
-    Recovery is the :class:`~repro.service.durable.DurableMissionController`
-    constructor; per-step records for already-applied events are
-    reconstructed from the journaled outcome records (no solve re-run).
+    Only a journaled runner has applied steps: the
+    :class:`~repro.service.durable.DurableMissionController` constructor
+    recovers them state-only, and their records come from the journaled
+    outcome records (no solve re-run).  The journal is closed on exit,
+    also when a step raises.
     """
-    from .durable import DurableMissionController
-
-    controller = DurableMissionController(
+    service_config = ServiceConfig(
+        default_budget=config.budget, grace=config.grace
+    )
+    if journal_dir is None:
+        if config.mode == "shed-baseline":
+            yield _ShedBaseline(catalog, initial), []
+            return
+        controller = MissionController(
+            catalog, service_config, rng=config.seed + 2
+        )
+        controller.activate(initial)
+        yield controller, []
+        return
+    if config.mode != "service":
+        raise ModelError("journal_dir requires mode='service'")
+    with DurableMissionController(
         catalog,
-        ServiceConfig(default_budget=config.budget, grace=config.grace),
+        service_config,
         rng=config.seed + 2,
         journal_dir=journal_dir,
         initial_active=initial,
         fingerprint=config.fingerprint(),
-    )
-    recovery = controller.recovery
-    if recovery.snapshot_seq > 0:
-        raise ModelError(
-            "journaled soak does not compact its journal; this "
-            "directory holds a snapshot from another workflow"
-        )
-    if recovery.applied > config.n_events:
-        raise ModelError(
-            f"journal holds {recovery.applied} events but the config "
-            f"expects {config.n_events}"
-        )
-    records: list[SoakStepRecord] = []
-    for outcome_rec in recovery.tail_outcomes:
-        if outcome_rec.get("status") != "ok":
+    ) as durable:
+        recovery = durable.recovery
+        if recovery.snapshot_seq > 0:
             raise ModelError(
-                f"journaled soak step {outcome_rec.get('seq')} had "
-                f"failed: {outcome_rec.get('error')}"
+                "journaled soak does not compact its journal; this "
+                "directory holds a snapshot from another workflow"
             )
-        records.append(
-            SoakStepRecord(
-                step=int(outcome_rec["seq"]) - 1,
-                event_kind=str(outcome_rec["event_kind"]),
-                worth=float(outcome_rec["worth"]),
-                slackness=float(outcome_rec["slackness"]),
-                deadline_hit=bool(outcome_rec["deadline_hit"]),
-                elapsed_seconds=float(outcome_rec["elapsed_seconds"]),
-                tier_used=outcome_rec.get("tier_used"),
-                health=str(outcome_rec["health"]),
-                n_active=int(outcome_rec["n_active"]),
-                n_shed=int(outcome_rec["n_shed"]),
-                n_rejected=int(outcome_rec["n_rejected"]),
-                active=tuple(int(s) for s in outcome_rec["active"]),
-                placements={
-                    int(sid): tuple(int(j) for j in machines)
-                    for sid, machines in outcome_rec[
-                        "placements"
-                    ].items()
-                },
+        if recovery.applied > config.n_events:
+            raise ModelError(
+                f"journal holds {recovery.applied} events but the config "
+                f"expects {config.n_events}"
             )
-        )
-    for step in range(recovery.applied, config.n_events):
-        outcome = controller.handle(events[step])
-        records.append(
-            SoakStepRecord(
-                step=step,
-                event_kind=outcome.event_kind,
-                worth=outcome.worth,
-                slackness=outcome.slackness,
-                deadline_hit=outcome.deadline_hit,
-                elapsed_seconds=outcome.elapsed_seconds,
-                tier_used=outcome.tier_used,
-                health=outcome.health,
-                n_active=outcome.n_active,
-                n_shed=len(outcome.shed),
-                n_rejected=len(outcome.rejected),
-                active=tuple(sorted(controller.active)),
-                placements=controller.allocation_snapshot(),
-            )
-        )
-        if progress is not None:
-            progress(step, config.n_events)
-    controller.close()
-    return SoakReport(config=config, records=records)
+        yield durable, [
+            _step_record(int(outcome["seq"]) - 1, outcome)
+            for outcome in recovery.tail_outcomes
+        ]
 
 
 def run_soak(
     config: SoakConfig,
-    checkpoint_path: str | Path | None = None,
     progress: ProgressFn | None = None,
     journal_dir: str | Path | None = None,
 ) -> SoakReport:
     """Replay the soak scenario; return the aggregated report.
 
-    With ``checkpoint_path`` every finished step is flushed atomically;
-    an interrupted run resumes from the first unfinished step without
-    re-running any finished solve (finished steps are replayed
-    state-only from the checkpoint records).  With ``journal_dir`` the
-    run instead sits on the fsync'd write-ahead journal
+    With ``journal_dir`` the run sits on the fsync'd write-ahead journal
     (:mod:`repro.service.durable`): every event is committed before it
     is applied, so ``kill -9`` at *any* instruction loses at most the
     event whose commit never completed, and the next run with the same
@@ -455,86 +416,22 @@ def run_soak(
         rng=config.seed + 1,
         config=config.events,
     )
-
-    if journal_dir is not None:
-        if config.mode != "service":
-            raise ModelError("journal_dir requires mode='service'")
-        if checkpoint_path is not None:
-            raise ModelError(
-                "journal_dir and checkpoint_path are mutually "
-                "exclusive durability mechanisms"
-            )
-        return _journaled_soak(
-            config, journal_dir, events, catalog, initial, progress
-        )
-
-    store: JsonCheckpoint | None = None
-    done: list[SoakStepRecord] = []
-    if checkpoint_path is not None:
-        store = JsonCheckpoint.load(
-            checkpoint_path,
-            config.fingerprint(),
-            _SCHEMA,
-            what="soak checkpoint",
-        )
-        done = [SoakStepRecord.from_dict(r) for r in store.records]
-        done = done[: config.n_events]
-
-    if config.mode == "shed-baseline":
-        runner: _ShedBaseline | MissionController = _ShedBaseline(
-            catalog, initial
-        )
-    else:
-        controller = MissionController(
-            catalog,
-            ServiceConfig(
-                default_budget=config.budget, grace=config.grace
-            ),
-            rng=config.seed + 2,
-        )
-        controller.activate(initial)
-        runner = controller
-
-    # state-only replay of finished steps (no solves recomputed)
-    if done:
-        last = done[-1]
-        if isinstance(runner, MissionController):
-            for event in events[: len(done)]:
-                runner.apply_event_state(event)
-            runner.restore(last.active, last.placements, len(done))
-            for record in done:
-                runner.monitor.observe(
-                    slackness=record.slackness,
-                    deadline_hit=record.deadline_hit,
-                    open_breakers=0,
+    with _open_runner(config, catalog, initial, journal_dir) as (
+        runner,
+        records,
+    ):
+        for step in range(len(records), config.n_events):
+            outcome = runner.handle(events[step])
+            records.append(
+                _step_record(
+                    step,
+                    outcome_record(
+                        outcome,
+                        runner.active,
+                        runner.allocation_snapshot(),
+                    ),
                 )
-        else:
-            for event in events[: len(done)]:
-                runner.handle(event)  # baseline steps are state-cheap
-            runner.active = set(last.active)
-            runner.placements = dict(last.placements)
-
-    records = list(done)
-    for step in range(len(done), config.n_events):
-        outcome = runner.handle(events[step])
-        record = SoakStepRecord(
-            step=step,
-            event_kind=outcome.event_kind,
-            worth=outcome.worth,
-            slackness=outcome.slackness,
-            deadline_hit=outcome.deadline_hit,
-            elapsed_seconds=outcome.elapsed_seconds,
-            tier_used=outcome.tier_used,
-            health=outcome.health,
-            n_active=outcome.n_active,
-            n_shed=len(outcome.shed),
-            n_rejected=len(outcome.rejected),
-            active=tuple(sorted(runner.active)),
-            placements=runner.allocation_snapshot(),
-        )
-        records.append(record)
-        if store is not None:
-            store.add(record.to_dict())
-        if progress is not None:
-            progress(step, config.n_events)
+            )
+            if progress is not None:
+                progress(step, config.n_events)
     return SoakReport(config=config, records=records)

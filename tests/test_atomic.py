@@ -13,7 +13,7 @@ from repro.io_utils.atomic import (
     atomic_write_text,
     fsync_dir,
 )
-from repro.io_utils.checkpoint import JsonCheckpoint
+from repro.experiments.runner import ExperimentCheckpoint, RunRecord
 
 
 def test_atomic_write_creates_and_replaces(tmp_path):
@@ -72,19 +72,19 @@ def test_fsync_dir_swallows_unsupported(tmp_path):
 
 
 def test_checkpoint_flush_is_atomic(tmp_path, monkeypatch):
-    """JsonCheckpoint rides the shared helper: a crashed flush cannot
-    destroy the previously-committed records."""
+    """ExperimentCheckpoint rides the shared helper: a crashed flush
+    cannot destroy the previously-committed records."""
     path = tmp_path / "ckpt.json"
-    store = JsonCheckpoint.load(path, "fp", "schema/v1", what="test")
-    store.add({"step": 0})
+    store = ExperimentCheckpoint(path, "fp")
+    store.add(RunRecord(run_index=0, seed=0, results={}))
     committed = path.read_text()
-    assert json.loads(committed)["records"] == [{"step": 0}]
+    assert [r["run_index"] for r in json.loads(committed)["records"]] == [0]
 
     def boom(src, dst):
         raise OSError("simulated crash")
 
     monkeypatch.setattr(os, "replace", boom)
-    store.records.append({"step": 1})
+    store.records.append(RunRecord(run_index=1, seed=1, results={}))
     with pytest.raises(OSError):
         store.flush()
     assert path.read_text() == committed

@@ -13,11 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.service.cascade as cascade_mod
 from repro.experiments.recovery import TickClock
 from repro.service.cascade import CascadeConfig
 from repro.service.controller import ServiceConfig
 from repro.service.durable import DurableMissionController
 from repro.service.events import generate_scenario
+from repro.service.health import HealthState
 from repro.service.journal import JournalError, JournalHooks, encode_frame
 from repro.service.soak import SoakConfig, build_catalog, initial_services
 
@@ -219,3 +221,54 @@ def test_reopen_with_different_fingerprint_refuses(tmp_path):
             initial_active=INITIAL,
             fingerprint="some-other-config",
         )
+
+
+def test_events_served_after_a_reopen_survive_the_next_reopen(
+    tmp_path, reference
+):
+    """A clean reopen resumes the seq counter, so the events it serves
+    next are journaled under fresh seqs rather than as duplicates."""
+    k = 4
+    controller = make_controller(tmp_path)
+    controller.run(list(EVENTS[:k]))
+    controller.close()
+    reopened = make_controller(tmp_path)
+    assert reopened.applied == k
+    reopened.run(list(EVENTS[k:]))
+    reopened.close()
+    recovered = make_controller(tmp_path)
+    assert recovered.recovery.applied == N_EVENTS
+    assert recovered.recovery.duplicates_skipped == 0
+    assert recovered.recovery.conserved
+    assert state_of(recovered) == reference[N_EVENTS]
+    recovered.close()
+
+
+def test_recovery_replays_the_open_breaker_health_signal(
+    tmp_path, monkeypatch
+):
+    """A tier that always raises trips its breaker; the health level
+    that open breaker forced is part of the recovered state."""
+    real = cascade_mod.get_heuristic
+
+    def lookup(name):
+        if name == "mwf":
+            def broken(model, rng=None, **kwargs):
+                raise RuntimeError("solver crashed")
+
+            return broken
+        return real(name)
+
+    monkeypatch.setattr(cascade_mod, "get_heuristic", lookup)
+    events = generate_scenario(
+        CATALOG, 8, rng=SOAK.seed + 1, config=SOAK.events
+    )
+    controller = make_controller(tmp_path)
+    controller.run(list(events))
+    assert controller.health is not HealthState.NORMAL
+    live = state_of(controller)
+    controller.close()
+    recovered = make_controller(tmp_path)
+    assert recovered.recovery.applied == len(events)
+    assert state_of(recovered) == live
+    recovered.close()

@@ -1,6 +1,6 @@
 """Soak-harness tests: the acceptance gate (deadlines held, baseline
-beaten), checkpoint/resume (in-process kill and a real ``kill -9``
-subprocess), and report aggregation.
+beaten), resume from the write-ahead journal (in-process kill and a
+real ``kill -9`` subprocess), and report aggregation.
 
 The resume tests pin the cascade to the deterministic greedy tiers
 (mwf/tf) by patching the harness's ``ServiceConfig`` hook: with no
@@ -11,7 +11,6 @@ wall-clock-truncated GA in the loop, a resumed run must be
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import signal
 import subprocess
@@ -41,7 +40,7 @@ from repro.service.soak import (
 SRC_ROOT = str(Path(repro.__file__).resolve().parent.parent)
 
 #: the deterministic-resume protocol; the SIGKILL child re-creates it
-#: from these exact kwargs (the checkpoint fingerprint must match)
+#: from these exact kwargs (the journal fingerprint must match)
 KILL_KWARGS = dict(
     scenario="scenario1",
     n_services=6,
@@ -84,6 +83,19 @@ def record_key(record: SoakStepRecord):
 
 class Killed(Exception):
     pass
+
+
+def count_handled(monkeypatch) -> list[str]:
+    """Record the kind of every event a controller actually serves."""
+    handled: list[str] = []
+    real = MissionController.handle
+
+    def counting(self, event, budget=None):
+        handled.append(event.kind)
+        return real(self, event, budget=budget)
+
+    monkeypatch.setattr(MissionController, "handle", counting)
+    return handled
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +145,6 @@ class TestSoakConfig:
             if k not in initial
         )
         assert chosen >= skipped
-
-    def test_step_record_round_trips_through_json(self):
-        record = SoakStepRecord(
-            step=3, event_kind="drift", worth=120.0, slackness=0.25,
-            deadline_hit=True, elapsed_seconds=0.01, tier_used="mwf",
-            health="NORMAL", n_active=4, n_shed=1, n_rejected=0,
-            active=(0, 2, 5), placements={0: (1, 2), 5: (0,)},
-        )
-        blob = json.dumps(record.to_dict())  # must be JSON-clean
-        assert SoakStepRecord.from_dict(json.loads(blob)) == record
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +203,18 @@ class TestSoakAcceptance:
 
 
 class TestSoakCheckpoint:
+    """The write-ahead journal is the soak's checkpoint."""
+
     def test_completed_run_resumes_without_any_recompute(
         self, tmp_path, monkeypatch, greedy_cascade
     ):
         config = SoakConfig(**KILL_KWARGS)
-        ckpt = tmp_path / "soak.ck.json"
-        first = run_soak(config, checkpoint_path=ckpt)
+        journal = tmp_path / "journal"
+        first = run_soak(config, journal_dir=journal)
 
-        handled: list[str] = []
-        real = MissionController.handle
-
-        def counting(self, event, budget=None):
-            handled.append(event.kind)
-            return real(self, event, budget=budget)
-
-        monkeypatch.setattr(MissionController, "handle", counting)
-        resumed = run_soak(config, checkpoint_path=ckpt)
-        assert handled == []  # every step came from the checkpoint
+        handled = count_handled(monkeypatch)
+        resumed = run_soak(config, journal_dir=journal)
+        assert handled == []  # every step came from the journal
         assert list(map(record_key, resumed.records)) == list(
             map(record_key, first.records)
         )
@@ -226,29 +223,19 @@ class TestSoakCheckpoint:
         self, tmp_path, monkeypatch, greedy_cascade
     ):
         config = SoakConfig(**KILL_KWARGS)
-        ckpt = tmp_path / "soak.ck.json"
-
-        handled: list[str] = []
-        real = MissionController.handle
-
-        def counting(self, event, budget=None):
-            handled.append(event.kind)
-            return real(self, event, budget=budget)
-
-        monkeypatch.setattr(MissionController, "handle", counting)
+        journal = tmp_path / "journal"
+        handled = count_handled(monkeypatch)
 
         def kill_after_four(step: int, total: int) -> None:
             if step == 3:
                 raise Killed
 
         with pytest.raises(Killed):
-            run_soak(config, checkpoint_path=ckpt, progress=kill_after_four)
+            run_soak(config, journal_dir=journal, progress=kill_after_four)
         assert len(handled) == 4
-        persisted = json.loads(ckpt.read_text())
-        assert [r["step"] for r in persisted["records"]] == [0, 1, 2, 3]
 
         handled.clear()
-        resumed = run_soak(config, checkpoint_path=ckpt)
+        resumed = run_soak(config, journal_dir=journal)
         # only the unfinished steps were served
         assert len(handled) == config.n_events - 4
         assert resumed.n_steps == config.n_events
@@ -259,42 +246,30 @@ class TestSoakCheckpoint:
             map(record_key, fresh.records)
         )
 
+        # the events served after the reopen are durable too
+        handled.clear()
+        rerun = run_soak(config, journal_dir=journal)
+        assert handled == []
+        assert list(map(record_key, rerun.records)) == list(
+            map(record_key, fresh.records)
+        )
+
     def test_checkpoint_rejects_a_different_protocol(
         self, tmp_path, greedy_cascade
     ):
-        ckpt = tmp_path / "soak.ck.json"
-        run_soak(SoakConfig(**KILL_KWARGS), checkpoint_path=ckpt)
+        journal = tmp_path / "journal"
+        run_soak(SoakConfig(**KILL_KWARGS), journal_dir=journal)
         other = SoakConfig(**{**KILL_KWARGS, "seed": 99})
         with pytest.raises(ModelError):
-            run_soak(other, checkpoint_path=ckpt)
-
-    def test_baseline_mode_also_checkpoints_and_resumes(
-        self, tmp_path
-    ):
-        config = SoakConfig(**{**KILL_KWARGS, "mode": "shed-baseline"})
-        ckpt = tmp_path / "soak.ck.json"
-
-        def kill_after_three(step: int, total: int) -> None:
-            if step == 2:
-                raise Killed
-
-        with pytest.raises(Killed):
-            run_soak(
-                config, checkpoint_path=ckpt, progress=kill_after_three
-            )
-        resumed = run_soak(config, checkpoint_path=ckpt)
-        fresh = run_soak(config)
-        assert list(map(record_key, resumed.records)) == list(
-            map(record_key, fresh.records)
-        )
+            run_soak(other, journal_dir=journal)
 
     def test_sigkill_subprocess_then_resume(
         self, tmp_path, monkeypatch, greedy_cascade
     ):
-        """A real ``kill -9`` mid-soak forfeits at most the in-flight
-        step: the parent resumes from the checkpoint, recomputes no
-        finished step, and lands on the uninterrupted result."""
-        ckpt = tmp_path / "soak.ck.json"
+        """A real ``kill -9`` mid-soak forfeits no applied step: the
+        parent resumes from the journal, recomputes no finished step,
+        and lands on the uninterrupted result."""
+        journal = tmp_path / "journal"
         child = textwrap.dedent(
             f"""
             import os, signal
@@ -322,7 +297,7 @@ class TestSoakCheckpoint:
 
             run_soak(
                 SoakConfig(**{KILL_KWARGS!r}),
-                checkpoint_path={str(ckpt)!r},
+                journal_dir={str(journal)!r},
                 progress=kill_after_four,
             )
             raise SystemExit("unreachable: the child must have died")
@@ -337,20 +312,10 @@ class TestSoakCheckpoint:
         )
         assert proc.returncode == -signal.SIGKILL, proc.stderr
 
-        # the finished steps survived the kill, atomically
-        persisted = json.loads(ckpt.read_text())
-        assert [r["step"] for r in persisted["records"]] == [0, 1, 2, 3]
-
-        handled: list[str] = []
-        real = MissionController.handle
-
-        def counting(self, event, budget=None):
-            handled.append(event.kind)
-            return real(self, event, budget=budget)
-
-        monkeypatch.setattr(MissionController, "handle", counting)
+        handled = count_handled(monkeypatch)
         config = SoakConfig(**KILL_KWARGS)
-        resumed = run_soak(config, checkpoint_path=ckpt)
+        resumed = run_soak(config, journal_dir=journal)
+        # the four finished steps survived the kill
         assert len(handled) == config.n_events - 4
         assert resumed.n_steps == config.n_events
         fresh = run_soak(config)
@@ -375,15 +340,15 @@ class TestSoakCli:
         )
 
     def test_cli_service_soak_exits_zero(self, tmp_path):
-        ckpt = tmp_path / "soak.ck.json"
+        journal = tmp_path / "journal"
         proc = self._run(
             "--services", "6", "--machines", "5", "--events", "5",
             "--budget", "0.5", "--seed", "3",
-            "--checkpoint", str(ckpt),
+            "--journal", str(journal),
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "soak [service]" in proc.stdout
-        assert ckpt.exists()
+        assert (journal / "wal.log").exists()
 
     def test_cli_baseline_mode(self):
         proc = self._run(
@@ -418,17 +383,6 @@ class TestSoakJournal:
         )
         with pytest.raises(ModelError, match="mode='service'"):
             run_soak(config, journal_dir=tmp_path / "j")
-
-    def test_journal_excludes_checkpoint(self, tmp_path):
-        config = SoakConfig(
-            n_services=6, n_machines=4, n_events=3, seed=5
-        )
-        with pytest.raises(ModelError, match="mutually"):
-            run_soak(
-                config,
-                checkpoint_path=tmp_path / "ck.json",
-                journal_dir=tmp_path / "j",
-            )
 
     def test_cli_journal_flag(self, tmp_path):
         proc = subprocess.run(
