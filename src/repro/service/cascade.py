@@ -22,6 +22,12 @@ share of the *remaining* budget, and keeps the lexicographically best
 * each tier sits behind a :class:`~repro.service.breaker.CircuitBreaker`
   and transient exceptions are retried with jittered backoff
   (:mod:`repro.parallel.retry`) while the deadline allows.
+
+A caller may hand in an **incumbent** (the controller's carry-forward
+floor): the search starts from it, a tier replaces it only when
+strictly better, and the GA tiers are skipped while the best result so
+far places every string, since then no tier can raise worth.  The
+greedy tiers still run; they can raise slackness.
 """
 
 from __future__ import annotations
@@ -115,7 +121,8 @@ class AttemptRecord:
 
     tier: str
     #: ``ok`` | ``timeout`` | ``error`` | ``skipped-breaker`` |
-    #: ``skipped-budget`` | ``skipped-policy``
+    #: ``skipped-budget`` | ``skipped-policy`` | ``skipped-incumbent``
+    #: (a GA tier skipped because the best so far places every string)
     status: str
     runtime_seconds: float = 0.0
     budget_seconds: float = 0.0
@@ -181,6 +188,7 @@ class SolverCascade:
         deadline: Deadline,
         allowed_tiers: frozenset[str] | None = None,
         rng: np.random.Generator | int | None = None,
+        incumbent: HeuristicResult | None = None,
     ) -> CascadeResult:
         """Best feasible allocation of ``model`` within ``deadline``.
 
@@ -195,14 +203,28 @@ class SolverCascade:
             (the guaranteed tier always runs).  ``None`` allows all.
         rng:
             Seed or generator for the stochastic tiers.
+        incumbent:
+            A feasible answer known before the search (the carry-forward
+            floor).  It is the starting best and wins ties; while the
+            best places every string the GA tiers are skipped.
         """
         generator = np.random.default_rng(rng)
         attempts: list[AttemptRecord] = []
-        best: HeuristicResult | None = None
-        best_within_deadline = False
+        best = incumbent
+        best_within_deadline = not deadline.expired
         start = self._clock()
 
         for tier in self.config.tiers:
+            if (
+                best is not None
+                and len(best.mapped_ids) == model.n_strings
+                and is_interruptible(tier.heuristic)
+            ):
+                attempts.append(
+                    AttemptRecord(tier.heuristic, "skipped-incumbent")
+                )
+                continue
+
             if (
                 allowed_tiers is not None
                 and tier.heuristic not in allowed_tiers
@@ -210,6 +232,20 @@ class SolverCascade:
             ):
                 attempts.append(
                     AttemptRecord(tier.heuristic, "skipped-policy")
+                )
+                continue
+
+            # the budget check comes before ``allow()``: a HALF_OPEN
+            # breaker hands out its one probe there, and a tier skipped
+            # afterwards would never report the probe's outcome
+            budget = deadline.remaining() * tier.share
+            if not tier.guaranteed and budget < self.config.min_tier_budget:
+                attempts.append(
+                    AttemptRecord(
+                        tier.heuristic,
+                        "skipped-budget",
+                        budget_seconds=budget,
+                    )
                 )
                 continue
 
@@ -224,16 +260,6 @@ class SolverCascade:
                 )
                 continue
 
-            budget = deadline.remaining() * tier.share
-            if not tier.guaranteed and budget < self.config.min_tier_budget:
-                attempts.append(
-                    AttemptRecord(
-                        tier.heuristic,
-                        "skipped-budget",
-                        budget_seconds=budget,
-                    )
-                )
-                continue
             if tier.guaranteed:
                 # the last resort always gets a nominal budget to run in
                 budget = max(budget, self.config.min_tier_budget)

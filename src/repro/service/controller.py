@@ -15,16 +15,18 @@ each :class:`~repro.service.events.MissionEvent` as one *request*:
    placements is microseconds and gives a guaranteed feasible answer
    before any search starts;
 5. run the :class:`~repro.service.cascade.SolverCascade` under the
-   request deadline (tiers restricted by health policy), and keep
-   whichever of cascade/floor is lexicographically better;
+   request deadline (tiers restricted by health policy) with the floor
+   as its incumbent: the cascade keeps the lexicographic best, and
+   skips the GA when the floor already places every string;
 6. shed lowest-worth services while slackness sits below the health
    floor; record everything in a :class:`RequestOutcome`;
 7. feed slackness / deadline / breaker signals back into the
    :class:`~repro.service.health.HealthMonitor`.
 
-The controller never raises on a servable request: step 4 guarantees a
-feasible (possibly empty) allocation even when every solver tier is
-broken or the budget is already gone.
+The controller never raises on a servable request: the step 4 floor is
+a feasible (possibly empty) allocation the cascade can only replace
+with a better one, even when every solver tier is broken or the budget
+is already gone.
 """
 
 from __future__ import annotations
@@ -307,16 +309,21 @@ class MissionController:
     def _drain_queue(self) -> tuple[list[int], list[int]]:
         """Admit queued arrivals, highest worth first, under the floor."""
         floor = self.monitor.policy.admission_slack_floor
-        current_slack = self._current_slackness()
+        # slackness of the allocation standing before this drain,
+        # computed only when an arrival meets a positive floor
+        current_slack: float | None = None
         admitted: list[int] = []
         rejected: list[int] = []
         while self.queue:
             request = self.queue.pop()
             if request.service_id in self.active:
                 continue
-            if floor > 0 and current_slack < floor:
-                rejected.append(request.service_id)
-                continue
+            if floor > 0:
+                if current_slack is None:
+                    current_slack = self._current_slackness()
+                if current_slack < floor:
+                    rejected.append(request.service_id)
+                    continue
             self.active.add(request.service_id)
             admitted.append(request.service_id)
         return admitted, rejected
@@ -393,24 +400,17 @@ class MissionController:
             order=tuple(floor_state.mapped_ids),
             mapped_ids=tuple(floor_state.mapped_ids),
         )
-        floor_within = not deadline.expired
 
         cascade_result = self.cascade.solve(
             model,
             deadline,
             allowed_tiers=self.monitor.policy.allowed_tiers,
             rng=np.random.default_rng((self._base_seed, self._seq)),
+            incumbent=floor_result,
         )
-
-        if (
-            cascade_result.best is not None
-            and cascade_result.best.fitness > floor_result.fitness
-        ):
-            best = cascade_result.best
-            deadline_hit = cascade_result.deadline_hit
-        else:
-            best = floor_result
-            deadline_hit = floor_within
+        best = cascade_result.best
+        assert best is not None  # the incumbent is never dropped
+        deadline_hit = cascade_result.deadline_hit
 
         allocation, slackness, shed_sids = self._apply_slack_floor(
             model, active, best.allocation

@@ -14,10 +14,12 @@ import pytest
 import repro.service.cascade as cascade_mod
 from repro.core import analyze
 from repro.core.exceptions import ModelError
+from repro.dynamic.policies import carry_forward
 from repro.faults.events import MachineFailure
-from repro.heuristics import get_heuristic
+from repro.heuristics import HeuristicResult, get_heuristic
 from repro.service import (
     BreakerConfig,
+    BreakerState,
     CascadeConfig,
     CascadeResult,
     Deadline,
@@ -58,6 +60,29 @@ GREEDY_TIERS = (
 
 def greedy_config(**overrides) -> CascadeConfig:
     return CascadeConfig(tiers=GREEDY_TIERS, **overrides)
+
+
+#: a GA tier ahead of the greedy ones, as in the default cascade
+GA_TIERS = (TierSpec("psg", share=0.6), *GREEDY_TIERS)
+
+
+def incumbent_of(model, allocation) -> HeuristicResult:
+    """A carry-forward floor built the way the controller builds it."""
+    state, _ = carry_forward(model, allocation)
+    return HeuristicResult(
+        name="carry-forward",
+        allocation=state.as_allocation(),
+        fitness=state.fitness(),
+        order=tuple(state.mapped_ids),
+        mapped_ids=tuple(state.mapped_ids),
+    )
+
+
+def complete_incumbent(model) -> HeuristicResult:
+    full = get_heuristic("mwf")(model, rng=np.random.default_rng(0))
+    incumbent = incumbent_of(model, full.allocation)
+    assert len(incumbent.mapped_ids) == model.n_strings
+    return incumbent
 
 
 @pytest.fixture(scope="module")
@@ -285,12 +310,136 @@ class TestSolverCascade:
         third = cascade.solve(model, Deadline(1.0, clock=clock), rng=0)
         assert third.attempts[0].status == "skipped-breaker"
 
+    def test_budget_skipped_half_open_probe_is_not_consumed(self, model):
+        clock = FakeClock()
+        cascade = SolverCascade(
+            greedy_config(
+                breaker=BreakerConfig(failure_threshold=1, reset_timeout=10)
+            ),
+            clock=clock,
+            sleep=lambda s: None,
+        )
+        breaker = cascade.breakers["mwf"]
+        breaker.record_failure()
+        clock.advance(11.0)
+        assert breaker.state is BreakerState.HALF_OPEN
+        starved = cascade.solve(model, Deadline(0.001, clock=clock), rng=0)
+        assert starved.attempts[0].status == "skipped-budget"
+        # the probe is still available: the next ample request takes it
+        ample = cascade.solve(model, Deadline(5.0, clock=clock), rng=0)
+        assert ample.attempts[0].status == "ok"
+        assert breaker.state is BreakerState.CLOSED
+
     def test_empty_result_only_when_nothing_could_run(self, model):
         result = CascadeResult(
             best=None, attempts=[], deadline_hit=False, elapsed_seconds=0.0
         )
         assert result.tier_used is None
         assert "tier=none" in result.summary()
+
+
+class TestIncumbent:
+    """``solve(incumbent=...)``: the floor seeds the search, wins ties,
+    and a GA tier is skipped while the best places every string."""
+
+    @staticmethod
+    def recording_lookup(monkeypatch, called: list[str]):
+        """Record each tier called; ``psg`` answers with mwf's result."""
+        real = get_heuristic
+
+        def lookup(name):
+            heuristic = real("mwf" if name == "psg" else name)
+
+            def run(model, rng=None, **kwargs):
+                called.append(name)
+                return heuristic(model, rng=rng)
+
+            return run
+
+        monkeypatch.setattr(cascade_mod, "get_heuristic", lookup)
+
+    def test_complete_incumbent_skips_ga_greedy_tiers_still_run(
+        self, model, monkeypatch
+    ):
+        incumbent = complete_incumbent(model)
+        real = get_heuristic
+
+        def lookup(name):
+            if name == "psg":
+                raise AssertionError("psg must not run")
+            return real(name)
+
+        monkeypatch.setattr(cascade_mod, "get_heuristic", lookup)
+        cascade = SolverCascade(CascadeConfig(tiers=GA_TIERS))
+        result = cascade.solve(
+            model, Deadline(5.0), rng=0, incumbent=incumbent
+        )
+        assert [a.status for a in result.attempts] == [
+            "skipped-incumbent", "ok", "ok",
+        ]
+        assert result.best.fitness >= incumbent.fitness
+        # ties go to the incumbent
+        assert (
+            result.best is incumbent
+            or result.best.fitness > incumbent.fitness
+        )
+        assert result.deadline_hit
+
+    def test_incomplete_incumbent_runs_the_ga(self, model, monkeypatch):
+        full = get_heuristic("mwf")(model, rng=np.random.default_rng(0))
+        partial = incumbent_of(
+            model, full.allocation.restricted_to(full.mapped_ids[:2])
+        )
+        assert len(partial.mapped_ids) < model.n_strings
+        called: list[str] = []
+        self.recording_lookup(monkeypatch, called)
+        cascade = SolverCascade(CascadeConfig(tiers=GA_TIERS))
+        result = cascade.solve(
+            model, Deadline(5.0), rng=0, incumbent=partial
+        )
+        assert called[0] == "psg"
+        assert result.attempts[0].status == "ok"
+        assert result.best.fitness > partial.fitness
+
+    def test_incumbent_skip_keeps_a_half_open_probe(
+        self, model, monkeypatch
+    ):
+        clock = FakeClock()
+        cascade = SolverCascade(
+            CascadeConfig(
+                tiers=GA_TIERS,
+                breaker=BreakerConfig(failure_threshold=1, reset_timeout=10),
+            ),
+            clock=clock,
+            sleep=lambda s: None,
+        )
+        self.recording_lookup(monkeypatch, [])
+        breaker = cascade.breakers["psg"]
+        breaker.record_failure()
+        clock.advance(11.0)
+        assert breaker.state is BreakerState.HALF_OPEN
+        result = cascade.solve(
+            model,
+            Deadline(5.0, clock=clock),
+            rng=0,
+            incumbent=complete_incumbent(model),
+        )
+        assert result.attempts[0].status == "skipped-incumbent"
+        assert breaker.state is BreakerState.HALF_OPEN
+        assert breaker.allow()  # the probe was never handed out
+
+    def test_no_incumbent_runs_every_tier_as_before(
+        self, model, monkeypatch
+    ):
+        called: list[str] = []
+        self.recording_lookup(monkeypatch, called)
+        cascade = SolverCascade(CascadeConfig(tiers=GA_TIERS))
+        result = cascade.solve(model, Deadline(5.0), rng=0, incumbent=None)
+        assert called == ["psg", "mwf", "tf"]
+        assert [a.status for a in result.attempts] == ["ok", "ok", "ok"]
+        # psg ties mwf and beats tf: the first tier at the maximum wins
+        assert result.best is result.attempts[0].result
+        assert result.deadline_hit
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +566,13 @@ class TestMissionController:
         controller.handle(StringArrival(1))
         assert controller.placements
 
-        def dead(model, deadline, allowed_tiers=None, rng=None):
-            return CascadeResult(
-                best=None, attempts=[], deadline_hit=False,
-                elapsed_seconds=0.0,
-            )
+        def dead(name):
+            def broken(model, rng=None, **kwargs):
+                raise RuntimeError(f"{name} crashed")
 
-        monkeypatch.setattr(controller.cascade, "solve", dead)
+            return broken
+
+        monkeypatch.setattr(cascade_mod, "get_heuristic", dead)
         outcome = controller.handle(
             DriftStep(tuple([1.0] * catalog.n_strings))
         )

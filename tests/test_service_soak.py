@@ -383,19 +383,3 @@ class TestSoakJournal:
         )
         with pytest.raises(ModelError, match="mode='service'"):
             run_soak(config, journal_dir=tmp_path / "j")
-
-    def test_cli_journal_flag(self, tmp_path):
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "soak",
-                "--services", "6", "--machines", "4", "--events", "4",
-                "--budget", "5.0", "--seed", "5",
-                "--journal", str(tmp_path / "j"),
-            ],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": SRC_ROOT, "PATH": os.environ["PATH"]},
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert (tmp_path / "j" / "wal.log").exists()
