@@ -464,6 +464,7 @@ class MissionController:
         allocation: Allocation,
     ) -> tuple[Allocation, float, list[int]]:
         """Shed lowest-worth services while slackness is below the floor."""
+        # Not redundant: re-accumulated slackness can be an ulp off fitness.slackness.
         state, _ = carry_forward(model, allocation)
         slackness = state.slackness()
         floor = self.monitor.policy.admission_slack_floor

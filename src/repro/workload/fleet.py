@@ -38,6 +38,7 @@ import numpy as np
 
 from ..core.exceptions import ModelError
 from ..core.model import AppString, Network, SystemModel
+from ._pcg64_batch import Streams, seed_states
 from .parameters import ScenarioParameters
 
 __all__ = [
@@ -227,18 +228,30 @@ def _inv_bandwidth_estimate(scenario: FleetScenario) -> float:
     return p_intra * e_inv + (1.0 - p_intra) * e_inv / scenario.inter_zone_factor
 
 
+#: Strings per vectorized generation pass.  Bounds the per-pass table of
+#: raw PCG64 outputs (``chunk x (3 * n_hi + 4)`` uint64) and its
+#: temporaries: one pass over all of fleet-large's 10 000 strings was
+#: slower and raised perfbench's ``peak_rss_mb`` from 126 to 144 MB.
+_GEN_CHUNK = 1024
+
+
 def generate_fleet(scenario: FleetScenario, seed: int) -> FleetWorkload:
     """Generate a fleet workload in ``O(n_machines + n_strings + transfers)``.
 
     Identical ``(scenario, seed)`` pairs produce byte-identical
     workloads, and — because all machine-dependent values hash global
     ids — byte-identical materializations for any machine subset.
+    String ``k`` draws from its own stream,
+    ``default_rng(SeedSequence((seed, _FLEET_TAG, _TAG_STRING, k)))``;
+    the streams of up to :data:`_GEN_CHUNK` strings are drawn at once
+    (:func:`_generate_strings`).
     """
-    if not (0 <= int(seed) < 2**63):
-        raise ModelError("fleet seed must satisfy 0 <= seed < 2**63")
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)):
+        raise ModelError(f"fleet seed must be an integer, got {seed!r}")
     seed = int(seed)
+    if not (0 <= seed < 2**63):
+        raise ModelError("fleet seed must satisfy 0 <= seed < 2**63")
     scn = scenario
-    params = scn.base
 
     # Zone map: a seeded permutation chunked into near-even zones.
     zone_rng = np.random.default_rng(
@@ -253,58 +266,101 @@ def generate_fleet(scenario: FleetScenario, seed: int) -> FleetWorkload:
     zone_of.setflags(write=False)
 
     inv_w_est = _inv_bandwidth_estimate(scn)
-    n_lo, n_hi = params.apps_per_string
-    t_lo, t_hi = params.comp_time_range
-    u_lo, u_hi = params.cpu_util_range
-    o_lo, o_hi = params.output_size_range
-
     strings: list[FleetString] = []
-    for k in range(scn.n_strings):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((seed, _FLEET_TAG, _TAG_STRING, k))
-        )
-        n_apps = int(rng.integers(n_lo, n_hi + 1))
-        t_base = rng.uniform(t_lo, t_hi, size=n_apps)
-        u_base = rng.uniform(u_lo, u_hi, size=n_apps)
-        output_sizes = rng.uniform(o_lo, o_hi, size=n_apps - 1)
-        worth = float(rng.choice(params.worth_choices))
-        mu_latency = float(rng.uniform(*params.latency_mu))
-        mu_period = float(rng.uniform(*params.period_mu))
-        home_zone = int(rng.integers(scn.n_zones))
-        peer_zone = home_zone
-        if scn.n_zones > 1 and float(rng.uniform()) < scn.cross_zone_rate:
-            peer_zone = int(
-                (home_zone + 1 + rng.integers(scn.n_zones - 1)) % scn.n_zones
-            )
-
-        # Section-8 QoS bounds on the *nominal* path, with the expected
-        # inverse bandwidth standing in for the network average so the
-        # bounds are machine-subset independent.
-        transfer_av = output_sizes * inv_w_est
-        max_latency = mu_latency * float(t_base.sum() + transfer_av.sum())
-        stage_times = np.concatenate([t_base, transfer_av])
-        period = mu_period * float(stage_times.max())
-
-        for arr in (t_base, u_base, output_sizes):
-            arr.setflags(write=False)
-        strings.append(
-            FleetString(
-                string_id=k,
-                n_apps=n_apps,
-                worth=worth,
-                period=period,
-                max_latency=max_latency,
-                t_base=t_base,
-                u_base=u_base,
-                output_sizes=output_sizes,
-                home_zone=home_zone,
-                peer_zone=peer_zone,
-            )
-        )
-
+    for start in range(0, scn.n_strings, _GEN_CHUNK):
+        ids = np.arange(start, min(start + _GEN_CHUNK, scn.n_strings))
+        strings += _generate_strings(scn, seed, ids, inv_w_est)
     return FleetWorkload(
         scenario=scn, seed=seed, zone_of=zone_of, strings=tuple(strings)
     )
+
+
+def _generate_strings(
+    scn: FleetScenario, seed: int, ids: np.ndarray, inv_w_est: float
+) -> list[FleetString]:
+    """The strings ``ids``, each from its own stream, in one array pass.
+
+    Row ``r`` makes exactly the ``Generator`` calls of one string's
+    stream, in this order: ``n_apps = integers(n_lo, n_hi + 1)``;
+    ``t_base``, ``u_base`` and ``output_sizes`` as ``uniform`` arrays of
+    ``n_apps``, ``n_apps`` and ``n_apps - 1`` values; ``worth =
+    choice(worth_choices)``; ``uniform`` µ for latency, then period;
+    ``home_zone = integers(n_zones)``; and, when ``n_zones > 1``, a
+    cross-zone coin ``uniform() < cross_zone_rate`` that on success
+    draws ``peer_zone = (home_zone + 1 + integers(n_zones - 1)) %
+    n_zones``.
+    """
+    params = scn.base
+    n_lo, n_hi = params.apps_per_string
+    st = Streams(
+        *seed_states((seed, _FLEET_TAG, _TAG_STRING), ids), width=3 * n_hi + 4
+    )
+    n_apps = n_lo + st.bounded(n_hi - n_lo + 1)
+    t_base = st.uniform(*params.comp_time_range, n_apps)
+    u_base = st.uniform(*params.cpu_util_range, n_apps)
+    output_sizes = st.uniform(*params.output_size_range, n_apps - 1)
+    worth = np.asarray(params.worth_choices)[st.bounded(len(params.worth_choices))]
+    mu_latency = st.uniform(*params.latency_mu)[:, 0]
+    mu_period = st.uniform(*params.period_mu)[:, 0]
+    home_zone = st.bounded(scn.n_zones)
+    peer_zone = home_zone.copy()
+    if scn.n_zones > 1:
+        cross = np.flatnonzero(st.doubles(1)[:, 0] < scn.cross_zone_rate)
+        offset = 1 + st.bounded(scn.n_zones - 1, cross)
+        peer_zone[cross] = (home_zone[cross] + offset) % scn.n_zones
+
+    # Section-8 QoS bounds on the *nominal* path, with the expected
+    # inverse bandwidth standing in for the network average so the
+    # bounds are machine-subset independent.  Each n_apps group is cut
+    # into contiguous (group, n) blocks: numpy sums each row of such a
+    # block exactly as it sums that row on its own, and every string
+    # keeps read-only views of its rows, with no padding.
+    max_latency = np.empty(ids.shape)
+    period = np.empty(ids.shape)
+    views: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for n in range(n_lo, n_hi + 1):
+        rows = np.flatnonzero(n_apps == n)
+        if not rows.size:
+            continue
+        t = t_base[rows, :n]
+        u = u_base[rows, :n]
+        o = output_sizes[rows, : n - 1]
+        transfer_av = o * inv_w_est
+        max_latency[rows] = mu_latency[rows] * (
+            t.sum(axis=1) + transfer_av.sum(axis=1)
+        )
+        stage_max = t.max(axis=1)
+        if n > 1:
+            stage_max = np.maximum(stage_max, transfer_av.max(axis=1))
+        period[rows] = mu_period[rows] * stage_max
+        for block in (t, u, o):
+            block.setflags(write=False)
+        views.update(zip(rows.tolist(), zip(t, u, o)))
+
+    return [
+        FleetString(
+            string_id=k,
+            n_apps=n,
+            worth=float(w),
+            period=p,
+            max_latency=lat,
+            t_base=t,
+            u_base=u,
+            output_sizes=o,
+            home_zone=h,
+            peer_zone=z,
+        )
+        for k, n, w, p, lat, h, z, (t, u, o) in zip(
+            ids.tolist(),
+            n_apps.tolist(),
+            worth.tolist(),
+            period.tolist(),
+            max_latency.tolist(),
+            home_zone.tolist(),
+            peer_zone.tolist(),
+            [views[r] for r in range(len(ids))],
+        )
+    ]
 
 
 def _bandwidth_submatrix(

@@ -84,6 +84,8 @@ class ScenarioParameters:
             raise ModelError(f"apps_per_string must satisfy 1 <= lo <= hi, got ({lo}, {hi})")
         if self.cpu_util_range[1] > 1.0:
             raise ModelError("cpu_util_range upper bound cannot exceed 1")
+        if not self.worth_choices:
+            raise ModelError("worth_choices must not be empty")
         if not all(w > 0 for w in self.worth_choices):
             raise ModelError("worth choices must be positive")
 

@@ -70,6 +70,11 @@ class TestGeneration:
             generate_fleet(FLEET_SMOKE, seed=-1)
         with pytest.raises(ModelError):
             generate_fleet(FLEET_SMOKE, seed=2**63)
+        # Non-integral seeds used to truncate silently to seed 1's fleet.
+        for seed in (1.5, 1.0, True, np.bool_(True), np.float64(1.0), "1"):
+            with pytest.raises(ModelError, match="integer"):
+                generate_fleet(FLEET_SMOKE, seed=seed)
+        assert generate_fleet(FLEET_SMOKE, seed=np.int64(3)).seed == 3
 
     def test_large_fleet_generates_compactly(self):
         scn = FLEET_LARGE.scaled(n_strings=2000)

@@ -69,6 +69,7 @@ class TestScenarioDefinitions:
         dict(cpu_util_range=(0.5, 1.2)),
         dict(apps_per_string=(0, 5)),
         dict(worth_choices=(0, 10)),
+        dict(worth_choices=()),
     ])
     def test_validation(self, kwargs):
         base = dict(
