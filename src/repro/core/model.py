@@ -50,6 +50,10 @@ __all__ = [
 #: The three worth factors the paper assigns to strings (Section 2).
 WORTH_FACTORS: tuple[int, ...] = (1, 10, 100)
 
+#: :meth:`AppString.imr_lists`: ``(share_rows, transfer_demand,
+#: intensity_order)`` as plain Python lists.
+ImrLists = tuple[list[list[float]], list[float], list[int]]
+
 
 @dataclass(frozen=True)
 class Machine:
@@ -96,6 +100,7 @@ class Network:
         "_inv_bandwidth",
         "_avg_inv_bandwidth",
         "_inv_bw_rows",
+        "_inv_bw_cols",
     )
 
     def __init__(self, bandwidth: FloatArrayLike) -> None:
@@ -120,6 +125,7 @@ class Network:
         #: Element-wise ``1 / w[j1, j2]`` with 0 on infinite-bandwidth routes.
         self._inv_bandwidth = inv
         self._inv_bw_rows: list[list[float]] | None = None
+        self._inv_bw_cols: list[list[float]] | None = None
         # Average inverse bandwidth (Section 5, TF heuristic):
         #   1/w_av = (1/M^2) * sum_{j1, j2} 1/w[j1, j2]
         # The diagonal contributes zero, matching the printed double sum
@@ -143,6 +149,16 @@ class Network:
             rows = self._inv_bandwidth.tolist()
             self._inv_bw_rows = rows
         return rows
+
+    def inv_bandwidth_cols(self) -> list[list[float]]:
+        """Columns of ``inv_bandwidth`` as nested Python lists (cached):
+        ``inv_bandwidth_cols()[j2][j1] == inv_bandwidth[j1, j2]``, for
+        the IMR's scans over every route into one machine."""
+        cols = self._inv_bw_cols
+        if cols is None:
+            cols = self._inv_bandwidth.T.tolist()
+            self._inv_bw_cols = cols
+        return cols
 
     @property
     def avg_inv_bandwidth(self) -> float:
@@ -222,12 +238,12 @@ class AppString:
         "_work",
         "_intensity",
         "_imr_lists",
-        "_profile_rows",
     )
 
+    _avg_comp_times: FloatArray | None
+    _avg_cpu_utils: FloatArray | None
     _intensity: FloatArray | None
-    _imr_lists: tuple[list[list[float]], list[float], list[int]] | None
-    _profile_rows: tuple[list[list[float]], list[float]] | None
+    _imr_lists: ImrLists | None
 
     def __init__(
         self,
@@ -290,7 +306,6 @@ class AppString:
         self._work = work
         self._intensity = None
         self._imr_lists = None
-        self._profile_rows = None
 
     @classmethod
     def _attach(
@@ -302,16 +317,22 @@ class AppString:
         comp_times: FloatArray,
         cpu_utils: FloatArray,
         output_sizes: FloatArray,
-        name: str = "",
+        work: FloatArray,
+        avg_comp_times: FloatArray,
+        avg_cpu_utils: FloatArray,
+        intensity: FloatArray,
+        imr_lists: ImrLists,
     ) -> "AppString":
         """Trusted zero-copy constructor for pre-validated arrays.
 
         The arrays must be read-only, canonical float64 and already
         satisfy every check ``__init__`` makes — e.g. the per-shard
         tables :func:`repro.workload.fleet.materialize_model` builds.
-        They are adopted without copy or validation; the derived arrays
-        are recomputed with the identical operations ``__init__``
-        performs, so the result is bit-identical to a validated string.
+        The derived values (``work``, the eq. 8–9 averages, intensity
+        and :meth:`imr_lists`) must be what the lazy accessors would
+        compute, bit for bit; the fleet builds them for a whole group
+        of equal-length strings at once.  Everything is adopted without
+        copy or validation.
         """
         s = object.__new__(cls)
         s.string_id = string_id
@@ -321,15 +342,12 @@ class AppString:
         s.comp_times = comp_times
         s.cpu_utils = cpu_utils
         s.output_sizes = output_sizes
-        s.name = name or f"string-{string_id}"
-        s._avg_comp_times = None
-        s._avg_cpu_utils = None
-        work = comp_times * cpu_utils
-        work.setflags(write=False)
+        s.name = f"string-{string_id}"
         s._work = work
-        s._intensity = None
-        s._imr_lists = None
-        s._profile_rows = None
+        s._avg_comp_times = avg_comp_times
+        s._avg_cpu_utils = avg_cpu_utils
+        s._intensity = intensity
+        s._imr_lists = imr_lists
         return s
 
     @property
@@ -379,7 +397,7 @@ class AppString:
             self._intensity = cached
         return cached
 
-    def imr_lists(self) -> tuple[list[list[float]], list[float], list[int]]:
+    def imr_lists(self) -> ImrLists:
         """Cached Python-list IMR constants for the scalar fast path.
 
         Returns ``(share_rows, transfer_demand, intensity_order)``:
@@ -408,21 +426,6 @@ class AppString:
             order: list[int] = np.argsort(-intensity, kind="stable").tolist()
             cached = (share_rows, transfer_demand, order)
             self._imr_lists = cached
-        return cached
-
-    def profile_rows(self) -> tuple[list[list[float]], list[float]]:
-        """Cached Python-list constants for the scalar profile fast path.
-
-        Returns ``(comp_rows, output_list)`` — ``comp_times`` and
-        ``output_sizes`` as plain lists (``tolist()``: the identical
-        doubles), so :func:`~repro.core.profile.compute_profile` can
-        bucket per-machine loads without per-element NumPy scalar
-        boxing.
-        """
-        cached = self._profile_rows
-        if cached is None:
-            cached = (self.comp_times.tolist(), self.output_sizes.tolist())
-            self._profile_rows = cached
         return cached
 
     def nominal_path_time(

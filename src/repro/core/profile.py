@@ -148,27 +148,26 @@ def _build_profile(
     assignment.
 
     Reads the cached Python-list model constants — ``share_rows`` /
-    ``transfer_demand`` (:meth:`AppString.imr_lists`), ``comp_rows`` /
-    ``output_list`` (:meth:`AppString.profile_rows`) and
+    ``transfer_demand`` (:meth:`AppString.imr_lists`) and
     ``inv_bandwidth_rows`` — which hold the identical doubles of the
-    NumPy arrays, and adds each bucket's weights in application order.
-    Path sums go through ``np.add.reduce`` so their pairwise order
-    matches ``ndarray.sum`` exactly.
+    NumPy arrays, plus the assigned execution times and the output
+    sizes, and adds each bucket's weights in application order.  Path
+    sums go through ``np.add.reduce`` so their pairwise order matches
+    ``ndarray.sum`` exactly.
     """
     s = model.strings[string_id]
     n = s.n_apps
     m_list: list[int] = m.tolist()
     share_rows, transfer_demand, _ = s.imr_lists()
-    comp_rows, output_list = s.profile_rows()
+    t_assigned = s.comp_times[np.arange(n), m]
+    t_list: list[float] = t_assigned.tolist()
 
     mload: dict[int, float] = {}
     mtmax: dict[int, float] = {}
     mcount: dict[int, int] = {}
-    t_list: list[float] = []
     for i in range(n):
         j = m_list[i]
-        ti = comp_rows[i][j]
-        t_list.append(ti)
+        ti = t_list[i]
         if j in mload:
             mload[j] += share_rows[i][j]
             if ti > mtmax[j]:
@@ -179,11 +178,12 @@ def _build_profile(
             mtmax[j] = ti
             mcount[j] = 1
 
-    nominal = float(np.add.reduce(np.asarray(t_list)))
+    nominal = float(np.add.reduce(t_assigned))
     rload: dict[Route, float] = {}
     rtmax: dict[Route, float] = {}
     rcount: dict[Route, int] = {}
     if n > 1:
+        output_list: list[float] = s.output_sizes.tolist()
         inv_rows = model.network.inv_bandwidth_rows()
         times: list[float] = []
         for i in range(n - 1):

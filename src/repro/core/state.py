@@ -29,14 +29,21 @@ accept/reject decisions and all cached quantities agree with the
 from-scratch analysis.
 
 :class:`AllocationState` is the one feasibility kernel: one
-``dict``-based record per mapped string plus sorted per-resource user
-lists.  Its floating-point accumulations follow one canonical order —
-interference ``H`` for a newly added string is derived from its
-*priority predecessor* (``H[w] + load[w]`` for the lowest-priority user
-``w`` above the new key), waiting terms accumulate over the touched
-resources in the profile's key order (machines ascending, then routes
-ascending), and per-user scans run in ascending string-id order — so a
-seeded search reproduces its elites bit for bit.
+``dict``-based record per mapped string plus per-resource user lists
+kept in ascending priority-key order.  Its floating-point accumulations
+follow one canonical order — interference ``H`` for a newly added string
+is derived from its *priority predecessor* (``H[w] + load[w]`` for the
+lowest-priority user ``w`` above the new key, found by bisection), and
+waiting terms accumulate over the touched resources in the profile's
+key order (machines ascending, then routes ascending) — so a seeded
+search reproduces its elites bit for bit.  Every ``H`` and ``wait_sum``
+is one addition per (string, resource), so the order in which a
+resource's users are visited never changes a value: stage 2b and
+:meth:`AllocationState.remove` walk only the lower-priority prefix of
+each list, lowest priority first.  That walk order does decide which
+violator :attr:`AllocationState.last_rejection` names when several
+strings on one resource would break their throughput bound; the
+accept/reject decision never depends on it.
 
 The immutable part of the per-string record (loads, tmax, counts,
 nominal path, priority key) lives in :class:`~repro.core.profile.StringProfile`
@@ -48,7 +55,7 @@ and can be memoized across states through a
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +74,17 @@ __all__ = [
     "RejectionReason",
     "StateSnapshot",
 ]
+
+#: A string's priority key ``(tightness, -string_id)`` (larger = higher
+#: priority); unique per string, so it also names the string.
+PriorityKey = tuple[float, int]
+
+
+def _ascending_ids(keys: list[PriorityKey]) -> IntArray:
+    """The string ids of a key-ordered user list, ascending."""
+    return np.sort(
+        np.fromiter((-k[1] for k in keys), dtype=np.int64, count=len(keys))
+    )
 
 
 @dataclass(frozen=True)
@@ -133,8 +151,8 @@ class StateSnapshot:
         machine_util: FloatArray,
         route_util: FloatArray,
         records: dict[int, _StringRecord],
-        machine_users: list[list[int]],
-        route_users: dict[Route, list[int]],
+        machine_users: list[list[PriorityKey]],
+        route_users: dict[Route, list[PriorityKey]],
         worth: float,
     ) -> None:
         self.machine_util = machine_util
@@ -158,9 +176,10 @@ class StateSnapshot:
 class AllocationState:
     """Mutable allocation with O(touched-resources) feasibility updates.
 
-    One :class:`_StringRecord` per mapped string plus ascending
-    per-resource user lists.  All scalar accumulations follow the
-    canonical order described in the module docstring.
+    One :class:`_StringRecord` per mapped string plus per-resource
+    user lists in ascending priority-key order.  All scalar
+    accumulations follow the canonical order described in the module
+    docstring.
 
     Parameters
     ----------
@@ -194,9 +213,10 @@ class AllocationState:
         #: Eq. (3) utilization per route (running totals, diag always 0).
         self.route_util: FloatArray = np.zeros((M, M))
         self._records: dict[int, _StringRecord] = {}
-        # resource -> ascending list of string ids using it
-        self._machine_users: list[list[int]] = [[] for _ in range(M)]
-        self._route_users: dict[Route, list[int]] = {}
+        # resource -> ascending priority keys of the strings using it
+        # (a key ``(tightness, -id)`` names its string)
+        self._machine_users: list[list[PriorityKey]] = [[] for _ in range(M)]
+        self._route_users: dict[Route, list[PriorityKey]] = {}
 
     # -- read-only views -------------------------------------------------------
 
@@ -257,13 +277,11 @@ class AllocationState:
 
     def machine_users(self, j: int) -> IntArray:
         """Ascending ids of mapped strings with applications on ``j``."""
-        return np.asarray(self._machine_users[j], dtype=np.int64)
+        return _ascending_ids(self._machine_users[j])
 
     def route_users(self, j1: int, j2: int) -> IntArray:
         """Ascending ids of mapped strings with transfers on the route."""
-        return np.asarray(
-            self._route_users.get((j1, j2), []), dtype=np.int64
-        )
+        return _ascending_ids(self._route_users.get((j1, j2), []))
 
     # -- snapshot / restore ------------------------------------------------------
 
@@ -321,7 +339,9 @@ class AllocationState:
         Runs the two-stage feasibility analysis incrementally.  On
         success the state is mutated and ``True`` returned; on failure
         the state is left untouched, ``False`` returned, and
-        :attr:`last_rejection` describes the first violated constraint.
+        :attr:`last_rejection` describes the first violated constraint
+        found (stage by stage, resources in key order, and on one
+        resource the lowest-priority violator first).
         """
         if string_id in self._records:
             raise AllocationError(f"string {string_id} is already mapped")
@@ -349,16 +369,19 @@ class AllocationState:
         # ---- stage 2a: the new string under existing interference -----------
         # H for the new string comes from its *priority predecessor* w —
         # the lowest-priority user above the new key:  H = H[w] + load[w].
+        # User lists ascend by key, so w sits at the insertion point and
+        # every user before it has lower priority.
         key = prof.key
-        for j in prof.m_load:
-            pred: _StringRecord | None = None
-            pred_key: tuple[float, int] | None = None
-            for z in self._machine_users[j]:
-                other = self._records[z]
-                ok = other.profile.key
-                if ok > key and (pred_key is None or ok < pred_key):
-                    pred, pred_key = other, ok
-            H = 0.0 if pred is None else pred.H_m[j] + pred.profile.m_load[j]
+        records = self._records
+        m_lower: list[tuple[int, float, list[PriorityKey]]] = []
+        for j, load in prof.m_load.items():
+            users = self._machine_users[j]
+            at = bisect_right(users, key)
+            if at < len(users):
+                pred = records[-users[at][1]]
+                H = pred.H_m[j] + pred.profile.m_load[j]
+            else:
+                H = 0.0
             rec.H_m[j] = H
             if prof.m_tmax[j] + prof.period * H > prof.period * (1.0 + tol):
                 self.last_rejection = RejectionReason(
@@ -367,19 +390,17 @@ class AllocationState:
                     prof.m_tmax[j] + prof.period * H, prof.period,
                 )
                 return False
-        for r in prof.r_load:
-            rpred: _StringRecord | None = None
-            rpred_key: tuple[float, int] | None = None
-            for z in self._route_users.get(r, ()):
-                other = self._records[z]
-                ok = other.profile.key
-                if ok > key and (rpred_key is None or ok < rpred_key):
-                    rpred, rpred_key = other, ok
-            H = (
-                0.0
-                if rpred is None
-                else rpred.H_r[r] + rpred.profile.r_load[r]
-            )
+            if at:
+                m_lower.append((j, load, users[:at]))
+        r_lower: list[tuple[Route, float, list[PriorityKey]]] = []
+        for r, load in prof.r_load.items():
+            users = self._route_users.get(r, [])
+            at = bisect_right(users, key)
+            if at < len(users):
+                rpred = records[-users[at][1]]
+                H = rpred.H_r[r] + rpred.profile.r_load[r]
+            else:
+                H = 0.0
             rec.H_r[r] = H
             if prof.r_tmax[r] + prof.period * H > prof.period * (1.0 + tol):
                 self.last_rejection = RejectionReason(
@@ -388,6 +409,8 @@ class AllocationState:
                     prof.r_tmax[r] + prof.period * H, prof.period,
                 )
                 return False
+            if at:
+                r_lower.append((r, load, users[:at]))
         # Canonical accumulation: one sequential chain over touched
         # resources, machines (ascending) then routes (ascending).
         ws = 0.0
@@ -405,17 +428,18 @@ class AllocationState:
 
         # ---- stage 2b: existing lower-priority strings gain interference ----
         # Accumulate wait_sum increments per affected string; check each
-        # resource-level throughput bound as we go.  User lists iterate
-        # ascending, so the first-reported violator is canonical.
+        # resource-level throughput bound as we go.  Only the
+        # lower-priority prefix of each user list is walked, in
+        # ascending key order, so the first-reported violator is the
+        # lowest-priority one on the first violated resource.
         wait_delta: dict[int, float] = {}
-        h_m_delta: dict[tuple[int, int], float] = {}  # (string, machine)
-        h_r_delta: dict[tuple[int, Route], float] = {}
-        for j, load in prof.m_load.items():
-            for z in self._machine_users[j]:
-                other = self._records[z]
+        h_m_delta: list[tuple[_StringRecord, int, float]] = []
+        h_r_delta: list[tuple[_StringRecord, Route, float]] = []
+        for j, load, lower in m_lower:
+            for ok in lower:
+                z = -ok[1]
+                other = records[z]
                 op = other.profile
-                if op.key >= key:
-                    continue
                 newH = other.H_m[j] + load
                 if (
                     op.m_tmax[j] + op.period * newH
@@ -427,14 +451,13 @@ class AllocationState:
                         op.m_tmax[j] + op.period * newH, op.period,
                     )
                     return False
-                h_m_delta[(z, j)] = load
+                h_m_delta.append((other, j, load))
                 wait_delta[z] = wait_delta.get(z, 0.0) + op.m_count[j] * load
-        for r, load in prof.r_load.items():
-            for z in self._route_users.get(r, ()):
-                other = self._records[z]
+        for r, load, lower in r_lower:
+            for ok in lower:
+                z = -ok[1]
+                other = records[z]
                 op = other.profile
-                if op.key >= key:
-                    continue
                 newH = other.H_r[r] + load
                 if (
                     op.r_tmax[r] + op.period * newH
@@ -446,10 +469,10 @@ class AllocationState:
                         op.r_tmax[r] + op.period * newH, op.period,
                     )
                     return False
-                h_r_delta[(z, r)] = load
+                h_r_delta.append((other, r, load))
                 wait_delta[z] = wait_delta.get(z, 0.0) + op.r_count[r] * load
         for z in sorted(wait_delta):
-            other = self._records[z]
+            other = records[z]
             op = other.profile
             new_latency = op.nominal_path + op.period * (
                 other.wait_sum + wait_delta[z]
@@ -463,21 +486,21 @@ class AllocationState:
         # ---- commit ----------------------------------------------------------
         for j, load in prof.m_load.items():
             self.machine_util[j] += load
-            insort(self._machine_users[j], string_id)
+            insort(self._machine_users[j], key)
         for r, load in prof.r_load.items():
             self.route_util[r] += load
             users = self._route_users.get(r)
             if users is None:
-                self._route_users[r] = [string_id]
+                self._route_users[r] = [key]
             else:
-                insort(users, string_id)
-        for (z, j), load in h_m_delta.items():
-            self._records[z].H_m[j] += load
-        for (z, r), load in h_r_delta.items():
-            self._records[z].H_r[r] += load
+                insort(users, key)
+        for other, j, load in h_m_delta:
+            other.H_m[j] += load
+        for other, r, load in h_r_delta:
+            other.H_r[r] += load
         for z, delta in wait_delta.items():
-            self._records[z].wait_sum += delta
-        self._records[string_id] = rec
+            records[z].wait_sum += delta
+        records[string_id] = rec
         self._worth += self.model.strings[string_id].worth
         self._mapped_cache = None
         return True
@@ -495,24 +518,24 @@ class AllocationState:
         key = prof.key
         for j, load in prof.m_load.items():
             self.machine_util[j] -= load
-            self._machine_users[j].remove(string_id)
-            for z in self._machine_users[j]:
-                other = self._records[z]
-                if other.profile.key < key:
-                    other.H_m[j] -= load
-                    other.wait_sum -= other.profile.m_count[j] * load
+            users = self._machine_users[j]
+            at = bisect_left(users, key)
+            del users[at]
+            for ok in users[:at]:
+                other = self._records[-ok[1]]
+                other.H_m[j] -= load
+                other.wait_sum -= other.profile.m_count[j] * load
         for r, load in prof.r_load.items():
             self.route_util[r] -= load
-            users = self._route_users.get(r)
-            if users is not None:
-                users.remove(string_id)
-                for z in users:
-                    other = self._records[z]
-                    if other.profile.key < key:
-                        other.H_r[r] -= load
-                        other.wait_sum -= other.profile.r_count[r] * load
-                if not users:
-                    del self._route_users[r]
+            users = self._route_users[r]
+            at = bisect_left(users, key)
+            del users[at]
+            for ok in users[:at]:
+                other = self._records[-ok[1]]
+                other.H_r[r] -= load
+                other.wait_sum -= other.profile.r_count[r] * load
+            if not users:
+                del self._route_users[r]
         self._worth -= self.model.strings[string_id].worth
         self._mapped_cache = None
 

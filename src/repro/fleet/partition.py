@@ -11,9 +11,11 @@ see :mod:`repro.workload.fleet`), so the partitioner works zone-first:
 2. **Strings → shards** by transfer affinity: a string lands with its
    route peers — the shard holding its home zone.  When a cross-zone
    string's home and peer zones fall into *different* shards, a seeded
-   coin (one :class:`~numpy.random.SeedSequence` per string id) picks
-   between the two candidates, so the split is reproducible: same seed
-   ⇒ same shards, regardless of iteration order or platform.
+   coin picks between the two candidates: the first ``uniform()`` of
+   the string's own stream ``default_rng(SeedSequence((seed,
+   _TIEBREAK_TAG, string_id)))``, drawn for every such string at once
+   (:mod:`repro.workload._pcg64_batch`).  So the split is reproducible:
+   same seed ⇒ same shards, regardless of iteration order or platform.
 
 Every machine and every string lands in exactly one shard; shard
 machine/string id lists are sorted ascending so downstream
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.exceptions import ModelError
+from ..workload._pcg64_batch import Streams, seed_states
 from ..workload.fleet import FleetWorkload
 
 __all__ = ["FleetPartition", "Shard", "partition_fleet"]
@@ -94,11 +97,11 @@ def partition_fleet(
         )
     if seed is None:
         seed = workload.seed
+    if seed < 0:
+        raise ModelError(f"partition seed must be >= 0, got {seed}")
 
     # -- zones -> shards: greedy balance on machine counts ------------
-    zone_sizes = [
-        int((workload.zone_of == z).sum()) for z in range(scn.n_zones)
-    ]
+    zone_sizes = np.bincount(workload.zone_of, minlength=scn.n_zones).tolist()
     order = sorted(range(scn.n_zones), key=lambda z: (-zone_sizes[z], z))
     shard_machines = [0] * n_shards
     shard_of_zone = [0] * scn.n_zones
@@ -108,40 +111,36 @@ def partition_fleet(
         shard_machines[target] += zone_sizes[z]
 
     # -- strings -> shards: home-zone affinity with seeded tie-breaks -
-    shard_of_string = [0] * workload.n_strings
-    for s in workload.strings:
-        home = shard_of_zone[s.home_zone]
-        peer = shard_of_zone[s.peer_zone]
-        if home == peer:
-            shard_of_string[s.string_id] = home
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((seed, _TIEBREAK_TAG, s.string_id))
-            )
-            shard_of_string[s.string_id] = (
-                home if float(rng.uniform()) < 0.5 else peer
-            )
+    zone_shard = np.asarray(shard_of_zone, dtype=np.int64)
+    n = workload.n_strings
+    home = zone_shard[
+        np.fromiter((s.home_zone for s in workload.strings), np.int64, n)
+    ]
+    peer = zone_shard[
+        np.fromiter((s.peer_zone for s in workload.strings), np.int64, n)
+    ]
+    shard_of_string = home.copy()
+    split = np.flatnonzero(home != peer)
+    if split.size:
+        coin = Streams(
+            *seed_states((seed, _TIEBREAK_TAG), split), width=1
+        ).doubles(1)[:, 0]
+        shard_of_string[split] = np.where(coin < 0.5, home[split], peer[split])
 
+    machine_shard = zone_shard[workload.zone_of]
+    by_shard = np.argsort(shard_of_string, kind="stable")
+    bounds = np.cumsum(np.bincount(shard_of_string, minlength=n_shards))
     shards = []
     for i in range(n_shards):
-        zones = tuple(z for z in range(scn.n_zones) if shard_of_zone[z] == i)
-        machine_ids = tuple(
-            int(j)
-            for j in np.flatnonzero(
-                np.isin(workload.zone_of, np.asarray(zones))
-            )
-        )
-        string_ids = tuple(
-            k
-            for k in range(workload.n_strings)
-            if shard_of_string[k] == i
-        )
+        lo = int(bounds[i - 1]) if i else 0
         shards.append(
             Shard(
                 index=i,
-                machine_ids=machine_ids,
-                string_ids=string_ids,
-                zones=zones,
+                machine_ids=tuple(np.flatnonzero(machine_shard == i).tolist()),
+                string_ids=tuple(by_shard[lo : int(bounds[i])].tolist()),
+                zones=tuple(
+                    z for z in range(scn.n_zones) if shard_of_zone[z] == i
+                ),
             )
         )
 
@@ -149,5 +148,5 @@ def partition_fleet(
         n_shards=n_shards,
         shards=tuple(shards),
         shard_of_zone=tuple(shard_of_zone),
-        shard_of_string=tuple(shard_of_string),
+        shard_of_string=tuple(shard_of_string.tolist()),
     )

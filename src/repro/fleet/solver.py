@@ -129,22 +129,17 @@ def _solve_shard_payload(
     """
     start = time.perf_counter()
     model = materialize_model(workload, shard.machine_ids, shard.string_ids)
-    cache = ProfileCache()
 
     if solver == "skip-ahead":
+        # Each string is tried once, so a profile memo would never hit.
         outcome = allocate_sequence(
-            model,
-            mwf_order(model),
-            stop_on_failure=False,
-            profile_cache=cache,
+            model, mwf_order(model), stop_on_failure=False
         )
         state = outcome.state
         allocation = state.as_allocation()
         fitness = state.fitness()
     elif solver == "mwf":
-        outcome = allocate_sequence(
-            model, mwf_order(model), profile_cache=cache
-        )
+        outcome = allocate_sequence(model, mwf_order(model))
         state = outcome.state
         allocation = state.as_allocation()
         fitness = state.fitness()
@@ -152,7 +147,7 @@ def _solve_shard_payload(
         rng = np.random.default_rng(
             np.random.SeedSequence((seed, _SOLVER_TAG, shard.index))
         )
-        result = seeded_psg(model, rng=rng, profile_cache=cache)
+        result = seeded_psg(model, rng=rng, profile_cache=ProfileCache())
         allocation = result.allocation
         fitness = result.fitness
     else:
@@ -455,6 +450,15 @@ def solve_fleet(
         )
     if n_workers is None:
         n_workers = min(n_shards, 4)
+    if n_workers < 1:
+        raise ModelError(f"n_workers must be >= 1, got {n_workers}")
+    for name, value in (
+        ("rebalance_rounds", rebalance_rounds),
+        ("rebalance_targets", rebalance_targets),
+        ("rebalance_migrants", rebalance_migrants),
+    ):
+        if value < 0:
+            raise ModelError(f"{name} must be >= 0, got {value}")
 
     partition = partition_fleet(workload, n_shards, seed=seed)
     pool_stats: dict[str, Any] = {}

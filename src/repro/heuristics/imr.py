@@ -24,10 +24,13 @@ that is the sequential allocator's job (:mod:`repro.heuristics.ordering`).
 Two implementations produce bit-identical assignments: a vectorized one
 (kept for randomized tie-breaking, where `_argmin_tie` needs the whole
 score vector) and a plain-Python one used when ``rng is None``.  At the
-paper's scenario sizes (M ≤ 12) every NumPy expression here touches only
-a handful of elements, so per-call ufunc dispatch dominates; the scalar
-loop over cached ``AppString.imr_lists()`` constants performs the exact
-same IEEE-754 operations in the same order without that overhead.
+paper's scenario sizes (M = 12) and on fleet shards (M ≈ 32) every NumPy
+expression here touches only a few dozen elements, so per-call ufunc
+dispatch dominates; the scalar loop over cached ``AppString.imr_lists()``
+constants performs the exact same IEEE-754 operations in the same order
+without that overhead.  It reads one committed route row or column per
+step and keeps the string's own partial loads sparse, so one call costs
+``O(n · M)`` rather than the ``O(M²)`` of copying the route matrix.
 """
 
 from __future__ import annotations
@@ -83,6 +86,21 @@ def imr_map_string(
     """
     if rng is None:
         return _imr_fast(state, string_id)
+    return _imr_vectorized(state, string_id, rng)
+
+
+def _imr_vectorized(
+    state: AllocationState,
+    string_id: int,
+    rng: np.random.Generator | None,
+) -> np.ndarray:
+    """The IMR over whole NumPy score vectors.
+
+    Randomized tie-breaking needs every machine's score, so
+    :func:`imr_map_string` runs this body when given a generator.  With
+    ``rng=None`` it breaks ties by lowest index and returns exactly what
+    :func:`_imr_fast` returns.
+    """
     model = state.model
     s = model.strings[string_id]
     net = model.network
@@ -165,13 +183,21 @@ def imr_map_string(
 def _imr_fast(state: AllocationState, string_id: int) -> np.ndarray:
     """Deterministic (``rng is None``) IMR over plain Python lists.
 
-    Bit-identical to the vectorized path: each machine score is computed
-    as ``(committed + partial) + candidate`` — the same left-to-right
-    IEEE-754 additions NumPy performs elementwise — and minima are taken
-    with a strict ``<`` scan, which selects the first minimum exactly
-    like ``np.argmin``.  Target selection walks the cached
-    descending-stable intensity order, equivalent to ``argmax`` over the
-    unassigned set (ties at equal intensity keep ascending index order).
+    Bit-identical to :func:`_imr_vectorized` with lowest-index ties:
+    each machine score is ``(committed + partial) + candidate`` and each
+    route score ``(committed + partial) + demand * inv_bandwidth`` — the
+    same left-to-right IEEE-754 additions NumPy performs elementwise —
+    and minima are taken with a strict ``<`` scan, which selects the
+    first minimum exactly like ``np.argmin``.  Target selection walks
+    the cached descending-stable intensity order, equivalent to
+    ``argmax`` over the unassigned set (ties at equal intensity keep
+    ascending index order).
+
+    A step reads only the committed route row (rightward growth) or
+    column (leftward growth) it scores, and the string's own partial
+    loads stay sparse: a machine or route it has not loaded yet adds
+    nothing, and ``x + 0.0 == x`` for the non-negative committed loads.
+    So a call costs ``O(n · M)``, not ``O(M²)``.
     """
     model = state.model
     s = model.strings[string_id]
@@ -179,12 +205,11 @@ def _imr_fast(state: AllocationState, string_id: int) -> np.ndarray:
     n = s.n_apps
 
     share_rows, transfer_demand, order = s.imr_lists()
-    mu: list[float] = state.machine_util.tolist()
-    ru: list[list[float]] = state.route_util.tolist()
-    inv = model.network.inv_bandwidth_rows()
-
-    part_machine = [0.0] * M
-    part_route = [[0.0] * M for _ in range(M)]
+    committed: list[float] = state.machine_util.tolist()
+    # committed + partial machine load, updated where the string lands
+    mu = committed.copy()
+    part_machine: dict[int, float] = {}
+    part_route: dict[tuple[int, int], float] = {}
     assignment = [-1] * n
 
     # Step 1-2: place the most intensive application by machine
@@ -192,14 +217,21 @@ def _imr_fast(state: AllocationState, string_id: int) -> np.ndarray:
     seed = order[0]
     sh = share_rows[seed]
     best_j = 0
-    best_v = (mu[0] + part_machine[0]) + sh[0]
+    best_v = mu[0] + sh[0]
     for j in range(1, M):
-        v = (mu[j] + part_machine[j]) + sh[j]
+        v = mu[j] + sh[j]
         if v < best_v:
             best_j = j
             best_v = v
     assignment[seed] = best_j
-    part_machine[best_j] += sh[best_j]
+    part_machine[best_j] = sh[best_j]
+    mu[best_j] = committed[best_j] + sh[best_j]
+    if n == 1:
+        return np.array(assignment, dtype=np.int64)
+
+    route_util = state.route_util
+    inv_rows = model.network.inv_bandwidth_rows()
+    inv_cols = model.network.inv_bandwidth_cols()
 
     def place(i: int, jn: int, incoming: bool) -> None:
         """Assign app ``i``; its transfer connects to the already-placed
@@ -208,37 +240,35 @@ def _imr_fast(state: AllocationState, string_id: int) -> np.ndarray:
         sh = share_rows[i]
         if incoming:
             demand = transfer_demand[i - 1]
-            ru_row = ru[jn]
-            pr_row = part_route[jn]
-            inv_row = inv[jn]
-            best_j = 0
-            m_v = (mu[0] + part_machine[0]) + sh[0]
-            r_v = (ru_row[0] + pr_row[0]) + demand * inv_row[0]
-            best_v = m_v if m_v > r_v else r_v
-            for j in range(1, M):
-                m_v = (mu[j] + part_machine[j]) + sh[j]
-                r_v = (ru_row[j] + pr_row[j]) + demand * inv_row[j]
-                v = m_v if m_v > r_v else r_v
-                if v < best_v:
-                    best_j = j
-                    best_v = v
-            part_route[jn][best_j] += demand * inv_row[best_j]
+            ru: list[float] = route_util[jn].tolist()
+            inv = inv_rows[jn]
+            for (a, b), load in part_route.items():
+                if a == jn:
+                    ru[b] += load
         else:
             demand = transfer_demand[i]
-            best_j = 0
-            m_v = (mu[0] + part_machine[0]) + sh[0]
-            r_v = (ru[0][jn] + part_route[0][jn]) + demand * inv[0][jn]
-            best_v = m_v if m_v > r_v else r_v
-            for j in range(1, M):
-                m_v = (mu[j] + part_machine[j]) + sh[j]
-                r_v = (ru[j][jn] + part_route[j][jn]) + demand * inv[j][jn]
-                v = m_v if m_v > r_v else r_v
-                if v < best_v:
-                    best_j = j
-                    best_v = v
-            part_route[best_j][jn] += demand * inv[best_j][jn]
+            ru = route_util[:, jn].tolist()
+            inv = inv_cols[jn]
+            for (a, b), load in part_route.items():
+                if b == jn:
+                    ru[a] += load
+        best_j = 0
+        m_v = mu[0] + sh[0]
+        r_v = ru[0] + demand * inv[0]
+        best_v = m_v if m_v > r_v else r_v
+        for j in range(1, M):
+            m_v = mu[j] + sh[j]
+            r_v = ru[j] + demand * inv[j]
+            v = m_v if m_v > r_v else r_v
+            if v < best_v:
+                best_j = j
+                best_v = v
+        route = (jn, best_j) if incoming else (best_j, jn)
+        part_route[route] = part_route.get(route, 0.0) + demand * inv[best_j]
         assignment[i] = best_j
-        part_machine[best_j] += sh[best_j]
+        load = part_machine.get(best_j, 0.0) + sh[best_j]
+        part_machine[best_j] = load
+        mu[best_j] = committed[best_j] + load
 
     left = right = seed
     assigned = 1

@@ -459,7 +459,7 @@ def materialize_model(
     return SystemModel(network, _materialize_strings(workload, ids, string_ids))
 
 
-#: Strings per batched jitter tensor — bounds the ``(chunk, n_apps, m)``
+#: Strings per batched jitter tensor — bounds the ``(strings, n_apps, m)``
 #: temporaries to a few MB even for forced monolithic materializations.
 _BATCH_CHUNK = 1024
 
@@ -471,57 +471,95 @@ def _materialize_strings(
 ) -> list[AppString]:
     """Batched :func:`materialize_string` for a whole string subset.
 
-    Hashes every ``(string, app, machine)`` jitter in one broadcast per
-    chunk instead of two hash calls per string — bit-identical to the
-    per-string path (the counter-based hash is elementwise), just
-    amortizing the numpy call overhead across the subset.
+    Strings of equal ``n_apps`` form a group, and each group's tables
+    are built in one broadcast: the ``(string, app, machine)`` jitter
+    hashes, ``comp_times``, ``cpu_utils`` and ``work``, and the IMR
+    constants :class:`~repro.core.model.AppString` would otherwise
+    derive one string at a time — the eq. 8–9 averages, intensity, its
+    stable descending order, the share rows and the transfer demand.
+    Every operation is elementwise or a reduction over the contiguous
+    last axis, which numpy performs row by row exactly as it does for
+    one string's own array, so each value is bit-identical to the
+    per-string path; each string adopts views of its group's rows.
     """
-    scn = workload.scenario
-    h = scn.heterogeneity
-    out: list[AppString] = []
+    out: list[AppString] = [None] * len(string_ids)  # type: ignore[list-item]
     for start in range(0, len(string_ids), _BATCH_CHUNK):
         chunk = string_ids[start : start + _BATCH_CHUNK]
         specs = [workload.strings[gid] for gid in chunk]
-        max_n = max(s.n_apps for s in specs)
-        k = np.asarray([s.string_id for s in specs], dtype=np.int64)
-        i = np.arange(max_n, dtype=np.int64)
-        jit_t = 1.0 - h + 2.0 * h * _hash_uniform(
-            workload.seed,
-            _FLEET_TAG,
-            _TAG_COMP,
-            k[:, None, None],
-            i[None, :, None],
-            machine_ids[None, None, :],
-        )
-        jit_u = 1.0 - h + 2.0 * h * _hash_uniform(
-            workload.seed,
-            _FLEET_TAG,
-            _TAG_UTIL,
-            k[:, None, None],
-            i[None, :, None],
-            machine_ids[None, None, :],
-        )
-        for p, spec in enumerate(specs):
-            n = spec.n_apps
-            ct = spec.t_base[:, None] * jit_t[p, :n, :]
-            cu = np.minimum(1.0, spec.u_base[:, None] * jit_u[p, :n, :])
-            ct.setflags(write=False)
-            cu.setflags(write=False)
-            # _attach adopts the (freshly built, canonical float64)
-            # arrays without re-validation; output_sizes is the spec's
-            # own read-only array, shared across materializations.
-            out.append(
-                AppString._attach(
-                    start + p,
-                    spec.worth,
-                    spec.period,
-                    spec.max_latency,
-                    ct,
-                    cu,
-                    spec.output_sizes,
-                )
-            )
+        n_apps = np.fromiter((s.n_apps for s in specs), np.int64, len(specs))
+        for n in range(int(n_apps.min()), int(n_apps.max()) + 1):
+            rows = np.flatnonzero(n_apps == n).tolist()
+            if rows:
+                local = [start + r for r in rows]
+                group = [specs[r] for r in rows]
+                for p, s in zip(
+                    local,
+                    _materialize_group(workload, machine_ids, local, group, n),
+                ):
+                    out[p] = s
     return out
+
+
+def _materialize_group(
+    workload: FleetWorkload,
+    machine_ids: np.ndarray,
+    local_ids: list[int],
+    specs: list[FleetString],
+    n: int,
+) -> list[AppString]:
+    """The :class:`AppString` of each of ``specs`` (all of ``n`` apps),
+    numbered ``local_ids``."""
+    h = workload.scenario.heterogeneity
+    k = np.fromiter((s.string_id for s in specs), np.int64, len(specs))
+    cells = (k[:, None, None], np.arange(n)[None, :, None], machine_ids)
+    jit_t = 1.0 - h + 2.0 * h * _hash_uniform(
+        workload.seed, _FLEET_TAG, _TAG_COMP, *cells
+    )
+    jit_u = 1.0 - h + 2.0 * h * _hash_uniform(
+        workload.seed, _FLEET_TAG, _TAG_UTIL, *cells
+    )
+    t_base = np.stack([s.t_base for s in specs])
+    u_base = np.stack([s.u_base for s in specs])
+    period = np.fromiter((s.period for s in specs), np.float64, len(specs))
+
+    comp_times = t_base[:, :, None] * jit_t
+    cpu_utils = np.minimum(1.0, u_base[:, :, None] * jit_u)
+    work = comp_times * cpu_utils
+    avg_comp = comp_times.mean(axis=2)
+    avg_util = cpu_utils.mean(axis=2)
+    intensity = avg_comp * avg_util / period[:, None]
+    arrays = (comp_times, cpu_utils, work, avg_comp, avg_util, intensity)
+    for arr in arrays:
+        arr.setflags(write=False)
+    share_rows = (work / period[:, None, None]).tolist()
+    order = np.argsort(-intensity, axis=1, kind="stable").tolist()
+    if n > 1:
+        outputs = np.stack([s.output_sizes for s in specs])
+        demand = (outputs / period[:, None]).tolist()
+    else:
+        demand = [[] for _ in specs]
+    # _attach adopts the (freshly built, canonical float64) rows without
+    # re-validation; output_sizes is the spec's own read-only array,
+    # shared across materializations.
+    return [
+        AppString._attach(
+            local,
+            spec.worth,
+            spec.period,
+            spec.max_latency,
+            ct,
+            cu,
+            spec.output_sizes,
+            w,
+            t_av,
+            u_av,
+            inten,
+            (sh, d, o),
+        )
+        for local, spec, ct, cu, w, t_av, u_av, inten, sh, d, o in zip(
+            local_ids, specs, *arrays, share_rows, demand, order
+        )
+    ]
 
 
 #: CI/test-sized fleet: small enough to materialize monolithically.

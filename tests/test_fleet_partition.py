@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.exceptions import ModelError
 from repro.fleet import partition_fleet
-from repro.workload.fleet import FLEET_SMOKE, generate_fleet
+from repro.fleet.partition import _TIEBREAK_TAG
+from repro.workload.fleet import FLEET_SCENARIOS, FLEET_SMOKE, generate_fleet
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +126,10 @@ class TestValidation:
         assert part.n_shards == FLEET_SMOKE.n_zones
         assert all(len(s.zones) == 1 for s in part.shards)
 
+    def test_negative_seed_rejected(self, workload):
+        with pytest.raises(ModelError, match="seed"):
+            partition_fleet(workload, 2, seed=-1)
+
     def test_zone_member_ids_are_global(self, workload):
         part = partition_fleet(workload, 2)
         all_ids = np.concatenate(
@@ -132,3 +137,66 @@ class TestValidation:
         )
         assert all_ids.min() >= 0
         assert all_ids.max() < workload.n_machines
+
+
+def _reference_partition(workload, n_shards, seed):
+    """The partitioner as a plain loop: one ``Generator`` per cross-shard
+    string for its coin, and a scan over every string per shard."""
+    scn = workload.scenario
+    zone_sizes = [
+        int((workload.zone_of == z).sum()) for z in range(scn.n_zones)
+    ]
+    order = sorted(range(scn.n_zones), key=lambda z: (-zone_sizes[z], z))
+    shard_machines = [0] * n_shards
+    shard_of_zone = [0] * scn.n_zones
+    for z in order:
+        target = min(range(n_shards), key=lambda i: (shard_machines[i], i))
+        shard_of_zone[z] = target
+        shard_machines[target] += zone_sizes[z]
+    shard_of_string = [0] * workload.n_strings
+    for s in workload.strings:
+        home = shard_of_zone[s.home_zone]
+        peer = shard_of_zone[s.peer_zone]
+        if home == peer:
+            shard_of_string[s.string_id] = home
+        else:
+            rng = np.random.default_rng(
+                np.random.SeedSequence((seed, _TIEBREAK_TAG, s.string_id))
+            )
+            shard_of_string[s.string_id] = (
+                home if float(rng.uniform()) < 0.5 else peer
+            )
+    shards = []
+    for i in range(n_shards):
+        zones = tuple(z for z in range(scn.n_zones) if shard_of_zone[z] == i)
+        machine_ids = tuple(
+            int(j)
+            for j in np.flatnonzero(
+                np.isin(workload.zone_of, np.asarray(zones))
+            )
+        )
+        string_ids = tuple(
+            k for k in range(workload.n_strings) if shard_of_string[k] == i
+        )
+        shards.append((i, machine_ids, string_ids, zones))
+    return tuple(shard_of_zone), tuple(shard_of_string), shards
+
+
+@pytest.mark.parametrize("name", sorted(FLEET_SCENARIOS))
+@pytest.mark.parametrize("seed", [1, 1009])
+def test_matches_reference_loop(name, seed):
+    """The batched coins and numpy grouping reproduce the loop exactly,
+    on every fleet scenario and shard count from 1 to 32."""
+    scn = FLEET_SCENARIOS[name]
+    workload = generate_fleet(scn, seed)
+    for k in sorted({1, 2, 3, min(8, scn.n_zones), min(32, scn.n_zones)}):
+        part = partition_fleet(workload, k, seed=seed + k)
+        zones, strings, shards = _reference_partition(workload, k, seed + k)
+        assert part.shard_of_zone == zones
+        assert part.shard_of_string == strings
+        assert all(type(x) is int for x in part.shard_of_string)
+        assert [
+            (s.index, s.machine_ids, s.string_ids, s.zones) for s in part.shards
+        ] == shards
+        for s in part.shards:
+            assert all(type(x) is int for x in s.machine_ids + s.string_ids)

@@ -56,6 +56,28 @@ class TestSolveShard:
             sum(workload.strings[g].worth for g in sol.placements)
         )
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_workers": 0},
+            {"n_workers": -2},
+            {"rebalance_rounds": -1},
+            {"rebalance_targets": -1},
+            {"rebalance_migrants": -5},
+        ],
+    )
+    def test_invalid_arguments_rejected(self, workload, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ModelError, match=name):
+            solve_fleet(workload, 2, seed=SEED, **kwargs)
+
+    def test_zero_rebalance_arguments_allowed(self, workload):
+        out = solve_fleet(
+            workload, 2, seed=SEED, n_workers=1,
+            rebalance_targets=0, rebalance_migrants=0,
+        )
+        assert out.stats["rebalance"]["attempted"] == 0
+
     def test_unknown_solver_rejected(self, workload):
         part = partition_fleet(workload, 2, seed=SEED)
         with pytest.raises(ModelError, match="unknown shard solver"):
