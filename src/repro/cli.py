@@ -253,44 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=argparse.SUPPRESS)
 
     p = sub.add_parser(
-        "bench",
-        help=(
-            "benchmark the PSG evaluation core and emit a "
-            "BENCH_<name>.json perf record (see docs/performance.md)"
-        ),
-    )
-    p.add_argument("--name",
-                   choices=("psg", "seeded-psg", "state-micro", "fleet"),
-                   default="psg")
-    p.add_argument("--quick", action="store_true",
-                   help="smoke-sized workload for CI")
-    p.add_argument("--seed", type=int, default=None,
-                   help="workload seed (default 1234; 42 for fleet)")
-    p.add_argument("--trials", type=int, default=None,
-                   help="override the preset trial count")
-    p.add_argument("--workers", type=int, default=None,
-                   help="override the preset process-pool size")
-    p.add_argument("--reps", type=int, default=None,
-                   help="fleet only: timed repetitions per shard count "
-                        "(minimum kept; default 3, 1 with --quick)")
-    p.add_argument("--json", dest="json_path", default=None,
-                   help="write the record to this exact path (overrides "
-                        "--out-dir)")
-    p.add_argument("--out-dir", default="bench-out",
-                   help="directory for BENCH_<name>.json records "
-                        "(created on demand; default bench-out/)")
-    p.add_argument("--baseline", default=None,
-                   help="committed baseline record to gate against")
-    p.add_argument("--max-regression", type=float, default=0.30,
-                   help="fail if evals/sec drops more than this fraction")
-    p.add_argument("--profile", action="store_true",
-                   help="run under cProfile; print the top functions by "
-                        "cumulative time and write the full table next to "
-                        "the BENCH record (<record>.profile.txt)")
-    p.add_argument("--profile-top", type=int, default=25,
-                   help="rows of the cProfile table to print (default 25)")
-
-    p = sub.add_parser(
         "fleet",
         help=(
             "sharded fleet-scale solve: partition a generated fleet "
@@ -658,144 +620,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
-def _profiled(args: argparse.Namespace, fn, *fn_args, **fn_kwargs):
-    """Run ``fn`` under cProfile when ``--profile`` is set.
-
-    Returns ``(result, stats_or_None)``.  Profiling a benchmark slows it
-    down (the tracer fires on every call), so the measured throughput is
-    only meaningful relative to other profiled runs — the printed table
-    answers *where the time goes*, not *how fast it is*.
-    """
-    if not args.profile:
-        return fn(*fn_args, **fn_kwargs), None
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    result = profiler.runcall(fn, *fn_args, **fn_kwargs)
-    return result, pstats.Stats(profiler)
-
-
-def _emit_profile(args: argparse.Namespace, stats, out_path: str) -> None:
-    """Print the top-N cumulative table and save it next to the record."""
-    import io
-
-    stream = io.StringIO()
-    stats.stream = stream
-    stats.sort_stats("cumulative").print_stats(args.profile_top)
-    table = stream.getvalue()
-    print()
-    print(f"cProfile top {args.profile_top} by cumulative time "
-          f"(timings include tracer overhead):")
-    print(table, end="")
-    from .io_utils.atomic import atomic_write_text
-
-    profile_path = f"{out_path}.profile.txt"
-    atomic_write_text(profile_path, table)
-    print(f"profile table written to {profile_path}")
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from .experiments.bench import (
-        compare_to_baseline,
-        run_bench,
-        run_state_micro,
-        save_record,
-    )
-    from .experiments.fleet_bench import run_fleet_bench
-
-    seed = args.seed
-    if seed is None:
-        seed = 42 if args.name == "fleet" else 1_234
-
-    def record_path(name: str) -> str:
-        if args.json_path:
-            return args.json_path
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return str(out_dir / f"BENCH_{name}.json")
-
-    if args.name == "fleet":
-        record, prof_stats = _profiled(
-            args,
-            run_fleet_bench,
-            quick=args.quick,
-            seed=seed,
-            reps=args.reps,
-            n_workers=1 if args.workers is None else args.workers,
-        )
-        out_path = record_path("fleet")
-        save_record(record, out_path)
-        mono = record["sweep"][0]
-        print(f"fleet: {record['workload']['scenario']} "
-              f"({record['workload']['n_machines']} machines, "
-              f"{record['workload']['n_strings']} strings, "
-              f"seed {record['workload']['seed']})")
-        for row in record["sweep"]:
-            reb = row["rebalance"] or {}
-            print(f"  K={row['n_shards']}: {row['wall_seconds']:.3f}s  "
-                  f"worth={row['total_worth']:g}  "
-                  f"placed={row['n_placed']}/"
-                  f"{row['n_placed'] + row['n_rejected']}  "
-                  f"migrated={reb.get('migrated', 0)}  "
-                  f"sig={row['signature'][:12]}")
-        print(f"speedup (K={mono['n_shards']} -> "
-              f"K={record['sweep'][-1]['n_shards']}): "
-              f"{record['speedup']:.2f}x  "
-              f"worth gap vs monolithic: {record['worth_gap_pct']:.2f}%")
-        print(f"record written to {out_path}")
-    elif args.name == "state-micro":
-        record, prof_stats = _profiled(args, run_state_micro, seed=seed)
-        out_path = record_path("state_micro")
-        save_record(record, out_path)
-        print(f"scalar kernel: try_add {record['try_add_us']:.1f}us/op "
-              f"({record['try_add_ops_per_sec']:,.0f} ops/s)  "
-              f"snap+restore {record['snapshot_restore_us']:.1f}us/pair "
-              f"({record['snapshot_restore_ops_per_sec']:,.0f} pairs/s)")
-        print(f"record written to {out_path}")
-    else:
-        record, prof_stats = _profiled(
-            args,
-            run_bench,
-            name=args.name,
-            quick=args.quick,
-            seed=seed,
-            n_trials=args.trials,
-            n_workers=args.workers,
-        )
-        out_path = record_path(args.name)
-        save_record(record, out_path)
-        print(f"{record['name']}: "
-              f"best worth={record['best_fitness']['worth']:g} "
-              f"slack={record['best_fitness']['slackness']:.4f}")
-        print(f"wall: {record['wall_seconds']:.3f}s  "
-              f"evaluations: {record['evaluations']}  "
-              f"evals/sec: {record['evals_per_second']:,.0f}")
-        profile = record["profile_cache"]
-        if profile is not None:
-            print(f"profile cache: hit rate {profile['hit_rate']:.1%}")
-        print(f"record written to {out_path}")
-    if prof_stats is not None:
-        _emit_profile(args, prof_stats, out_path)
-        if args.baseline:
-            print(
-                "warning: --profile adds tracer overhead to every call; "
-                "the baseline gate below will under-report throughput",
-                file=sys.stderr,
-            )
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text())
-        ok, message = compare_to_baseline(
-            record, baseline, max_regression=args.max_regression
-        )
-        print(("PASS: " if ok else "FAIL: ") + message)
-        return 0 if ok else 1
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -919,8 +743,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_fleet(args)
     if args.command == "chaos":
         return _cmd_chaos(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "lint":
         return run_lint(args)
     raise AssertionError(f"unhandled command {args.command!r}")

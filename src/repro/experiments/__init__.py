@@ -6,8 +6,7 @@ on a shared multi-run :func:`run_experiment` engine with documented
 scale presets (``smoke`` / ``default`` / ``paper``).
 
 Each experiment module loads on first access (PEP 562), so the recovery
-soak's subprocesses and ``repro --help`` skip the LP bound and the
-benchmark modules.
+soak's subprocesses and ``repro --help`` skip the LP bound.
 """
 
 from typing import Any as _Any
@@ -20,11 +19,6 @@ _LAZY = {
     "heterogeneity_ablation": ".ablations",
     "seeding_ablation": ".ablations",
     "stop_rule_ablation": ".ablations",
-    "BENCH_SCHEMA": ".bench",
-    "compare_to_baseline": ".bench",
-    "run_bench": ".bench",
-    "run_state_micro": ".bench",
-    "save_record": ".bench",
     "ChaosSoakRound": ".chaos_soak",
     "FleetChaosRound": ".chaos_soak",
     "run_chaos_soak": ".chaos_soak",
@@ -40,7 +34,6 @@ _LAZY = {
     "fig4": ".figures",
     "fig5": ".figures",
     "run_figure": ".figures",
-    "run_fleet_bench": ".fleet_bench",
     "KILL_PHASES": ".recovery",
     "KillRound": ".recovery",
     "RecoveryConfig": ".recovery",
@@ -71,7 +64,6 @@ _LAZY = {
 }
 
 __all__ = [
-    "BENCH_SCHEMA",
     "FIG2_CASES",
     "FIGURES",
     "KILL_PHASES",
@@ -99,7 +91,6 @@ __all__ = [
     "SCALES",
     "bias_sweep",
     "build_case_model",
-    "compare_to_baseline",
     "crossover_ablation",
     "fig3",
     "fig4",
@@ -107,20 +98,16 @@ __all__ = [
     "full_report",
     "heterogeneity_ablation",
     "render_table1",
-    "run_bench",
     "run_chaos_soak",
-    "run_state_micro",
     "run_convergence",
     "run_experiment",
     "run_fig2",
-    "run_fleet_bench",
     "run_figure",
     "run_recovery_child",
     "run_recovery_soak",
     "run_runtime_table",
     "run_surge_curves",
     "run_survivability",
-    "save_record",
     "seeding_ablation",
     "stop_rule_ablation",
     "table1_rows",

@@ -448,6 +448,9 @@ def solve_fleet(
         raise ModelError(
             f"unknown shard solver {solver!r}; choose from {SHARD_SOLVERS}"
         )
+    # Partitioning validates n_shards, so its message comes first rather
+    # than a complaint about the n_workers default derived from it.
+    partition = partition_fleet(workload, n_shards, seed=seed)
     if n_workers is None:
         n_workers = min(n_shards, 4)
     if n_workers < 1:
@@ -460,7 +463,6 @@ def solve_fleet(
         if value < 0:
             raise ModelError(f"{name} must be >= 0, got {value}")
 
-    partition = partition_fleet(workload, n_shards, seed=seed)
     pool_stats: dict[str, Any] = {}
     solutions = _solve_all_shards(
         workload, partition, solver, seed, n_workers, chaos, pool_stats

@@ -1,7 +1,7 @@
 """Crash-safe file replacement: write temp → fsync → replace → fsync dir.
 
-Every durable artifact in the repository (checkpoints, bench records,
-lint baselines, journal snapshots, reports) must reach disk through
+Every durable artifact in the repository (checkpoints, lint baselines,
+journal snapshots, reports) must reach disk through
 this module.  A plain ``Path.write_text`` truncates the destination
 before writing, so a crash mid-write leaves a torn file that a reader
 cannot distinguish from tampering; the sequence here guarantees that a

@@ -34,8 +34,8 @@ The ten shipped per-file rules:
     (``repro.service``, ``repro.experiments``) — a service that promises
     an answer within a budget must never park on an unbounded primitive.
 ``RPR008``
-    No ``time.time()`` for duration measurement — runtime tables, the
-    benchmark records and the service deadline accounting must use the
+    No ``time.time()`` for duration measurement — runtime tables, GA
+    telemetry and the service deadline accounting must use the
     monotonic ``time.perf_counter()``, which wall-clock adjustments
     (NTP slew, DST) cannot corrupt.
 ``RPR013``
@@ -859,8 +859,8 @@ class _TimeImportTracker(ast.NodeVisitor):
 class WallClockTimingRule(Rule):
     """Wall-clock reads make runtime measurements non-monotonic.
 
-    The runtime comparison (Section 6), the ``BENCH_*.json`` perf
-    records, and the service's deadline accounting all subtract two
+    The runtime comparison (Section 6), the GA's ``evals_per_second``
+    telemetry, and the service's deadline accounting all subtract two
     clock reads.  ``time.time()`` follows the *wall* clock, which NTP
     slew, manual adjustment, or DST can move backwards mid-measurement —
     producing negative durations and corrupted evals/sec.  Duration
@@ -1087,7 +1087,7 @@ class DurableWriteRule(Rule):
     ``Path.write_text``/``write_bytes``) truncates the target before
     the new bytes are durable: a crash mid-write destroys the old
     contents *and* the new.  Every durable artifact — models,
-    checkpoints, benchmark records, baselines — must go through
+    checkpoints, baselines — must go through
     :func:`repro.io_utils.atomic.atomic_write_text` /
     ``atomic_write_bytes`` (write-temp → fsync → ``os.replace``), or
     the framed write-ahead log in :mod:`repro.service.journal`.  Those

@@ -572,7 +572,7 @@ FLEET_SMOKE = FleetScenario(
     cross_zone_rate=0.25,
 )
 
-#: The 10²-machine benchmark scenario (BENCH_fleet K-sweep).  Strings
+#: The 10²-machine scenario (tests pin its K = 1, 2, 4, 8 solves).  Strings
 #: are lightweight sensor/processing chains (CPU demand well below one
 #: machine) so fleet capacity, not single-string feasibility, is the
 #: binding constraint — the regime where sharding is the right call.

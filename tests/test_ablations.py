@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import (
     ExperimentScale,
     bias_sweep,
+    crossover_ablation,
     seeding_ablation,
     stop_rule_ablation,
 )
@@ -16,6 +17,17 @@ TINY = ExperimentScale(
     population_size=8,
     max_iterations=15,
     max_stale_iterations=10,
+    n_trials=1,
+)
+
+#: Scale of the seeding-claim and crossover checks.
+BENCH_TINY = ExperimentScale(
+    name="bench-tiny",
+    n_runs=2,
+    size_factor=0.25,
+    population_size=10,
+    max_iterations=30,
+    max_stale_iterations=15,
     n_trials=1,
 )
 
@@ -40,6 +52,12 @@ class TestSeedingAblation:
         assert out["difference"].n == 2
         assert "seeded" in out["table"]
 
+    def test_seeded_comparable_to_unseeded(self):
+        # paper: comparable performance — the seeded variant should not be
+        # dramatically worse (it starts from at-least-as-good seeds).
+        out = seeding_ablation(scale=BENCH_TINY)
+        assert out["seeded_psg"].mean >= 0.5 * out["psg"].mean
+
 
 class TestStopRuleAblation:
     def test_skip_dominates_stop(self):
@@ -47,3 +65,10 @@ class TestStopRuleAblation:
         # skip-ahead can only add strings on the same ordering
         assert out["difference"].mean >= -1e-9
         assert "mwf (stop)" in out["table"]
+
+
+class TestCrossoverAblation:
+    def test_runs_every_operator(self):
+        out = crossover_ablation(scale=BENCH_TINY)
+        assert set(out["results"]) == {"positional", "ox", "pmx"}
+        assert out["best_operator"] in out["results"]

@@ -157,3 +157,30 @@ class TestParserCoverage:
     def test_new_commands_parse(self, argv):
         args = build_parser().parse_args(argv)
         assert args.command == argv[0]
+
+
+class TestFleetCommand:
+    def test_prints_signature(self, capsys):
+        code = main([
+            "fleet", "--scenario", "fleet-smoke", "--shards", "2",
+            "--workers", "1", "--seed", "42",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "signature: " in out
+        assert "composed: " in out
+
+    def test_json_summary(self, tmp_path, capsys):
+        out = tmp_path / "fleet.json"
+        code = main([
+            "fleet", "--scenario", "fleet-smoke", "--shards", "2",
+            "--workers", "1", "--seed", "42", "--json", str(out),
+        ])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["n_shards"] == 2
+        assert payload["n_placed"] + len(payload["rejected"]) == (
+            payload["n_strings"]
+        )
+        sig = capsys.readouterr().out.split("signature: ")[1].split()[0]
+        assert payload["signature"] == sig

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import Allocation, SystemModel
-from repro.des import compare_to_estimates
+from repro.des import compare_to_estimates, simulate_allocation
 from repro.experiments.fig2 import FIG2_CASES, build_case_model
+from repro.heuristics import most_worth_first
+from repro.workload import SCENARIO_3, generate_model
 
 from conftest import build_string, uniform_network
 
@@ -46,6 +48,21 @@ class TestConservatism:
         cmp = compare_to_estimates(alloc, n_datasets=200, skip_datasets=20)
         est, meas = cmp.comp[(1, 0)]
         assert meas <= est * 1.05
+
+    def test_generated_allocation_pipeline(self):
+        """A heuristic's mapping of a generated model: every string
+        completes every data set, and steady-state means stay below the
+        worst-case-phase estimates, modulo a small numerical margin."""
+        model = generate_model(
+            SCENARIO_3.scaled(n_strings=8, n_machines=4), seed=9
+        )
+        alloc = most_worth_first(model).allocation
+        trace = simulate_allocation(alloc, 20)
+        for k in alloc:
+            assert trace.completed_datasets(k) == 20
+        cmp = compare_to_estimates(alloc, n_datasets=30, skip_datasets=3)
+        for (k, i), (est, meas) in cmp.comp.items():
+            assert meas <= est * 1.05 + 1e-9, (k, i)
 
 
 class TestReporting:

@@ -214,6 +214,20 @@ class TestSimulateDrift:
             # follow the shed history (deterministic reference)
             allocation = shed_resp.allocation
 
+    def test_every_policy_retains_part_of_the_worth(self):
+        model = generate_model(
+            SCENARIO_3.scaled(n_strings=10, n_machines=5), seed=4
+        )
+        initial = most_worth_first(model)
+        traj = uniform_ramp(model.n_strings, 12, peak_delta=3.0)
+        runs = {
+            policy.name: simulate_drift(model, initial, traj, policy)
+            for policy in (ShedPolicy(), RepairPolicy(), RemapPolicy("mwf"))
+        }
+        for run in runs.values():
+            assert 0.0 < run.worth_retention() <= 1.0 + 1e-9
+        assert runs["shed"].total_moved == 0
+
     def test_trajectory_shape_validated(self, drift_model, drift_initial):
         with pytest.raises(ValueError):
             simulate_drift(

@@ -14,7 +14,7 @@ from repro.experiments import (
     run_runtime_table,
     table1_rows,
 )
-from repro.workload import SCENARIO_1, SCENARIO_3
+from repro.workload import SCENARIO_1, SCENARIO_3, generate_model
 
 TINY = ExperimentScale(
     name="tiny",
@@ -23,6 +23,18 @@ TINY = ExperimentScale(
     population_size=8,
     max_iterations=20,
     max_stale_iterations=10,
+    n_trials=1,
+)
+
+#: Scale for the paper-shape checks: one-third hardware/workload size,
+#: 3 runs — seconds per figure instead of hours, same load character.
+BENCH_SCALE = ExperimentScale(
+    name="bench",
+    n_runs=3,
+    size_factor=1 / 3,
+    population_size=16,
+    max_iterations=80,
+    max_stale_iterations=40,
     n_trials=1,
 )
 
@@ -187,3 +199,68 @@ class TestRuntimeTable:
         names = [r.name for r in out["rows"]]
         assert names == ["psg", "mwf", "tf", "seeded-psg", "ub (LP)"]
         assert all(r.seconds >= 0 for r in out["rows"])
+
+
+class TestPaperShapes:
+    """The shapes EXPERIMENTS.md reports for Figures 3-5 and the Section-8
+    runtime comparison, at BENCH_SCALE with base seed 1000."""
+
+    @pytest.fixture(scope="class")
+    def fig3(self):
+        return run_figure("fig3", scale=BENCH_SCALE, base_seed=1_000)
+
+    @pytest.fixture(scope="class")
+    def fig4(self):
+        return run_figure("fig4", scale=BENCH_SCALE, base_seed=1_000)
+
+    def test_fig3_total_worth_highly_loaded(self, fig3):
+        assert fig3.heuristics_below_ub()
+        assert fig3.evolutionary_dominates()
+        agg = fig3.aggregates
+        # Scenario 1 is load-bound: nobody should reach the full worth.
+        model = generate_model(
+            fig3.outcome.config.effective_scenario(),
+            seed=fig3.outcome.records[0].seed,
+        )
+        assert agg["ub"].mean <= sum(s.worth for s in model.strings) + 1e-6
+        assert agg["mwf"].mean > 0
+
+    def test_fig4_total_worth_qos_limited(self, fig4):
+        assert fig4.heuristics_below_ub()
+        assert fig4.evolutionary_dominates()
+
+    def test_fig4_gap_exceeds_fig3_gap(self, fig3, fig4):
+        """Paper: 'The largest difference between the performance of
+        heuristics and computed upper bounds was observed in simulation
+        scenario 2.'  Compare relative best-heuristic/UB ratios."""
+
+        def best_ratio(fig):
+            agg = fig.aggregates
+            best = max(
+                agg[h].mean for h in ("psg", "seeded-psg", "mwf", "tf")
+            )
+            return best / agg["ub"].mean
+
+        assert best_ratio(fig4) < best_ratio(fig3)
+
+    def test_fig5_slackness_lightly_loaded(self):
+        result = run_figure("fig5", scale=BENCH_SCALE, base_seed=1_000)
+        assert result.heuristics_below_ub()
+        assert result.evolutionary_dominates()
+        # complete allocation: every heuristic mapped every string
+        scenario = result.outcome.config.effective_scenario()
+        for record in result.outcome.records:
+            for name, (_w, _s, _rt, n_mapped) in record.results.items():
+                assert n_mapped == scenario.n_strings, (name, record.seed)
+        # slackness values live in (0, 1) for a loaded-but-light system
+        for name in ("psg", "mwf", "tf", "seeded-psg"):
+            assert 0.0 < result.aggregates[name].mean < 1.0
+
+    def test_runtime_ordering(self):
+        """Evolutionary heuristics are orders of magnitude slower than the
+        single-shot ones (Section 8)."""
+        out = run_runtime_table(scale=BENCH_SCALE, seed=2_000)
+        assert out["ordering_ok"]
+        timings = {r.name: r.seconds for r in out["rows"]}
+        assert timings["psg"] > 10 * timings["mwf"]
+        assert timings["seeded-psg"] > 10 * timings["tf"]

@@ -20,7 +20,7 @@ from repro.fleet import (
 )
 from repro.fleet.solver import SHARD_SOLVERS, compose, validate_result
 from repro.parallel import ChaosPolicy
-from repro.workload.fleet import FLEET_SMOKE, generate_fleet
+from repro.workload.fleet import FLEET_BENCH, FLEET_SMOKE, generate_fleet
 
 SEED = 21
 
@@ -70,6 +70,15 @@ class TestSolveShard:
         (name,) = kwargs
         with pytest.raises(ModelError, match=name):
             solve_fleet(workload, 2, seed=SEED, **kwargs)
+
+    @pytest.mark.parametrize("n_shards", [0, -1, FLEET_SMOKE.n_zones + 1])
+    def test_shard_count_rejected_before_worker_default(
+        self, workload, n_shards
+    ):
+        # The n_workers default is derived from n_shards; a bad shard
+        # count must be reported as such, not as a bad worker count.
+        with pytest.raises(ModelError, match="1 <= n_shards <= n_zones"):
+            solve_fleet(workload, n_shards, seed=SEED)
 
     def test_zero_rebalance_arguments_allowed(self, workload):
         out = solve_fleet(
@@ -298,3 +307,32 @@ class TestPoolTransport:
         assert replayed.stats["pool"]["replayed_in_process"] == 2
         assert replayed.signature() == result.signature()
         assert replayed.total_worth == result.total_worth
+
+
+class TestFleetBenchPins:
+    """The 100-machine fleet-bench workload (seed 42), solved inline at
+    K = 1, 2, 4 and 8: the placements and worth must not change, and so
+    neither does the cost of sharding in worth (K=8 / K=1)."""
+
+    #: n_shards -> (signature, total_worth, n_placed)
+    PINS = {
+        1: ("dbfd5a0796eed6edd5bb3b1db0ccb897cae6e1f97380d9dedd6dbf53577942e8",
+            55014.0, 789),
+        2: ("bb576a690a059f1af6597af99b9bcddd7e520586d4647ac43f3736fbe1c2a75d",
+            59657.0, 689),
+        4: ("2b9d22315573bb661e023273d0ac6cf445b020f027b83f9ee2a7921cc0580516",
+            53239.0, 634),
+        8: ("5b2addc5d67368f2d2e38b08876d65cef26717938d81bd74310eede56d376875",
+            54547.0, 637),
+    }
+
+    @pytest.fixture(scope="class")
+    def bench_workload(self):
+        return generate_fleet(FLEET_BENCH, seed=42)
+
+    @pytest.mark.parametrize("n_shards", sorted(PINS))
+    def test_placements_pinned(self, bench_workload, n_shards):
+        out = solve_fleet(bench_workload, n_shards, seed=42, n_workers=1)
+        assert (out.signature(), out.total_worth, out.n_placed) == (
+            self.PINS[n_shards]
+        )

@@ -89,6 +89,12 @@ class TestUpperBoundDominatesHeuristics:
             if res.n_mapped == model.n_strings:
                 assert res.fitness.slackness <= ub.value + 1e-6
 
+    def test_complete_scenario3_paper_size(self):
+        """The slackness bound on scenario 3 at the paper's 25 strings."""
+        ub = upper_bound(generate_model(SCENARIO_3, seed=5),
+                         objective="complete")
+        assert 0.0 < ub.value <= 1.0
+
 
 class TestSolverAgreement:
     def test_simplex_matches_highs_partial(self):

@@ -15,6 +15,7 @@ from repro.heuristics import (
     tf_order,
     tightest_first,
 )
+from repro.workload import SCENARIO_1, generate_model
 
 SMALL_CONFIG = GenitorConfig(
     population_size=12,
@@ -122,9 +123,10 @@ class TestCompleteAllocationScenario:
 class TestEvaluationCore:
     """The perf layers must not change what the search returns."""
 
-    #: (fitness, order, mapped_ids) on scenario1_small with SMALL_CONFIG
-    #: and rng=5, captured while the search still had a second, cached
-    #: projection path; every state backend must reproduce them exactly.
+    #: (fitness, order, mapped_ids), captured while the search still had a
+    #: second, cached projection path; every state backend must reproduce
+    #: them exactly.  "psg" and "seeded_psg": scenario1_small with
+    #: SMALL_CONFIG and rng=5.  "psg_best_of_1": see _golden_run.
     GOLDEN = {
         "psg": (
             (654.0, 0.07342643974394802),
@@ -138,13 +140,39 @@ class TestEvaluationCore:
              0, 2, 7, 15, 19, 16, 9, 21),
             (5, 14, 4, 13, 3, 23, 18, 24, 1, 6, 11, 10, 12, 8),
         ),
+        "psg_best_of_1": (
+            (853.0, 0.12163748351374803),
+            (21, 9, 11, 6, 13, 3, 15, 1, 8, 4, 24, 0, 16, 10, 2, 18, 14,
+             17, 7, 22, 12, 23, 19, 5, 20),
+            (21, 9, 11, 6, 13, 3, 15, 1, 8, 4, 24, 0, 16, 10, 2, 18),
+        ),
     }
 
-    @pytest.mark.parametrize("heuristic", [psg, seeded_psg],
-                             ids=["psg", "seeded_psg"])
-    def test_golden_elite(self, scenario1_small, heuristic):
-        res = heuristic(scenario1_small, config=SMALL_CONFIG, rng=5)
-        fitness, order, mapped_ids = self.GOLDEN[heuristic.__name__]
+    @staticmethod
+    def _golden_run(case, scenario1_small):
+        if case == "psg_best_of_1":
+            # One best_of_trials PSG trial on scenario 1 at 25 strings /
+            # 4 machines (generator seed 7), population 30, 250 / 120
+            # iterations.
+            model = generate_model(
+                SCENARIO_1.scaled(n_strings=25, n_machines=4), seed=7
+            )
+            config = GenitorConfig(
+                population_size=30,
+                rules=StoppingRules(
+                    max_iterations=250, max_stale_iterations=120
+                ),
+            )
+            return best_of_trials(
+                psg, model, n_trials=1, rng=7, n_workers=1, config=config
+            )
+        heuristic = {"psg": psg, "seeded_psg": seeded_psg}[case]
+        return heuristic(scenario1_small, config=SMALL_CONFIG, rng=5)
+
+    @pytest.mark.parametrize("case", ["psg", "seeded_psg", "psg_best_of_1"])
+    def test_golden_elite(self, scenario1_small, case):
+        res = self._golden_run(case, scenario1_small)
+        fitness, order, mapped_ids = self.GOLDEN[case]
         assert res.fitness.as_tuple() == fitness
         assert tuple(res.order) == order
         assert tuple(res.mapped_ids) == mapped_ids
