@@ -26,6 +26,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
+from .core.exceptions import ModelError
 from .core.feasibility import analyze
 from .core.metrics import evaluate
 from .experiments.runner import SCALES
@@ -621,8 +622,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command.  Exit codes: 0 success, 1 a failed check, 2 a
+    usage error — an argument value the model rejects (``ModelError``)
+    or a file that cannot be read or written (``OSError``) ends with one
+    ``error:`` line on stderr instead of a traceback."""
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ModelError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "table1":
         from .experiments.table1 import render_table1
 

@@ -398,7 +398,7 @@ class AppString:
         return cached
 
     def imr_lists(self) -> ImrLists:
-        """Cached Python-list IMR constants for the scalar fast path.
+        """Cached Python-list IMR constants for the scalar IMR.
 
         Returns ``(share_rows, transfer_demand, intensity_order)``:
 
@@ -411,10 +411,10 @@ class AppString:
           scanning it for the first unassigned application reproduces
           ``argmax`` over the unassigned set exactly.
 
-        The doubles are ``tolist()`` conversions of the same expressions
-        the vectorized IMR path computes, so both paths see identical
-        values; plain list indexing just avoids per-element NumPy scalar
-        boxing in the inner loop.
+        The doubles are ``tolist()`` conversions of the NumPy
+        expressions (``work / period``, ``output_sizes / period``), so
+        they are the identical values; plain list indexing just avoids
+        per-element NumPy scalar boxing in the inner loop.
         """
         cached = self._imr_lists
         if cached is None:

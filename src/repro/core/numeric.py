@@ -9,13 +9,17 @@ rule RPR001 of :mod:`repro.quality` bans it across the codebase.  These
 helpers are the sanctioned replacement; they share their default
 tolerances with :data:`repro.core.feasibility.DEFAULT_TOL` so "equal for
 comparison purposes" means the same thing everywhere.
+
+:func:`pairwise_sum` fixes the other side of that coin: it adds a list of
+floats in exactly the order ``np.add.reduce`` does, so a scalar kernel
+can reproduce a NumPy sum bit for bit without building an array.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["ABS_TOL", "REL_TOL", "isclose", "is_zero"]
+__all__ = ["ABS_TOL", "REL_TOL", "isclose", "is_zero", "pairwise_sum"]
 
 #: Default relative tolerance, matching the feasibility analysis
 #: (:data:`repro.core.feasibility.DEFAULT_TOL`).
@@ -46,3 +50,42 @@ def is_zero(x: float, *, abs_tol: float = ABS_TOL) -> bool:
     tolerance is meaningless when the reference value is 0.0.
     """
     return abs(x) <= abs_tol
+
+
+def pairwise_sum(values: list[float]) -> float:
+    """``float(np.add.reduce(np.asarray(values)))``, bit for bit.
+
+    Replays NumPy's float64 pairwise summation: fewer than 8 terms add
+    left to right from 0.0; up to 128 terms run eight interleaved
+    partial sums combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
+    plus the leftover tail; longer runs split at a multiple of 8 near
+    the middle and recurse.
+    """
+    return _pairwise(values, 0, len(values))
+
+
+def _pairwise(xs: list[float], lo: int, n: int) -> float:
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += xs[i]
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = xs[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += xs[i]
+            r1 += xs[i + 1]
+            r2 += xs[i + 2]
+            r3 += xs[i + 3]
+            r4 += xs[i + 4]
+            r5 += xs[i + 5]
+            r6 += xs[i + 6]
+            r7 += xs[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            res += xs[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise(xs, lo, half) + _pairwise(xs, lo + half, n - half)

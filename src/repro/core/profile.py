@@ -20,7 +20,8 @@ This module factors that immutable part out of
   Python-list model constants (weights are summed in application order
   within each bucket);
 * :class:`ProfileCache` — a bounded model-scoped memo keyed on
-  ``(string_id, assignment bytes)`` with LRU eviction and hit statistics.
+  ``(string_id, assignment as a tuple of ints)`` with LRU eviction and
+  hit statistics.
 
 The mutable interference terms (``H``, ``wait_sum``) stay in the
 allocation state; a profile can therefore be shared freely between
@@ -33,6 +34,7 @@ import numpy as np
 
 from .exceptions import AllocationError
 from .model import SystemModel
+from .numeric import pairwise_sum
 from .tightness import priority_key
 from .types import IntArray, IntVectorLike
 
@@ -117,8 +119,9 @@ class StringProfile:
 
 def _normalize_assignment(
     model: SystemModel, string_id: int, machines: IntVectorLike
-) -> IntArray:
-    """Validate and canonicalize an assignment vector (contiguous int64)."""
+) -> tuple[IntArray, list[int]]:
+    """Validate an assignment; return it canonical (contiguous int64)
+    and as a list of Python ints."""
     s = model.strings[string_id]
     m = np.ascontiguousarray(machines, dtype=np.int64)
     if m.shape != (s.n_apps,):
@@ -126,41 +129,45 @@ def _normalize_assignment(
             f"string {string_id}: assignment length {m.shape} != "
             f"({s.n_apps},)"
         )
-    if m.size and (m.min() < 0 or m.max() >= model.n_machines):
+    m_list: list[int] = m.tolist()
+    _check_range(model, string_id, m_list)
+    return m, m_list
+
+
+def _check_range(model: SystemModel, string_id: int, m_list: list[int]) -> None:
+    if m_list and (min(m_list) < 0 or max(m_list) >= model.n_machines):
         raise AllocationError(
             f"string {string_id}: machine index out of range"
         )
-    return m
 
 
 def compute_profile(
     model: SystemModel, string_id: int, machines: IntVectorLike
 ) -> StringProfile:
     """Profile of one candidate assignment (validated first)."""
-    m = _normalize_assignment(model, string_id, machines)
-    return _build_profile(model, string_id, m)
+    m, m_list = _normalize_assignment(model, string_id, machines)
+    return _build_profile(model, string_id, m, m_list)
 
 
 def _build_profile(
-    model: SystemModel, string_id: int, m: IntArray
+    model: SystemModel, string_id: int, m: IntArray, m_list: list[int]
 ) -> StringProfile:
     """Bucket per-machine and per-route quantities of a canonical
-    assignment.
+    assignment (``m_list`` is ``m.tolist()``).
 
     Reads the cached Python-list model constants — ``share_rows`` /
     ``transfer_demand`` (:meth:`AppString.imr_lists`) and
     ``inv_bandwidth_rows`` — which hold the identical doubles of the
     NumPy arrays, plus the assigned execution times and the output
     sizes, and adds each bucket's weights in application order.  Path
-    sums go through ``np.add.reduce`` so their pairwise order matches
-    ``ndarray.sum`` exactly.
+    sums go through :func:`~repro.core.numeric.pairwise_sum`, the
+    pairwise order of ``ndarray.sum``.
     """
     s = model.strings[string_id]
     n = s.n_apps
-    m_list: list[int] = m.tolist()
     share_rows, transfer_demand, _ = s.imr_lists()
-    t_assigned = s.comp_times[np.arange(n), m]
-    t_list: list[float] = t_assigned.tolist()
+    comp_times = s.comp_times
+    t_list = [comp_times.item(i, m_list[i]) for i in range(n)]
 
     mload: dict[int, float] = {}
     mtmax: dict[int, float] = {}
@@ -178,7 +185,7 @@ def _build_profile(
             mtmax[j] = ti
             mcount[j] = 1
 
-    nominal = float(np.add.reduce(t_assigned))
+    nominal = pairwise_sum(t_list)
     rload: dict[Route, float] = {}
     rtmax: dict[Route, float] = {}
     rcount: dict[Route, int] = {}
@@ -204,7 +211,7 @@ def _build_profile(
                     rload[r] = ru
                     rtmax[r] = ti
                     rcount[r] = 1
-        nominal += float(np.add.reduce(np.asarray(times)))
+        nominal += pairwise_sum(times)
 
     m_keys = sorted(mload)
     r_keys = sorted(rload)
@@ -245,7 +252,7 @@ class ProfileCache:
     def __init__(self, max_entries: int = 100_000) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._entries: dict[tuple[int, bytes], StringProfile] = {}
+        self._entries: dict[tuple[int, tuple[int, ...]], StringProfile] = {}
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -265,23 +272,24 @@ class ProfileCache:
     ) -> StringProfile:
         """Memoized :func:`compute_profile` (validates the assignment).
 
-        On a hit, range validation is skipped: the canonical-bytes key
-        can only match an assignment of identical dtype, length, and
-        values that was fully validated when the entry was stored (the
-        shape check below rules out byte-equal reshapes).
+        On a hit, range validation is skipped: the key — the assignment
+        as a tuple of ints — can only match an assignment of identical
+        length and values that was fully validated when the entry was
+        stored (the shape check below rules out equal-valued reshapes).
         """
         m = np.ascontiguousarray(machines, dtype=np.int64)
         if m.shape != (model.strings[string_id].n_apps,):
             _normalize_assignment(model, string_id, m)  # raises
-        key = (string_id, m.tobytes())
+        m_list: list[int] = m.tolist()
+        key = (string_id, tuple(m_list))
         profile = self._entries.pop(key, None)
         if profile is not None:
             self._entries[key] = profile  # refresh LRU position
             self.hits += 1
             return profile
-        m = _normalize_assignment(model, string_id, m)
+        _check_range(model, string_id, m_list)
         self.misses += 1
-        profile = _build_profile(model, string_id, m)
+        profile = _build_profile(model, string_id, m, m_list)
         if len(self._entries) >= self.max_entries:
             self._entries.pop(next(iter(self._entries)))
             self.evictions += 1

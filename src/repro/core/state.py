@@ -45,6 +45,17 @@ violator :attr:`AllocationState.last_rejection` names when several
 strings on one resource would break their throughput bound; the
 accept/reject decision never depends on it.
 
+The running eq. (2)/(3) utilizations are Python floats: one list per
+machine and the route matrix twice, as row lists and as column lists.
+Stage 1 of ``try_add``, its commit, :meth:`AllocationState.remove`,
+:meth:`AllocationState.slackness` and the IMR's row and column reads
+(:meth:`AllocationState.route_row` / :meth:`AllocationState.route_col`)
+therefore touch no NumPy scalars; each value is the same sequence of
+IEEE-754 additions a NumPy accumulator would hold.
+:attr:`AllocationState.machine_util` and
+:attr:`AllocationState.route_util` stay available as read-only array
+copies for callers that want arrays.
+
 The immutable part of the per-string record (loads, tmax, counts,
 nominal path, priority key) lives in :class:`~repro.core.profile.StringProfile`
 and can be memoized across states through a
@@ -104,7 +115,7 @@ class RejectionReason:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _StringRecord:
     """Per-string bookkeeping for a mapped string.
 
@@ -138,8 +149,8 @@ class StateSnapshot:
     """
 
     __slots__ = (
-        "machine_util",
-        "route_util",
+        "machine_loads",
+        "route_rows",
         "records",
         "machine_users",
         "route_users",
@@ -148,15 +159,15 @@ class StateSnapshot:
 
     def __init__(
         self,
-        machine_util: FloatArray,
-        route_util: FloatArray,
+        machine_loads: list[float],
+        route_rows: list[list[float]],
         records: dict[int, _StringRecord],
         machine_users: list[list[PriorityKey]],
         route_users: dict[Route, list[PriorityKey]],
         worth: float,
     ) -> None:
-        self.machine_util = machine_util
-        self.route_util = route_util
+        self.machine_loads = machine_loads
+        self.route_rows = route_rows
         self.records = records
         self.machine_users = machine_users
         self.route_users = route_users
@@ -208,10 +219,13 @@ class AllocationState:
         #: Diagnostic: why the most recent ``try_add`` failed (or None).
         self.last_rejection: RejectionReason | None = None
         M = model.n_machines
-        #: Eq. (2) utilization per machine (running totals).
-        self.machine_util: FloatArray = np.zeros(M)
-        #: Eq. (3) utilization per route (running totals, diag always 0).
-        self.route_util: FloatArray = np.zeros((M, M))
+        # Eq. (2) utilization per machine and eq. (3) per route (running
+        # totals; the route diagonal stays 0.0), as Python floats.  The
+        # route matrix is kept twice, by row and by column, so the IMR
+        # reads either without copying.
+        self._mu: list[float] = [0.0] * M
+        self._ru_rows: list[list[float]] = [[0.0] * M for _ in range(M)]
+        self._ru_cols: list[list[float]] = [[0.0] * M for _ in range(M)]
         self._records: dict[int, _StringRecord] = {}
         # resource -> ascending priority keys of the strings using it
         # (a key ``(tightness, -id)`` names its string)
@@ -243,14 +257,45 @@ class AllocationState:
     def __contains__(self, string_id: int) -> bool:
         return string_id in self._records
 
+    @property
+    def machine_util(self) -> FloatArray:
+        """Eq. (2) utilization per machine, as a read-only array copy."""
+        out = np.array(self._mu)
+        out.setflags(write=False)
+        return out
+
+    @property
+    def route_util(self) -> FloatArray:
+        """Eq. (3) utilization per route ``(M, M)``, as a read-only array
+        copy (the diagonal is always 0)."""
+        out = np.array(self._ru_rows)
+        out.setflags(write=False)
+        return out
+
+    def machine_loads(self) -> list[float]:
+        """The live per-machine utilization list (do not mutate)."""
+        return self._mu
+
+    def route_row(self, j: int) -> list[float]:
+        """The live utilization list of every route out of ``j``
+        (``route_row(j)[b] == route_util[j, b]``; do not mutate)."""
+        return self._ru_rows[j]
+
+    def route_col(self, j: int) -> list[float]:
+        """The live utilization list of every route into ``j``
+        (``route_col(j)[a] == route_util[a, j]``; do not mutate)."""
+        return self._ru_cols[j]
+
     def slackness(self) -> float:
-        """Eq. (7) over the current utilization accumulators."""
-        slack = 1.0 - float(self.machine_util.max(initial=0.0))
-        M = self.model.n_machines
-        off = self.route_util[~np.eye(M, dtype=bool)]
-        if off.size:
-            slack = min(slack, 1.0 - float(off.max()))
-        return slack
+        """Eq. (7) over the current utilization accumulators.
+
+        ``1 - max`` over the machines and the off-diagonal routes, with
+        0 as the floor: the route diagonal is exactly 0.0, and
+        ``1.0 - x`` is monotone in ``x``, so this equals the minimum of
+        the per-resource slacks bit for bit.
+        """
+        peak = max(0.0, max(self._mu), max(map(max, self._ru_rows)))
+        return 1.0 - peak
 
     def fitness(self) -> Fitness:
         return Fitness(worth=self._worth, slackness=self.slackness())
@@ -293,8 +338,8 @@ class AllocationState:
         state.
         """
         return StateSnapshot(
-            machine_util=self.machine_util.copy(),
-            route_util=self.route_util.copy(),
+            machine_loads=self._mu.copy(),
+            route_rows=[row.copy() for row in self._ru_rows],
             records={k: rec.clone() for k, rec in self._records.items()},
             machine_users=[users.copy() for users in self._machine_users],
             route_users={r: users.copy() for r, users in self._route_users.items()},
@@ -308,8 +353,9 @@ class AllocationState:
         so later mutations of this state never leak back into the
         snapshot — a cached snapshot can seed any number of states.
         """
-        self.machine_util = snapshot.machine_util.copy()
-        self.route_util = snapshot.route_util.copy()
+        self._mu = snapshot.machine_loads.copy()
+        self._ru_rows = [row.copy() for row in snapshot.route_rows]
+        self._ru_cols = [list(col) for col in zip(*snapshot.route_rows)]
         self._records = {k: rec.clone() for k, rec in snapshot.records.items()}
         self._machine_users = [users.copy() for users in snapshot.machine_users]
         self._route_users = {
@@ -318,18 +364,6 @@ class AllocationState:
         self._worth = snapshot.worth
         self._mapped_cache = None
         self.last_rejection = None
-
-    # -- string profiling -------------------------------------------------------
-
-    def _get_profile(
-        self, string_id: int, machines: IntVectorLike
-    ) -> StringProfile:
-        """Profile for a candidate assignment (possibly memoized)."""
-        if self.profile_cache is not None:
-            return self.profile_cache.get_or_compute(
-                self.model, string_id, machines
-            )
-        return compute_profile(self.model, string_id, machines)
 
     # -- the core operations -----------------------------------------------------
 
@@ -346,23 +380,28 @@ class AllocationState:
         if string_id in self._records:
             raise AllocationError(f"string {string_id} is already mapped")
         self.last_rejection = None
-        prof = self._get_profile(string_id, machines)
-        rec = _StringRecord(profile=prof)
-        tol = self.tol
+        cache = self.profile_cache
+        if cache is None:
+            prof = compute_profile(self.model, string_id, machines)
+        else:
+            prof = cache.get_or_compute(self.model, string_id, machines)
+        rec = _StringRecord(prof)
+        cap = 1.0 + self.tol
 
         # ---- stage 1: capacity ---------------------------------------------
+        mu = self._mu
+        ru_rows = self._ru_rows
         for j, load in prof.m_load.items():
-            if self.machine_util[j] + load > 1.0 + tol:
+            if mu[j] + load > cap:
                 self.last_rejection = RejectionReason(
-                    1, "machine-capacity", f"machine {j}",
-                    float(self.machine_util[j] + load), 1.0,
+                    1, "machine-capacity", f"machine {j}", mu[j] + load, 1.0
                 )
                 return False
         for (j1, j2), load in prof.r_load.items():
-            if self.route_util[j1, j2] + load > 1.0 + tol:
+            if ru_rows[j1][j2] + load > cap:
                 self.last_rejection = RejectionReason(
                     1, "route-capacity", f"route {j1}->{j2}",
-                    float(self.route_util[j1, j2] + load), 1.0,
+                    ru_rows[j1][j2] + load, 1.0,
                 )
                 return False
 
@@ -372,41 +411,49 @@ class AllocationState:
         # User lists ascend by key, so w sits at the insertion point and
         # every user before it has lower priority.
         key = prof.key
+        period = prof.period
+        bound = period * cap
         records = self._records
+        machine_users = self._machine_users
+        m_tmax = prof.m_tmax
+        rec_H_m = rec.H_m
         m_lower: list[tuple[int, float, list[PriorityKey]]] = []
         for j, load in prof.m_load.items():
-            users = self._machine_users[j]
+            users = machine_users[j]
             at = bisect_right(users, key)
             if at < len(users):
                 pred = records[-users[at][1]]
                 H = pred.H_m[j] + pred.profile.m_load[j]
             else:
                 H = 0.0
-            rec.H_m[j] = H
-            if prof.m_tmax[j] + prof.period * H > prof.period * (1.0 + tol):
+            rec_H_m[j] = H
+            if m_tmax[j] + period * H > bound:
                 self.last_rejection = RejectionReason(
                     2, "throughput-comp",
                     f"string {string_id} on machine {j}",
-                    prof.m_tmax[j] + prof.period * H, prof.period,
+                    m_tmax[j] + period * H, period,
                 )
                 return False
             if at:
                 m_lower.append((j, load, users[:at]))
+        route_users = self._route_users
+        r_tmax = prof.r_tmax
+        rec_H_r = rec.H_r
         r_lower: list[tuple[Route, float, list[PriorityKey]]] = []
         for r, load in prof.r_load.items():
-            users = self._route_users.get(r, [])
+            users = route_users.get(r, [])
             at = bisect_right(users, key)
             if at < len(users):
                 rpred = records[-users[at][1]]
                 H = rpred.H_r[r] + rpred.profile.r_load[r]
             else:
                 H = 0.0
-            rec.H_r[r] = H
-            if prof.r_tmax[r] + prof.period * H > prof.period * (1.0 + tol):
+            rec_H_r[r] = H
+            if r_tmax[r] + period * H > bound:
                 self.last_rejection = RejectionReason(
                     2, "throughput-tran",
                     f"string {string_id} on route {r[0]}->{r[1]}",
-                    prof.r_tmax[r] + prof.period * H, prof.period,
+                    r_tmax[r] + period * H, period,
                 )
                 return False
             if at:
@@ -414,13 +461,13 @@ class AllocationState:
         # Canonical accumulation: one sequential chain over touched
         # resources, machines (ascending) then routes (ascending).
         ws = 0.0
-        for j in prof.m_load:
-            ws += prof.m_count[j] * rec.H_m[j]
-        for r in prof.r_load:
-            ws += prof.r_count[r] * rec.H_r[r]
+        for j, count in prof.m_count.items():
+            ws += count * rec_H_m[j]
+        for r, count in prof.r_count.items():
+            ws += count * rec_H_r[r]
         rec.wait_sum = ws
-        latency = prof.nominal_path + prof.period * rec.wait_sum
-        if latency > prof.max_latency * (1.0 + tol):
+        latency = prof.nominal_path + period * ws
+        if latency > prof.max_latency * cap:
             self.last_rejection = RejectionReason(
                 2, "latency", f"string {string_id}", latency, prof.max_latency
             )
@@ -443,7 +490,7 @@ class AllocationState:
                 newH = other.H_m[j] + load
                 if (
                     op.m_tmax[j] + op.period * newH
-                    > op.period * (1.0 + tol)
+                    > op.period * cap
                 ):
                     self.last_rejection = RejectionReason(
                         2, "throughput-comp",
@@ -461,7 +508,7 @@ class AllocationState:
                 newH = other.H_r[r] + load
                 if (
                     op.r_tmax[r] + op.period * newH
-                    > op.period * (1.0 + tol)
+                    > op.period * cap
                 ):
                     self.last_rejection = RejectionReason(
                         2, "throughput-tran",
@@ -477,21 +524,23 @@ class AllocationState:
             new_latency = op.nominal_path + op.period * (
                 other.wait_sum + wait_delta[z]
             )
-            if new_latency > op.max_latency * (1.0 + tol):
+            if new_latency > op.max_latency * cap:
                 self.last_rejection = RejectionReason(
                     2, "latency", f"string {z}", new_latency, op.max_latency
                 )
                 return False
 
         # ---- commit ----------------------------------------------------------
+        ru_cols = self._ru_cols
         for j, load in prof.m_load.items():
-            self.machine_util[j] += load
-            insort(self._machine_users[j], key)
+            mu[j] += load
+            insort(machine_users[j], key)
         for r, load in prof.r_load.items():
-            self.route_util[r] += load
-            users = self._route_users.get(r)
+            j1, j2 = r
+            ru_cols[j2][j1] = ru_rows[j1][j2] = ru_rows[j1][j2] + load
+            users = route_users.get(r)
             if users is None:
-                self._route_users[r] = [key]
+                route_users[r] = [key]
             else:
                 insort(users, key)
         for other, j, load in h_m_delta:
@@ -517,7 +566,7 @@ class AllocationState:
         prof = rec.profile
         key = prof.key
         for j, load in prof.m_load.items():
-            self.machine_util[j] -= load
+            self._mu[j] -= load
             users = self._machine_users[j]
             at = bisect_left(users, key)
             del users[at]
@@ -526,7 +575,10 @@ class AllocationState:
                 other.H_m[j] -= load
                 other.wait_sum -= other.profile.m_count[j] * load
         for r, load in prof.r_load.items():
-            self.route_util[r] -= load
+            j1, j2 = r
+            self._ru_cols[j2][j1] = self._ru_rows[j1][j2] = (
+                self._ru_rows[j1][j2] - load
+            )
             users = self._route_users[r]
             at = bisect_left(users, key)
             del users[at]
@@ -552,7 +604,7 @@ class AllocationState:
         """
         s = self.model.strings[string_id]
         share = s.work[app_index, j] / s.period
-        return float(self.machine_util[j] + extra + share)
+        return float(self._mu[j] + extra + share)
 
     def route_util_if(
         self,
@@ -576,7 +628,7 @@ class AllocationState:
             / s.period
             * self.model.network.inv_bandwidth[j1, j2]
         )
-        return float(self.route_util[j1, j2] + extra + demand)
+        return float(self._ru_rows[j1][j2] + extra + demand)
 
     def __repr__(self) -> str:
         return (

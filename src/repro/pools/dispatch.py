@@ -64,9 +64,10 @@ def least_utilized_dispatch(
     s = system.model.strings[string_id]
     best_j = -1
     best_util = np.inf
+    committed = state.machine_loads()
     for j in pool.machines:
         share = s.work[app_index, j] / s.period
-        util = float(state.machine_util[j] + part_machine[j] + share)
+        util = float(committed[j] + part_machine[j] + share)
         if util < best_util - 1e-15:
             best_util = util
             best_j = j
@@ -137,14 +138,14 @@ def pooled_map_string(
             if incoming:
                 demand = transfer_demand[i - 1]
                 route_scores[p] = (
-                    state.route_util[jn, j]
+                    state.route_row(jn)[j]
                     + part_route[jn, j]
                     + demand * net.inv_bandwidth[jn, j]
                 )
             else:
                 demand = transfer_demand[i]
                 route_scores[p] = (
-                    state.route_util[j, jn]
+                    state.route_row(j)[jn]
                     + part_route[j, jn]
                     + demand * net.inv_bandwidth[j, jn]
                 )

@@ -87,6 +87,13 @@ class TestAllocateEvaluate:
             "--heuristic", "best-random", "--seed", "5",
         ]) == 0
 
+    def test_missing_model_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.json"
+        assert main(["allocate", "--model", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_evaluate_feasible(self, model_file, alloc_file, capsys):
         rc = main([
             "evaluate", "--model", str(model_file),
@@ -169,6 +176,14 @@ class TestFleetCommand:
         out = capsys.readouterr().out
         assert "signature: " in out
         assert "composed: " in out
+
+    def test_zero_shards_is_usage_error(self, capsys):
+        code = main(["fleet", "--scenario", "fleet-smoke", "--shards", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "n_shards" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_json_summary(self, tmp_path, capsys):
         out = tmp_path / "fleet.json"

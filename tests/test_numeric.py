@@ -1,4 +1,4 @@
-"""Boundary behavior of the shared tolerance helpers (repro.core.numeric).
+"""Boundary behavior of the shared helpers in repro.core.numeric.
 
 These back the RPR001 fix sites: bias == 1.0 (genitor/bias.py),
 size_factor == 1.0 (experiments/runner.py), and lower-bound == 0
@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import math
 
-from repro.core.numeric import ABS_TOL, REL_TOL, is_zero, isclose
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.numeric import ABS_TOL, REL_TOL, is_zero, isclose, pairwise_sum
 
 
 def test_exact_equality_is_close():
@@ -76,3 +80,26 @@ def test_simplex_zero_lower_bound_replay():
     lo_noisy = 0.1 + 0.2 - 0.3  # ~5.5e-17, still "zero" for bounds
     assert lo_noisy != 0.0
     assert is_zero(lo_noisy)
+
+
+_TERMS = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False) | st.floats(
+    min_value=1e-9, max_value=1e-3
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_TERMS, min_size=1, max_size=200))
+def test_pairwise_sum_matches_numpy(values):
+    """Bit-identical to ``np.add.reduce`` across the sequential (< 8),
+    unrolled (8..128) and recursive (> 128) regimes."""
+    expected = float(np.add.reduce(np.asarray(values)))
+    assert pairwise_sum(values).hex() == expected.hex()
+
+
+def test_pairwise_sum_every_length():
+    rng = np.random.default_rng(0)
+    for n in range(1, 201):
+        values = (rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 8, n)).tolist()
+        expected = float(np.add.reduce(np.asarray(values)))
+        assert pairwise_sum(values).hex() == expected.hex(), n
+    assert pairwise_sum([]) == 0.0
