@@ -130,15 +130,11 @@ def _normalize_assignment(
             f"({s.n_apps},)"
         )
     m_list: list[int] = m.tolist()
-    _check_range(model, string_id, m_list)
-    return m, m_list
-
-
-def _check_range(model: SystemModel, string_id: int, m_list: list[int]) -> None:
     if m_list and (min(m_list) < 0 or max(m_list) >= model.n_machines):
         raise AllocationError(
             f"string {string_id}: machine index out of range"
         )
+    return m, m_list
 
 
 def compute_profile(
@@ -272,22 +268,30 @@ class ProfileCache:
     ) -> StringProfile:
         """Memoized :func:`compute_profile` (validates the assignment).
 
-        On a hit, range validation is skipped: the key — the assignment
-        as a tuple of ints — can only match an assignment of identical
-        length and values that was fully validated when the entry was
-        stored (the shape check below rules out equal-valued reshapes).
+        On a hit, validation is skipped: the key — the assignment as a
+        tuple — can only match an assignment of identical length and
+        values that was fully validated when the entry was stored (the
+        shape check below rules out equal-valued reshapes).  A list of
+        the right length (what the IMR returns) is keyed as it is; the
+        int64 array :attr:`StringProfile.machines` needs is built only
+        on a miss.
         """
-        m = np.ascontiguousarray(machines, dtype=np.int64)
-        if m.shape != (model.strings[string_id].n_apps,):
-            _normalize_assignment(model, string_id, m)  # raises
-        m_list: list[int] = m.tolist()
+        n_apps = model.strings[string_id].n_apps
+        if type(machines) is list and len(machines) == n_apps:
+            m_list: list[int] = machines
+        else:
+            m = np.ascontiguousarray(machines, dtype=np.int64)
+            if m.shape != (n_apps,):
+                _normalize_assignment(model, string_id, m)  # raises
+            m_list = m.tolist()
         key = (string_id, tuple(m_list))
         profile = self._entries.pop(key, None)
         if profile is not None:
             self._entries[key] = profile  # refresh LRU position
             self.hits += 1
             return profile
-        _check_range(model, string_id, m_list)
+        m, m_list = _normalize_assignment(model, string_id, machines)
+        key = (string_id, tuple(m_list))
         self.misses += 1
         profile = _build_profile(model, string_id, m, m_list)
         if len(self._entries) >= self.max_entries:

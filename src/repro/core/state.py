@@ -591,45 +591,6 @@ class AllocationState:
         self._worth -= self.model.strings[string_id].worth
         self._mapped_cache = None
 
-    # -- queries used by the IMR --------------------------------------------------
-
-    def machine_util_if(
-        self, j: int, string_id: int, app_index: int, extra: float = 0.0
-    ) -> float:
-        """``U_machine[j, i, k]``: utilization of ``j`` if app ``i`` joins.
-
-        ``extra`` lets the IMR account for applications of the same
-        string already tentatively placed on ``j`` but not yet committed
-        to the state.
-        """
-        s = self.model.strings[string_id]
-        share = s.work[app_index, j] / s.period
-        return float(self._mu[j] + extra + share)
-
-    def route_util_if(
-        self,
-        j1: int,
-        j2: int,
-        string_id: int,
-        transfer_index: int,
-        extra: float = 0.0,
-    ) -> float:
-        """``U_route[j1, j2, i, k]``: route utilization if transfer joins.
-
-        ``transfer_index`` is the index of the *sending* application;
-        the transfer carries ``output_sizes[transfer_index]`` bytes.
-        Intra-machine routes always report utilization 0.
-        """
-        if j1 == j2:
-            return 0.0
-        s = self.model.strings[string_id]
-        demand = (
-            s.output_sizes[transfer_index]
-            / s.period
-            * self.model.network.inv_bandwidth[j1, j2]
-        )
-        return float(self._ru_rows[j1][j2] + extra + demand)
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(n_strings={self.n_strings}, "

@@ -83,7 +83,7 @@ def imr_map_string(
     state: AllocationState,
     string_id: int,
     rng: np.random.Generator | None = None,
-) -> np.ndarray:
+) -> list[int]:
     """Derive the IMR machine assignment for one string.
 
     Parameters
@@ -99,8 +99,10 @@ def imr_map_string(
 
     Returns
     -------
-    numpy.ndarray
-        Machine index per application (``m[i, k]``), dtype int64.
+    list[int]
+        Machine index per application (``m[i, k]``).  A plain list:
+        :class:`~repro.core.profile.ProfileCache` keys on it directly and
+        builds the read-only int64 array only on a profile miss.
 
     Target selection walks the cached descending-stable intensity order,
     equivalent to ``argmax`` over the unassigned set (ties at equal
@@ -136,7 +138,7 @@ def imr_map_string(
     part_machine[best_j] = sh[best_j]
     mu[best_j] = committed[best_j] + sh[best_j]
     if n == 1:
-        return np.array(assignment, dtype=np.int64)
+        return assignment
 
     inv_rows = model.network.inv_bandwidth_rows()
     inv_cols = model.network.inv_bandwidth_cols()
@@ -208,4 +210,4 @@ def imr_map_string(
         part_machine[best_j] = load
         mu[best_j] = committed[best_j] + load
 
-    return np.array(assignment, dtype=np.int64)
+    return assignment

@@ -90,10 +90,10 @@ def local_search(
             improved = False
             for k in list(state.mapped_ids):
                 before = state.fitness()
-                original = np.array(state.machines_for(k))
+                original = state.machines_for(k)  # read-only, immutable
                 state.remove(k)
                 candidate = imr_map_string(state, k)
-                if np.array_equal(candidate, original):
+                if candidate == original.tolist():
                     restored = state.try_add(k, original)
                     assert restored
                     continue

@@ -9,8 +9,9 @@ gracefully under pressure:
 
 * :mod:`repro.service.deadline` — per-request monotonic budgets;
 * :mod:`repro.service.cascade` — the anytime solver cascade
-  (psg → mwf+ls → mwf → tf) under a shrinking deadline, with the GA
-  tiers preempted via ``StoppingRules.max_wall_seconds``;
+  (mwf+ls → mwf → psg → tf) under a shrinking deadline: the GA runs
+  only where the greedy tiers leave a string unplaced, preempted via
+  ``StoppingRules.max_wall_seconds``;
 * :mod:`repro.service.breaker` / :mod:`repro.parallel.retry` — per-tier
   circuit breakers and jittered-backoff retries;
 * :mod:`repro.service.admission` — worth-priority admission queue and

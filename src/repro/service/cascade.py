@@ -1,4 +1,4 @@
-"""Anytime solver cascade: psg → mwf+ls → mwf → tf under a deadline.
+"""Anytime solver cascade: mwf+ls → mwf → psg → tf under a deadline.
 
 The mission controller must answer every request — a string arriving, a
 machine failing, workload drifting — with a *feasible* allocation inside
@@ -6,8 +6,9 @@ a wall-clock budget.  No single heuristic fits that contract: the GA
 finds the best mappings but needs seconds, the greedy single-shots
 answer in milliseconds but leave worth on the table.
 
-The cascade runs the tiers in **descending quality order**, each under a
-share of the *remaining* budget, and keeps the lexicographically best
+The cascade runs the **cheap greedy tiers first** and the GA only where
+they fall short, each tier under a share of the *remaining* budget, and
+keeps the lexicographically best
 :class:`~repro.heuristics.base.HeuristicResult` seen so far:
 
 * **interruptible tiers** (the GA heuristics) receive their budget as a
@@ -27,7 +28,10 @@ A caller may hand in an **incumbent** (the controller's carry-forward
 floor): the search starts from it, a tier replaces it only when
 strictly better, and the GA tiers are skipped while the best result so
 far places every string, since then no tier can raise worth.  The
-greedy tiers still run; they can raise slackness.
+greedy tiers still run; they can raise slackness.  In the default
+order the greedy tiers come first, so the GA runs only when the floor
+and both greedy answers leave a string unplaced: worth first, slackness
+second, as the paper ranks allocations.
 """
 
 from __future__ import annotations
@@ -74,12 +78,14 @@ class TierSpec:
             raise ModelError(f"share must lie in (0, 1], got {self.share}")
 
 
-#: Quality-ordered default tiers: the GA first (best mappings, anytime),
-#: then local search, then the greedy single-shots, with TF guaranteed.
+#: Default tiers, cheap first: local search and the greedy single-shot
+#: answer in milliseconds; the GA (anytime) runs only while a string is
+#: still unplaced, since otherwise it could raise slackness alone; TF is
+#: the guaranteed last resort.
 DEFAULT_TIERS: tuple[TierSpec, ...] = (
-    TierSpec("psg", share=0.6),
     TierSpec("mwf+ls", share=0.5),
     TierSpec("mwf", share=0.5),
+    TierSpec("psg", share=0.6),
     TierSpec("tf", share=1.0, guaranteed=True),
 )
 

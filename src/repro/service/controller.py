@@ -17,7 +17,8 @@ each :class:`~repro.service.events.MissionEvent` as one *request*:
 5. run the :class:`~repro.service.cascade.SolverCascade` under the
    request deadline (tiers restricted by health policy) with the floor
    as its incumbent: the cascade keeps the lexicographic best, and
-   skips the GA when the floor already places every string;
+   skips the GA when the floor or a greedy tier already places every
+   string;
 6. shed lowest-worth services while slackness sits below the health
    floor; record everything in a :class:`RequestOutcome`;
 7. feed slackness / deadline / breaker signals back into the

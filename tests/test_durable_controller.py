@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import repro.service.cascade as cascade_mod
+from repro.core.feasibility import analyze
 from repro.experiments.recovery import TickClock
 from repro.service.cascade import CascadeConfig
 from repro.service.controller import ServiceConfig
@@ -272,3 +273,60 @@ def test_recovery_replays_the_open_breaker_health_signal(
     assert recovered.recovery.applied == len(events)
     assert state_of(recovered) == live
     recovered.close()
+
+
+@pytest.mark.parametrize("seed", [1, 1009])
+def test_default_cascade_on_the_soak_stream(tmp_path, monkeypatch, seed):
+    """The default cascade serving the ``SoakConfig`` stream: every final
+    allocation is feasible and worth at least its carry-forward floor,
+    and PSG runs only where no earlier tier placed every string."""
+    real_solve = cascade_mod.SolverCascade.solve
+    calls = []
+
+    def recording_solve(self, model, deadline, *args, **kwargs):
+        result = real_solve(self, model, deadline, *args, **kwargs)
+        calls.append((kwargs["incumbent"], result))
+        return result
+
+    monkeypatch.setattr(cascade_mod.SolverCascade, "solve", recording_solve)
+    config = SoakConfig()
+    catalog = build_catalog(config)
+    events = generate_scenario(
+        catalog, config.n_events, rng=config.seed + 1, config=config.events
+    )
+    controller = DurableMissionController(
+        catalog,
+        # a budget no tier's wall-clock stop reaches: the same work per run
+        ServiceConfig(default_budget=3_600.0, grace=0.0),
+        rng=seed,
+        journal_dir=tmp_path,
+        initial_active=initial_services(config, catalog),
+    )
+    psg_runs = 0
+    for event in events:
+        n_calls = len(calls)
+        outcome = controller.handle(event)
+        inner = controller._inner
+        active = tuple(sorted(inner.active))
+        model = inner._working_model(active)
+        allocation = inner._restricted_allocation(model, active)
+        assert len(allocation) == len(active)
+        assert analyze(allocation).feasible, outcome.seq
+        assert allocation.total_worth() == outcome.worth
+        if len(calls) == n_calls:  # no active service: nothing to solve
+            assert outcome.tier_used is None
+            continue
+        floor, result = calls[-1]
+        assert outcome.worth >= floor.fitness.worth, outcome.seq
+        complete = len(floor.mapped_ids) == floor.allocation.model.n_strings
+        for attempt in result.attempts:
+            if attempt.tier == "psg":
+                # skipped exactly where an earlier answer is complete,
+                # so it runs (ok/timeout) only where worth is at stake
+                assert (attempt.status == "skipped-incumbent") == complete
+                psg_runs += attempt.status in ("ok", "timeout")
+            elif attempt.result is not None:
+                n = attempt.result.allocation.model.n_strings
+                complete |= len(attempt.result.mapped_ids) == n
+    controller.close()
+    assert 0 < psg_runs < len(events)

@@ -168,7 +168,8 @@ def _assert_parity_while_filling(model: SystemModel) -> set[str]:
     for k in range(model.n_strings):
         fast = imr_map_string(state, k)
         vec = _imr_vectorized(state, k, None)
-        assert fast.dtype == vec.dtype == np.int64
+        assert type(fast) is list and vec.dtype == np.int64
+        assert all(type(j) is int for j in fast)
         np.testing.assert_array_equal(fast, vec, err_msg=f"string {k}")
         seen |= _growth(model, k)
         state.try_add(k, fast)

@@ -157,6 +157,12 @@ class TestProfileCache:
         b = cache.get_or_compute(small_model, 0, machines)
         assert a is b
         assert cache.hits == 1 and cache.misses == 1
+        # a list (what the IMR returns) and an array share one entry
+        for same in (np.array(machines), np.array(machines, dtype=np.int32)):
+            assert cache.get_or_compute(small_model, 0, same) is a
+        assert cache.hits == 3 and cache.misses == 1
+        assert a.machines.dtype == np.int64
+        assert not a.machines.flags.writeable
         fresh = compute_profile(small_model, 0, machines)
         assert a.m_load == fresh.m_load
         assert a.m_tmax == fresh.m_tmax

@@ -125,10 +125,10 @@ class TestCascadeConfig:
         with pytest.raises(ModelError):
             greedy_config(min_tier_budget=0.0)
 
-    def test_default_tiers_are_quality_ordered_psg_first_tf_last(self):
+    def test_default_tiers_are_greedy_first_psg_then_tf_last(self):
         config = CascadeConfig()
         names = [tier.heuristic for tier in config.tiers]
-        assert names == ["psg", "mwf+ls", "mwf", "tf"]
+        assert names == ["mwf+ls", "mwf", "psg", "tf"]
         assert config.tiers[-1].guaranteed
         assert not any(tier.guaranteed for tier in config.tiers[:-1])
 
@@ -440,6 +440,70 @@ class TestIncumbent:
         # psg ties mwf and beats tf: the first tier at the maximum wins
         assert result.best is result.attempts[0].result
         assert result.deadline_hit
+
+    # -- the default order: greedy tiers first, the GA where they fall short
+
+    def test_default_psg_skipped_when_greedy_places_every_string(
+        self, model, monkeypatch
+    ):
+        called: list[str] = []
+        self.recording_lookup(monkeypatch, called)
+        result = SolverCascade().solve(model, Deadline(5.0), rng=0)
+        assert called == ["mwf+ls", "mwf", "tf"]
+        assert [(a.tier, a.status) for a in result.attempts] == [
+            ("mwf+ls", "ok"),
+            ("mwf", "ok"),
+            ("psg", "skipped-incumbent"),
+            ("tf", "ok"),
+        ]
+        first = result.attempts[0].result
+        assert len(first.mapped_ids) == model.n_strings
+        assert result.best.fitness >= first.fitness
+
+    def test_default_psg_runs_after_greedy_tiers_leave_a_string(
+        self, monkeypatch
+    ):
+        tight = generate_model(
+            SCENARIO_3.scaled(n_strings=8, n_machines=3), seed=1
+        )
+        full = get_heuristic("mwf")(tight, rng=np.random.default_rng(0))
+        partial = incumbent_of(
+            tight, full.allocation.restricted_to(full.mapped_ids[:2])
+        )
+        called: list[str] = []
+        self.recording_lookup(monkeypatch, called)
+        result = SolverCascade().solve(
+            tight, Deadline(5.0), rng=0, incumbent=partial
+        )
+        assert called == ["mwf+ls", "mwf", "psg", "tf"]
+        greedy = [a.result for a in result.attempts[:2]]
+        assert all(len(r.mapped_ids) < tight.n_strings for r in greedy)
+        assert [a.status for a in result.attempts] == ["ok"] * 4
+        for earlier in [partial, *greedy]:
+            assert result.best.fitness >= earlier.fitness
+        assert analyze(result.best.allocation).feasible
+
+    def test_default_psg_skip_keeps_a_half_open_probe(
+        self, model, monkeypatch
+    ):
+        clock = FakeClock()
+        cascade = SolverCascade(
+            CascadeConfig(
+                breaker=BreakerConfig(failure_threshold=1, reset_timeout=10)
+            ),
+            clock=clock,
+            sleep=lambda s: None,
+        )
+        self.recording_lookup(monkeypatch, [])
+        breaker = cascade.breakers["psg"]
+        breaker.record_failure()
+        clock.advance(11.0)
+        assert breaker.state is BreakerState.HALF_OPEN
+        result = cascade.solve(model, Deadline(5.0, clock=clock), rng=0)
+        assert result.attempts[2].tier == "psg"
+        assert result.attempts[2].status == "skipped-incumbent"
+        assert breaker.state is BreakerState.HALF_OPEN
+        assert breaker.allow()  # the probe was never handed out
 
 
 # ---------------------------------------------------------------------------

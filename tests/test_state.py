@@ -236,25 +236,6 @@ class TestIncrementalMatchesFull:
         )
 
 
-class TestUtilizationQueries:
-    def test_machine_util_if(self, small_model):
-        state = AllocationState(small_model)
-        state.try_add(2, [0])  # load 2*0.5/30 on machine 0
-        base = 1.0 / 30.0
-        # string 1 app 0: 2*0.5/50 = 0.02
-        assert state.machine_util_if(0, 1, 0) == pytest.approx(base + 0.02)
-        assert state.machine_util_if(1, 1, 0) == pytest.approx(0.02)
-        assert state.machine_util_if(
-            1, 1, 0, extra=0.1
-        ) == pytest.approx(0.12)
-
-    def test_route_util_if(self, small_model):
-        state = AllocationState(small_model)
-        # string 1 transfer 0: 1000/50 B/s over 1e6 -> 2e-5
-        assert state.route_util_if(0, 1, 1, 0) == pytest.approx(2e-5)
-        assert state.route_util_if(0, 0, 1, 0) == 0.0  # intra-machine
-
-
 class TestSnapshotRestore:
     def test_roundtrip_is_exact(self, small_model):
         state = AllocationState(small_model)
