@@ -38,10 +38,9 @@ from .core import (
 
 #: Subpackages load on first attribute access (PEP 562), so a process
 #: pays only for the layers it uses: ``import repro.service`` does not
-#: import scipy, networkx or the experiment harness.
+#: import scipy or the experiment harness.
 _LAZY = {
     "analysis": ".analysis",
-    "dag": ".dag",
     "des": ".des",
     "dynamic": ".dynamic",
     "experiments": ".experiments",
@@ -52,7 +51,6 @@ _LAZY = {
     "io_utils": ".io_utils",
     "lp": ".lp",
     "parallel": ".parallel",
-    "pools": ".pools",
     "quality": ".quality",
     "robustness": ".robustness",
     "service": ".service",
@@ -70,7 +68,6 @@ __all__ = [
     "analysis",
     "analyze",
     "core",
-    "dag",
     "des",
     "dynamic",
     "experiments",
@@ -82,7 +79,6 @@ __all__ = [
     "is_feasible",
     "lp",
     "parallel",
-    "pools",
     "quality",
     "robustness",
     "service",

@@ -1,14 +1,14 @@
 """PEP 562 lazy exports for package ``__init__`` modules.
 
 A package that re-exports a heavy submodule eagerly makes every importer
-pay for it: ``import repro.service`` used to load scipy and networkx
-because ``repro/__init__`` imported all of its subpackages.  Instead, a
+pay for it: ``import repro.service`` used to load scipy because
+``repro/__init__`` imported all of its subpackages.  Instead, a
 package lists such exports in a module-level ``_LAZY`` table and
 forwards its ``__getattr__`` / ``__dir__`` here::
 
     _LAZY = {
-        "dag": ".dag",                        # the submodule itself
-        "load_dag_system": ".dag_serialize",  # an attribute of it
+        "fig2": ".fig2",          # the submodule itself
+        "run_fig2": ".fig2",      # an attribute of it
     }
 
     def __getattr__(name: str) -> Any:

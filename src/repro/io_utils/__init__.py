@@ -5,14 +5,8 @@
 artifact in the repository goes through it (enforced by lint rule
 RPR014).  :mod:`repro.io_utils.checkpoint` fingerprints the
 configurations that resumable state is bound to.
-
-The DAG serializers load on first access: they need :mod:`repro.dag`,
-which imports networkx and scipy.
 """
 
-from typing import Any as _Any
-
-from .. import _lazy
 from .atomic import atomic_write_bytes, atomic_write_text, fsync_dir
 from .checkpoint import fingerprint_payload
 from .serialize import (
@@ -26,13 +20,6 @@ from .serialize import (
     save_model,
 )
 
-_LAZY = {
-    "dag_system_from_dict": ".dag_serialize",
-    "dag_system_to_dict": ".dag_serialize",
-    "load_dag_system": ".dag_serialize",
-    "save_dag_system": ".dag_serialize",
-}
-
 __all__ = [
     "allocation_from_dict",
     "allocation_to_dict",
@@ -40,10 +27,6 @@ __all__ = [
     "atomic_write_text",
     "fingerprint_payload",
     "fsync_dir",
-    "dag_system_from_dict",
-    "dag_system_to_dict",
-    "load_dag_system",
-    "save_dag_system",
     "load_allocation",
     "load_model",
     "model_from_dict",
@@ -52,10 +35,3 @@ __all__ = [
     "save_model",
 ]
 
-
-def __getattr__(name: str) -> _Any:
-    return _lazy.load(__name__, _LAZY, name)
-
-
-def __dir__() -> list[str]:
-    return _lazy.names(globals(), _LAZY)

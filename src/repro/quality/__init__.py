@@ -22,8 +22,6 @@ Use it from the command line (``repro lint src/repro``) or as a library::
     assert report.ok, [f.render() for f in report.findings]
 """
 
-from .baseline import Baseline, BaselineError
-from .cache import LintCache
 from .engine import (
     LintEngine,
     LintReport,
@@ -33,7 +31,7 @@ from .engine import (
     module_name_for,
 )
 from .findings import Finding, Severity
-from .formats import render_github, render_sarif
+from .formats import render_github
 from .project import (
     PROJECT_RULES,
     ModuleInfo,
@@ -46,10 +44,7 @@ from .rules import RULES, Rule, RuleContext, register
 
 __all__ = [
     "ALL_RULE_IDS",
-    "Baseline",
-    "BaselineError",
     "Finding",
-    "LintCache",
     "LintEngine",
     "LintReport",
     "ModuleInfo",
@@ -68,7 +63,6 @@ __all__ = [
     "register",
     "register_project",
     "render_github",
-    "render_sarif",
 ]
 
 #: Every registered rule id — per-file and project-scoped combined.

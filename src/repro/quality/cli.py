@@ -1,22 +1,19 @@
 """``repro lint`` — CLI front end of the quality engine.
 
-Exit status: 0 when no (non-suppressed, non-baselined) findings remain,
-1 when findings are reported, 2 on usage errors such as an unknown rule
-id or a malformed baseline file.
+Exit status: 0 when no (non-suppressed) findings remain, 1 when findings
+are reported, 2 on usage errors such as an unknown rule id, a missing
+path or a ``--jobs`` below 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .baseline import Baseline, BaselineError
-from .cache import LintCache
 from .engine import LintEngine, LintReport
-from .formats import render_github, render_sarif
+from .formats import render_github
 from .project import PROJECT_RULES
 from .rules import RULES, Rule
 
@@ -45,11 +42,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif", "github"),
+        choices=("text", "github"),
         default="text",
         dest="output_format",
-        help="report format (sarif: SARIF 2.1.0 log; github: workflow "
-        "annotation lines)",
+        help="report format (github: workflow annotation lines)",
     )
     parser.add_argument(
         "--jobs",
@@ -58,23 +54,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="process-pool width for the per-file pass "
         "(default: auto; 1 forces serial)",
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="FILE",
-        help="content-hash result cache; unchanged files skip analysis",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="JSON baseline of grandfathered findings to subtract",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to --baseline FILE and exit 0",
     )
     parser.add_argument(
         "--statistics",
@@ -129,8 +108,6 @@ def _render_text(report: LintReport, statistics: bool) -> str:
     )
     if report.suppressed:
         summary += f", {report.suppressed} suppressed"
-    if report.baselined:
-        summary += f", {report.baselined} baselined"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -153,20 +130,6 @@ def run_lint(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    baseline: Baseline | None = None
-    if args.baseline and not args.write_baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except FileNotFoundError:
-            print(
-                f"error: baseline file not found: {args.baseline}",
-                file=sys.stderr,
-            )
-            return 2
-        except (BaselineError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
         print(
@@ -175,39 +138,14 @@ def run_lint(args: argparse.Namespace) -> int:
         )
         return 2
 
-    cache = LintCache(args.cache) if args.cache else None
-    engine = LintEngine(
-        rules=tuple(rules or ()),
-        baseline=baseline,
-        jobs=args.jobs,
-        cache=cache,
-    )
+    try:
+        engine = LintEngine(rules=tuple(rules or ()), jobs=args.jobs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = engine.run(args.paths)
 
-    if args.write_baseline:
-        if not args.baseline:
-            print(
-                "error: --write-baseline requires --baseline FILE",
-                file=sys.stderr,
-            )
-            return 2
-        Baseline.from_findings(report.findings).save(args.baseline)
-        print(
-            f"wrote {len(report.findings)} finding(s) to {args.baseline}"
-        )
-        return 0
-
-    if args.output_format == "json":
-        payload = {
-            "findings": [f.to_dict() for f in report.findings],
-            "files_checked": report.files_checked,
-            "suppressed": report.suppressed,
-            "baselined": report.baselined,
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.output_format == "sarif":
-        print(render_sarif(report))
-    elif args.output_format == "github":
+    if args.output_format == "github":
         print(render_github(report))
     else:
         print(_render_text(report, statistics=args.statistics))

@@ -7,22 +7,16 @@ run has two analysis passes:
 * **per-file** — each file is parsed once and every enabled per-file
   rule (RPR001–RPR008, RPR013) runs over the shared AST.  With enough
   files this pass fans out over a
-  :class:`~repro.parallel.SupervisedPool` (``jobs``), and a
-  content-hash :class:`~repro.quality.cache.LintCache` can skip
-  unchanged files entirely;
+  :class:`~repro.parallel.SupervisedPool` (``jobs``);
 * **whole-program** — every successfully parsed module is assembled into
   a :class:`~repro.quality.project.ProjectContext` (import graph, symbol
   tables, cross-module references) and each enabled
   :class:`~repro.quality.project.ProjectRule` (RPR009–RPR012) runs once
-  over the whole project.  Project findings are never cached: any file's
-  change can create or remove a finding in another file.
+  over the whole project.
 
-Findings then pass through two suppression layers:
-
-* inline ``# repro: noqa`` / ``# repro: noqa[RPR001,RPR004]`` comments on
-  the offending line (counted in :attr:`LintReport.suppressed`), and
-* an optional committed baseline (see :mod:`repro.quality.baseline`) for
-  grandfathering findings during incremental adoption.
+Inline ``# repro: noqa`` / ``# repro: noqa[RPR001,RPR004]`` comments on
+the offending line suppress findings of either pass (counted in
+:attr:`LintReport.suppressed`).
 """
 
 from __future__ import annotations
@@ -35,8 +29,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..parallel import SupervisedPool, Task
-from .baseline import Baseline
-from .cache import LintCache
 from .findings import Finding
 from .project import (
     PROJECT_RULES,
@@ -44,7 +36,7 @@ from .project import (
     ProjectRule,
     build_project,
 )
-from .rules import RULES, Rule, RuleContext, package_submodules
+from .rules import RULES, Rule, RuleContext
 
 # Importing the rule modules populates the registries the default rule
 # set is built from.
@@ -150,7 +142,6 @@ class LintReport:
 
     findings: tuple[Finding, ...]
     suppressed: int = 0
-    baselined: int = 0
     files_checked: int = 0
 
     @property
@@ -182,8 +173,8 @@ def _registry_ids(rules: Sequence[Rule]) -> tuple[str, ...] | None:
     """Rule ids when every rule is the shared registry instance.
 
     Returns ``None`` when any rule is a custom (non-registry) instance —
-    those cannot be reconstructed inside a worker process or keyed into
-    the cache, so the engine runs them serially and uncached.
+    those cannot be reconstructed inside a worker process, so the engine
+    runs them serially.
     """
     ids: list[str] = []
     for rule in rules:
@@ -218,23 +209,20 @@ class LintEngine:
     rules:
         Rule instances to run; defaults to the full registry (per-file
         and project-scoped).
-    baseline:
-        Previously-accepted findings to filter out (incremental adoption).
     jobs:
         Process-pool width for the per-file pass.  ``None`` (default)
         picks automatically: serial below ``16`` files, up to 8 workers
-        above.  ``1`` forces serial.  Only registry rules parallelize;
-        custom rule instances always run serially.
-    cache:
-        Optional content-hash result cache for the per-file pass; hits
-        skip parsing and rule dispatch for unchanged files.  Project
-        findings are recomputed every run regardless.
+        above.  ``1`` forces serial; below ``1`` raises ``ValueError``.
+        Only registry rules parallelize; custom rule instances always
+        run serially.
     """
 
     rules: Sequence[Rule] = field(default_factory=_default_rules)
-    baseline: Baseline | None = None
     jobs: int | None = None
-    cache: LintCache | None = None
+
+    def __post_init__(self) -> None:
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
     def lint_source(
         self,
@@ -279,7 +267,7 @@ class LintEngine:
         return self.lint_source(source, path=str(file_path))
 
     def run(self, paths: Iterable[str | Path]) -> LintReport:
-        """Lint every python file under ``paths`` and apply the baseline."""
+        """Lint every python file under ``paths``."""
         entries = [
             (str(file_path), file_path.read_text(encoding="utf-8"))
             for file_path in iter_python_files(paths)
@@ -299,15 +287,9 @@ class LintEngine:
             kept, count = self._run_project_rules(entries, project_rules_)
             findings.extend(kept)
             suppressed += count
-        baselined = 0
-        if self.baseline is not None:
-            findings, baselined = self.baseline.filter(findings)
-        if self.cache is not None:
-            self.cache.save()
         return LintReport(
             findings=tuple(sorted(findings)),
             suppressed=suppressed,
-            baselined=baselined,
             files_checked=len(entries),
         )
 
@@ -318,27 +300,9 @@ class LintEngine:
         entries: Sequence[tuple[str, str]],
         file_rules: Sequence[Rule],
     ) -> list[tuple[list[Finding], int]]:
-        """Per-file results for ``entries``, cached/parallel when possible."""
+        """Per-file results for ``entries``, in parallel when possible."""
         rule_ids = _registry_ids(file_rules)
-        scoped = LintEngine(rules=file_rules)
-        results: dict[int, tuple[list[Finding], int]] = {}
-        pending: list[tuple[int, str, str, str | None]] = []
-        for index, (path, source) in enumerate(entries):
-            key: str | None = None
-            if self.cache is not None and rule_ids is not None:
-                submodules: frozenset[str] = (
-                    package_submodules(path)
-                    if path.endswith("__init__.py")
-                    else frozenset()
-                )
-                key = LintCache.key(path, source, rule_ids, submodules)
-                hit = self.cache.get(key)
-                if hit is not None:
-                    results[index] = hit
-                    continue
-            pending.append((index, path, source, key))
-
-        jobs = self._effective_jobs(len(pending), rule_ids)
+        jobs = self._effective_jobs(len(entries), rule_ids)
         if jobs > 1 and rule_ids is not None:
             # The supervisor retries worker deaths and replays
             # quarantined files in-process, so one crashing worker
@@ -347,33 +311,30 @@ class LintEngine:
                 outcomes = pool.run(
                     [
                         Task(_lint_file_worker, (path, source, rule_ids))
-                        for _, path, source, _ in pending
+                        for path, source in entries
                     ]
                 )
-            for (index, _, _, key), outcome in zip(pending, outcomes):
+            results: list[tuple[list[Finding], int]] = []
+            for outcome in outcomes:
                 if outcome.error is not None:
                     raise outcome.error
-                kept, count = outcome.value
-                results[index] = (kept, count)
-                if self.cache is not None and key is not None:
-                    self.cache.put(key, kept, count)
-        else:
-            for index, path, source, key in pending:
-                kept, count = scoped._lint_source_counted(source, path=path)
-                results[index] = (kept, count)
-                if self.cache is not None and key is not None:
-                    self.cache.put(key, kept, count)
-        return [results[index] for index in range(len(entries))]
+                results.append(outcome.value)
+            return results
+        scoped = LintEngine(rules=file_rules)
+        return [
+            scoped._lint_source_counted(source, path=path)
+            for path, source in entries
+        ]
 
     def _effective_jobs(
-        self, n_pending: int, rule_ids: tuple[str, ...] | None
+        self, n_files: int, rule_ids: tuple[str, ...] | None
     ) -> int:
         """Worker count for the per-file pass (1 = run serially)."""
-        if rule_ids is None or n_pending == 0:
+        if rule_ids is None or n_files == 0:
             return 1
         if self.jobs is not None:
-            return max(1, self.jobs)
-        if n_pending < _PARALLEL_THRESHOLD:
+            return self.jobs
+        if n_files < _PARALLEL_THRESHOLD:
             return 1
         return max(1, min(_MAX_AUTO_JOBS, os.cpu_count() or 1))
 
@@ -431,17 +392,12 @@ def lint_paths(
     paths: Iterable[str | Path],
     *,
     rules: Sequence[Rule] | None = None,
-    baseline: Baseline | None = None,
     jobs: int | None = None,
-    cache: LintCache | None = None,
 ) -> LintReport:
     """Functional entry point: lint ``paths`` with ``rules`` (default all)."""
-    engine = LintEngine(baseline=baseline, jobs=jobs, cache=cache)
-    if rules is not None:
-        engine = LintEngine(
-            rules=tuple(rules), baseline=baseline, jobs=jobs, cache=cache
-        )
-    return engine.run(paths)
+    if rules is None:
+        return LintEngine(jobs=jobs).run(paths)
+    return LintEngine(rules=tuple(rules), jobs=jobs).run(paths)
 
 
 def lint_source(

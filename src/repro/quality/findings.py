@@ -49,14 +49,3 @@ class Finding:
             text += f"  [{self.hint}]"
         return text
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serializable representation (``--format json``)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule_id,
-            "severity": str(self.severity),
-            "message": self.message,
-            "hint": self.hint,
-        }

@@ -1,9 +1,4 @@
-"""Machine-readable report renderers: SARIF 2.1.0 and GitHub annotations.
-
-``render_sarif`` emits a minimal-but-valid `SARIF 2.1.0
-<https://docs.oasis-open.org/sarif/sarif/v2.1.0/sarif-v2.1.0.html>`_ log
-so ``repro lint --format sarif`` plugs into code-scanning UIs (GitHub
-code scanning, VS Code SARIF viewers) without an adapter.
+"""GitHub Actions report renderer.
 
 ``render_github`` emits `workflow command
 <https://docs.github.com/actions/reference/workflow-commands-for-github-actions>`_
@@ -14,85 +9,10 @@ shows up on the offending line of the diff, not in a log nobody opens.
 
 from __future__ import annotations
 
-import json
-
 from .engine import LintReport
-from .findings import Finding, Severity
-from .project import PROJECT_RULES
-from .rules import RULES
+from .findings import Severity
 
-__all__ = ["render_github", "render_sarif"]
-
-_TOOL_NAME = "repro-lint"
-_INFO_URI = "https://example.invalid/repro/docs/quality.md"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def _sarif_level(severity: Severity) -> str:
-    return "error" if severity is Severity.ERROR else "warning"
-
-
-def _rule_summary(rule_id: str) -> str:
-    rule = RULES.get(rule_id) or PROJECT_RULES.get(rule_id)
-    if rule is not None:
-        return rule.summary
-    if rule_id == "RPR000":
-        return "file could not be parsed"
-    return rule_id
-
-
-def _sarif_result(finding: Finding) -> dict[str, object]:
-    message = finding.message
-    if finding.hint:
-        message = f"{message} ({finding.hint})"
-    return {
-        "ruleId": finding.rule_id,
-        "level": _sarif_level(finding.severity),
-        "message": {"text": message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": finding.path.replace("\\", "/"),
-                    },
-                    "region": {
-                        "startLine": finding.line,
-                        "startColumn": max(finding.col, 1),
-                    },
-                }
-            }
-        ],
-    }
-
-
-def render_sarif(report: LintReport) -> str:
-    """SARIF 2.1.0 log of ``report`` as a JSON string."""
-    seen_rules = sorted({f.rule_id for f in report.findings})
-    driver: dict[str, object] = {
-        "name": _TOOL_NAME,
-        "informationUri": _INFO_URI,
-        "rules": [
-            {
-                "id": rule_id,
-                "shortDescription": {"text": _rule_summary(rule_id)},
-            }
-            for rule_id in seen_rules
-        ],
-    }
-    log = {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {"driver": driver},
-                "results": [_sarif_result(f) for f in report.findings],
-            }
-        ],
-    }
-    return json.dumps(log, indent=2)
+__all__ = ["render_github"]
 
 
 def _escape_property(value: str) -> str:

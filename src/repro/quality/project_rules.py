@@ -610,10 +610,8 @@ LAYERS: dict[str, int] = {
     "genitor": 1,
     "lp": 1,
     "parallel": 1,
-    "pools": 1,
     "robustness": 1,
     "workload": 1,
-    "dag": 2,
     "heuristics": 2,
     "quality": 2,
     "dynamic": 3,

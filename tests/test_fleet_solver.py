@@ -3,6 +3,7 @@ invariants (repro.fleet.solver)."""
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import weakref
 from multiprocessing import shared_memory
@@ -19,10 +20,19 @@ from repro.fleet import (
     solve_shard,
 )
 from repro.fleet.solver import SHARD_SOLVERS, compose, validate_result
+from repro.genitor import GenitorConfig, StoppingRules
+from repro.heuristics import seeded_psg
 from repro.parallel import ChaosPolicy
 from repro.workload.fleet import FLEET_BENCH, FLEET_SMOKE, generate_fleet
 
 SEED = 21
+
+#: Small Seeded PSG budget for the psg shard solver (the paper's
+#: population and iteration bounds make it the slowest tier-1 test).
+TINY_GA = GenitorConfig(
+    population_size=8,
+    rules=StoppingRules(max_iterations=25, max_stale_iterations=12),
+)
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +199,13 @@ class TestReproducibility:
         assert other.signature() != result.signature()
 
     @pytest.mark.parametrize("solver", SHARD_SOLVERS)
-    def test_all_solvers_compose_validly(self, workload, solver):
+    def test_all_solvers_compose_validly(self, workload, solver, monkeypatch):
+        # Inline (n_workers=1), so the patch reaches the shard solve.
+        monkeypatch.setattr(
+            fleet_solver,
+            "seeded_psg",
+            functools.partial(seeded_psg, config=TINY_GA),
+        )
         out = solve_fleet(
             workload, 2, solver=solver, seed=SEED, n_workers=1
         )

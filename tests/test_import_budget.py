@@ -1,8 +1,8 @@
 """Import budget: the online paths load only the layers they run.
 
 ``repro`` resolves its subpackages on first attribute access (PEP 562),
-so the mission controller and the fleet solver start without scipy,
-networkx or the experiment harness.  Each check runs in a fresh
+so the mission controller and the fleet solver start without scipy or
+the experiment harness.  Each check runs in a fresh
 interpreter, because this test process has long since imported
 everything.  The checks are on module membership, not on timing.
 """
@@ -27,7 +27,6 @@ HEAVY = (
     "networkx",
     "repro.experiments",
     "repro.analysis",
-    "repro.dag",
     "repro.lp",
     "repro.des",
 )
@@ -63,9 +62,25 @@ def test_lazy_names_still_resolve():
     resolved = _fresh(
         "import json, repro\n"
         "print(json.dumps([repro.lp.upper_bound.__name__,\n"
-        "                  repro.io_utils.dag_system_from_dict.__name__]))\n"
+        "                  repro.experiments.run_fig2.__name__]))\n"
     )
-    assert resolved == ["upper_bound", "dag_system_from_dict"]
+    assert resolved == ["upper_bound", "run_fig2"]
+
+
+def test_no_subpackage_needs_networkx():
+    """networkx is not a dependency: every subpackage imports with it
+    blocked (it may still be installed, so only blocking it shows a
+    leftover import)."""
+    imported = _fresh(
+        "import importlib, json, sys\n"
+        "sys.modules['networkx'] = None\n"
+        "import repro\n"
+        "names = sorted(repro._LAZY)\n"
+        "for name in names:\n"
+        "    importlib.import_module('repro.' + name)\n"
+        "print(json.dumps(names))\n"
+    )
+    assert "service" in imported and "quality" in imported
 
 
 def test_star_import_binds_every_public_name():

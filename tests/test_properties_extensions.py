@@ -1,100 +1,23 @@
-"""Property-based tests for the extension subsystems (pools, DAG,
-dynamic, local search)."""
+"""Property-based tests for the extension subsystems (dynamic workload
+scaling, local search)."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Allocation, AllocationState, analyze
-from repro.dag import (
-    DagString,
-    DagSystem,
-    analyze_dag,
-    chain_edges,
-    dag_tightness,
-)
+from repro.core import analyze
 from repro.dynamic import scale_workload
-from repro.heuristics import imr_map_string, local_search, most_worth_first
-from repro.io_utils import dag_system_from_dict, dag_system_to_dict
-from repro.pools import PooledSystem, pooled_map_string, singleton_pools
+from repro.heuristics import local_search, most_worth_first
 
-from test_properties import models, models_with_assignments
+from test_properties import models
 
 COMMON = settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-class TestChainDagEquivalence:
-    """Chain DAGs must agree with the linear model on arbitrary inputs."""
-
-    @given(models_with_assignments())
-    @COMMON
-    def test_analysis_equivalence(self, case):
-        model, assignments = case
-        dag_strings = [
-            DagString(
-                s.string_id, s.worth, s.period, s.max_latency,
-                s.comp_times, s.cpu_utils, chain_edges(s.output_sizes),
-            )
-            for s in model.strings
-        ]
-        dag_sys = DagSystem(model.network, dag_strings)
-        lin_rep = analyze(Allocation(model, assignments))
-        dag_rep = analyze_dag(dag_sys, assignments)
-        assert lin_rep.feasible == dag_rep.feasible
-        np.testing.assert_allclose(
-            dag_rep.machine_util, lin_rep.utilization.machine, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            dag_rep.route_util, lin_rep.utilization.route, atol=1e-10
-        )
-        for k in assignments:
-            assert dag_rep.latencies[k] == pytest.approx(
-                lin_rep.latencies[k]
-            )
-
-    @given(models_with_assignments())
-    @COMMON
-    def test_tightness_equivalence(self, case):
-        from repro.core import relative_tightness
-
-        model, assignments = case
-        dag_strings = [
-            DagString(
-                s.string_id, s.worth, s.period, s.max_latency,
-                s.comp_times, s.cpu_utils, chain_edges(s.output_sizes),
-            )
-            for s in model.strings
-        ]
-        dag_sys = DagSystem(model.network, dag_strings)
-        for k, machines in assignments.items():
-            assert dag_tightness(dag_sys, k, machines) == pytest.approx(
-                relative_tightness(
-                    model.strings[k], machines, model.network
-                )
-            )
-
-
-class TestPoolSingletonEquivalence:
-    @given(models())
-    @COMMON
-    def test_pooled_imr_is_plain_imr(self, model):
-        system = PooledSystem(model, singleton_pools(model.n_machines))
-        flat = AllocationState(model)
-        pooled = AllocationState(model)
-        for s in model.strings:
-            a1 = imr_map_string(flat, s.string_id)
-            a2 = pooled_map_string(system, pooled, s.string_id)
-            np.testing.assert_array_equal(a1, a2)
-            assert flat.try_add(s.string_id, a1) == pooled.try_add(
-                s.string_id, a2
-            )
 
 
 class TestLocalSearchInvariants:
@@ -121,27 +44,3 @@ class TestWorkloadScalingAlgebra:
         for sa, sb in zip(a.strings, b.strings):
             np.testing.assert_allclose(sa.comp_times, sb.comp_times)
             np.testing.assert_allclose(sa.output_sizes, sb.output_sizes)
-
-
-class TestDagSerialization:
-    @given(models())
-    @COMMON
-    def test_chain_dag_round_trip(self, model):
-        dag_sys = DagSystem(
-            model.network,
-            [
-                DagString(
-                    s.string_id, s.worth, s.period, s.max_latency,
-                    s.comp_times, s.cpu_utils,
-                    chain_edges(s.output_sizes),
-                )
-                for s in model.strings
-            ],
-        )
-        restored = dag_system_from_dict(dag_system_to_dict(dag_sys))
-        assert restored.network == dag_sys.network
-        for a, b in zip(dag_sys.strings, restored.strings):
-            np.testing.assert_array_equal(a.comp_times, b.comp_times)
-            np.testing.assert_array_equal(a.cpu_utils, b.cpu_utils)
-            assert a.edges == b.edges
-            assert a.period == b.period
