@@ -158,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--objective", choices=("partial", "complete"),
                    default="partial")
-    p.add_argument("--solver", choices=("highs", "simplex"), default="highs")
 
     p = sub.add_parser("surge", help="max absorbable workload surge")
     p.add_argument("--model", required=True)
@@ -727,9 +726,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         from .lp import upper_bound
 
         model = load_model(args.model)
-        result = upper_bound(
-            model, objective=args.objective, solver=args.solver
-        )
+        result = upper_bound(model, objective=args.objective)
+        if args.objective == "complete" and result.value < 0.0:
+            # Λ* < 0: even the fractional mapping over-subscribes a
+            # resource, so no complete mapping passes stage 1.
+            print(
+                "no complete mapping fits: the LP's best slackness is "
+                f"{result.value:.6g} < 0"
+            )
+            return 0
         label = "total worth" if args.objective == "partial" else "slackness Λ"
         print(f"upper bound ({label}): {result.value:.6g}")
         print(f"mean string fraction: {result.string_fractions.mean():.4f}")

@@ -36,9 +36,8 @@ Objectives:
   ``U_resource + λ ≤ 1`` for every machine and inter-machine route, all
   strings forced fully mapped.
 
-The builder returns a :class:`LPProblem` consumable by both
-:mod:`repro.lp.upper_bound` (HiGHS) and — for small instances — the
-in-house :mod:`repro.lp.simplex`.
+The builder returns a :class:`LPProblem` that
+:mod:`repro.lp.upper_bound` solves with HiGHS.
 """
 
 from __future__ import annotations
@@ -103,7 +102,8 @@ class LPProblem:
     """A maximization LP: ``max c·v`` s.t. ``A_ub v ≤ b_ub``,
     ``A_eq v = b_eq``, ``lb ≤ v ≤ ub``.
 
-    ``scipy.optimize.linprog`` minimizes, so solvers negate ``c``.
+    ``scipy.optimize.linprog`` minimizes, so :func:`~repro.lp.solve_lp`
+    negates ``c``.
     """
 
     c: np.ndarray

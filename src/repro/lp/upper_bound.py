@@ -3,9 +3,8 @@
 The paper used the commercial Lingo 9.0 package; we substitute
 ``scipy.optimize.linprog`` with the HiGHS backend (documented in
 DESIGN.md).  LP global optima are solver-independent, so the bound is
-the same.  For small instances the in-house simplex
-(:mod:`repro.lp.simplex`) can be selected to cross-validate the
-substrate.
+the same.  The tests check it against closed-form LP values and against
+exact optima of instances small enough to enumerate.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ class UpperBoundResult:
     ----------
     objective:
         ``"partial"`` (value = maximum fractional total worth) or
-        ``"complete"`` (value = maximum achievable slackness Λ).
+        ``"complete"`` (value = maximum achievable slackness Λ; a
+        negative value proves that no complete mapping passes stage 1).
     value:
         The optimal objective value — the bound.
     string_fractions:
@@ -45,7 +45,6 @@ class UpperBoundResult:
     string_fractions: np.ndarray
     machine_utilization: np.ndarray
     route_utilization: np.ndarray
-    solver: str = "highs"
     stats: dict = field(default_factory=dict)
 
     @property
@@ -57,37 +56,27 @@ class UpperBoundResult:
     _worths: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
 
-def solve_lp(problem: LPProblem, solver: str = "highs") -> np.ndarray:
-    """Solve a maximization :class:`LPProblem`; returns the variable vector.
-
-    ``solver`` is ``"highs"`` (default, scipy) or ``"simplex"`` (the
-    in-house dense solver — small instances only).
-    """
-    if solver == "highs":
-        res = linprog(
-            -problem.c,
-            A_ub=problem.A_ub,
-            b_ub=problem.b_ub,
-            A_eq=problem.A_eq,
-            b_eq=problem.b_eq,
-            bounds=problem.bounds,
-            method="highs",
-        )
-        if not res.success:
-            raise SolverError(f"HiGHS failed: {res.message}")
-        return np.asarray(res.x)
-    if solver == "simplex":
-        from .simplex import solve_dense_lp
-
-        return solve_dense_lp(problem)
-    raise SolverError(f"unknown solver {solver!r}")
+def solve_lp(problem: LPProblem) -> np.ndarray:
+    """Solve a maximization :class:`LPProblem` with HiGHS; returns the
+    variable vector."""
+    res = linprog(
+        -problem.c,
+        A_ub=problem.A_ub,
+        b_ub=problem.b_ub,
+        A_eq=problem.A_eq,
+        b_eq=problem.b_eq,
+        bounds=problem.bounds,
+        method="highs",
+    )
+    if not res.success:
+        raise SolverError(f"HiGHS failed: {res.message}")
+    return np.asarray(res.x)
 
 
 def upper_bound(
     model: SystemModel,
     objective: str = "partial",
     weight_by_length: bool = False,
-    solver: str = "highs",
 ) -> UpperBoundResult:
     """Compute the paper's UB for a model.
 
@@ -103,13 +92,11 @@ def upper_bound(
         Use the printed, length-weighted worth objective (see
         DESIGN.md); the returned ``value`` is then *not* comparable to
         the Section-4 worth metric.
-    solver:
-        ``"highs"`` or ``"simplex"``.
     """
     problem = build_upper_bound_lp(
         model, objective=objective, weight_by_length=weight_by_length
     )
-    x = solve_lp(problem, solver=solver)
+    x = solve_lp(problem)
     idx = problem.index
     M = model.n_machines
 
@@ -138,7 +125,6 @@ def upper_bound(
         string_fractions=fractions,
         machine_utilization=machine_util,
         route_utilization=route_util,
-        solver=solver,
         stats=dict(problem.notes),
     )
     result._worths = np.array([s.worth for s in model.strings])

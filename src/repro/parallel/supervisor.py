@@ -4,9 +4,8 @@
 mission is not allowed to be: a single SIGKILLed worker condemns the
 whole pool (``BrokenProcessPool``), a hung task parks the parent
 forever, and a corrupted result is indistinguishable from a correct
-one.  Before this module, three call sites — PSG's ``best_of_trials``,
-the lint engine's ``--jobs`` pass, and the experiments runner — each
-hand-rolled a different subset of failure handling.
+one.  Before this module, each parallel call site hand-rolled a
+different subset of failure handling.
 
 :class:`SupervisedPool` centralizes all of it:
 

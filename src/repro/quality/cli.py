@@ -1,8 +1,8 @@
 """``repro lint`` — CLI front end of the quality engine.
 
 Exit status: 0 when no (non-suppressed) findings remain, 1 when findings
-are reported, 2 on usage errors such as an unknown rule id, a missing
-path or a ``--jobs`` below 1.
+are reported, 2 on usage errors such as an unknown rule id or a missing
+path.
 """
 
 from __future__ import annotations
@@ -46,14 +46,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default="text",
         dest="output_format",
         help="report format (github: workflow annotation lines)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="process-pool width for the per-file pass "
-        "(default: auto; 1 forces serial)",
     )
     parser.add_argument(
         "--statistics",
@@ -138,12 +130,7 @@ def run_lint(args: argparse.Namespace) -> int:
         )
         return 2
 
-    try:
-        engine = LintEngine(rules=tuple(rules or ()), jobs=args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = engine.run(args.paths)
+    report = LintEngine(rules=tuple(rules or ())).run(args.paths)
 
     if args.output_format == "github":
         print(render_github(report))

@@ -5,9 +5,7 @@ The engine is importable (``LintEngine``/:func:`lint_paths` /
 run has two analysis passes:
 
 * **per-file** — each file is parsed once and every enabled per-file
-  rule (RPR001–RPR008, RPR013) runs over the shared AST.  With enough
-  files this pass fans out over a
-  :class:`~repro.parallel.SupervisedPool` (``jobs``);
+  rule (RPR001–RPR008, RPR013) runs over the shared AST;
 * **whole-program** — every successfully parsed module is assembled into
   a :class:`~repro.quality.project.ProjectContext` (import graph, symbol
   tables, cross-module references) and each enabled
@@ -22,13 +20,11 @@ the offending line suppress findings of either pass (counted in
 from __future__ import annotations
 
 import ast
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..parallel import SupervisedPool, Task
 from .findings import Finding
 from .project import (
     PROJECT_RULES,
@@ -67,12 +63,6 @@ _SKIP_DIRS = frozenset(
         "dist",
     }
 )
-
-#: Below this many files the process-pool fan-out costs more than it saves.
-_PARALLEL_THRESHOLD = 16
-
-#: Hard cap on auto-selected worker count.
-_MAX_AUTO_JOBS = 8
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -162,44 +152,6 @@ def _default_rules() -> tuple[Rule, ...]:
     )
 
 
-def _registry_rule(rule_id: str) -> Rule:
-    rule = RULES.get(rule_id) or PROJECT_RULES.get(rule_id)
-    if rule is None:
-        raise KeyError(rule_id)
-    return rule
-
-
-def _registry_ids(rules: Sequence[Rule]) -> tuple[str, ...] | None:
-    """Rule ids when every rule is the shared registry instance.
-
-    Returns ``None`` when any rule is a custom (non-registry) instance —
-    those cannot be reconstructed inside a worker process, so the engine
-    runs them serially.
-    """
-    ids: list[str] = []
-    for rule in rules:
-        registered = RULES.get(rule.rule_id) or PROJECT_RULES.get(
-            rule.rule_id
-        )
-        if registered is not rule:
-            return None
-        ids.append(rule.rule_id)
-    return tuple(ids)
-
-
-def _lint_file_worker(
-    path: str, source: str, rule_ids: tuple[str, ...]
-) -> tuple[list[Finding], int]:
-    """Process-pool worker: per-file rules over one source string.
-
-    Module-level and side-effect free (fork/pickle safe, RPR009); the
-    rule set travels as registry ids and is re-resolved here.
-    """
-    rules = tuple(_registry_rule(rid) for rid in rule_ids)
-    engine = LintEngine(rules=rules)
-    return engine._lint_source_counted(source, path=path)
-
-
 @dataclass
 class LintEngine:
     """Run a set of rules over files or in-memory source.
@@ -209,20 +161,9 @@ class LintEngine:
     rules:
         Rule instances to run; defaults to the full registry (per-file
         and project-scoped).
-    jobs:
-        Process-pool width for the per-file pass.  ``None`` (default)
-        picks automatically: serial below ``16`` files, up to 8 workers
-        above.  ``1`` forces serial; below ``1`` raises ``ValueError``.
-        Only registry rules parallelize; custom rule instances always
-        run serially.
     """
 
     rules: Sequence[Rule] = field(default_factory=_default_rules)
-    jobs: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
     def lint_source(
         self,
@@ -272,15 +213,18 @@ class LintEngine:
             (str(file_path), file_path.read_text(encoding="utf-8"))
             for file_path in iter_python_files(paths)
         ]
-        file_rules = tuple(
-            r for r in self.rules if not isinstance(r, ProjectRule)
+        per_file = LintEngine(
+            rules=tuple(
+                r for r in self.rules if not isinstance(r, ProjectRule)
+            )
         )
         project_rules_ = tuple(
             r for r in self.rules if isinstance(r, ProjectRule)
         )
         findings: list[Finding] = []
         suppressed = 0
-        for kept, count in self._run_file_rules(entries, file_rules):
+        for path, source in entries:
+            kept, count = per_file._lint_source_counted(source, path=path)
             findings.extend(kept)
             suppressed += count
         if project_rules_:
@@ -292,51 +236,6 @@ class LintEngine:
             suppressed=suppressed,
             files_checked=len(entries),
         )
-
-    # -- per-file pass -----------------------------------------------------------
-
-    def _run_file_rules(
-        self,
-        entries: Sequence[tuple[str, str]],
-        file_rules: Sequence[Rule],
-    ) -> list[tuple[list[Finding], int]]:
-        """Per-file results for ``entries``, in parallel when possible."""
-        rule_ids = _registry_ids(file_rules)
-        jobs = self._effective_jobs(len(entries), rule_ids)
-        if jobs > 1 and rule_ids is not None:
-            # The supervisor retries worker deaths and replays
-            # quarantined files in-process, so one crashing worker
-            # cannot take down (or silently truncate) a lint run.
-            with SupervisedPool(jobs) as pool:
-                outcomes = pool.run(
-                    [
-                        Task(_lint_file_worker, (path, source, rule_ids))
-                        for path, source in entries
-                    ]
-                )
-            results: list[tuple[list[Finding], int]] = []
-            for outcome in outcomes:
-                if outcome.error is not None:
-                    raise outcome.error
-                results.append(outcome.value)
-            return results
-        scoped = LintEngine(rules=file_rules)
-        return [
-            scoped._lint_source_counted(source, path=path)
-            for path, source in entries
-        ]
-
-    def _effective_jobs(
-        self, n_files: int, rule_ids: tuple[str, ...] | None
-    ) -> int:
-        """Worker count for the per-file pass (1 = run serially)."""
-        if rule_ids is None or n_files == 0:
-            return 1
-        if self.jobs is not None:
-            return self.jobs
-        if n_files < _PARALLEL_THRESHOLD:
-            return 1
-        return max(1, min(_MAX_AUTO_JOBS, os.cpu_count() or 1))
 
     # -- whole-program pass ------------------------------------------------------
 
@@ -392,12 +291,11 @@ def lint_paths(
     paths: Iterable[str | Path],
     *,
     rules: Sequence[Rule] | None = None,
-    jobs: int | None = None,
 ) -> LintReport:
     """Functional entry point: lint ``paths`` with ``rules`` (default all)."""
     if rules is None:
-        return LintEngine(jobs=jobs).run(paths)
-    return LintEngine(rules=tuple(rules), jobs=jobs).run(paths)
+        return LintEngine().run(paths)
+    return LintEngine(rules=tuple(rules)).run(paths)
 
 
 def lint_source(

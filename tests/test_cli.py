@@ -110,12 +110,38 @@ class TestUbSurgeSimulate:
         assert main(["ub", "--model", str(model_file)]) == 0
         assert "upper bound" in capsys.readouterr().out
 
-    def test_ub_complete_simplex(self, model_file, capsys):
+    def test_ub_complete(self, model_file, capsys):
         assert main([
-            "ub", "--model", str(model_file),
-            "--objective", "complete", "--solver", "simplex",
+            "ub", "--model", str(model_file), "--objective", "complete",
         ]) == 0
-        assert "slackness" in capsys.readouterr().out
+        assert "upper bound (slackness" in capsys.readouterr().out
+
+    def test_ub_complete_reports_no_fit(self, tmp_path, capsys):
+        """Λ* < 0 proves no complete mapping fits: one line, no
+        negative 'slackness'."""
+        path = tmp_path / "crowded.json"
+        assert main([
+            "generate", "--scenario", "1", "--seed", "1",
+            "--strings", "30", "--machines", "2", "-o", str(path),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "ub", "--model", str(path), "--objective", "complete",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("no complete mapping fits")
+        assert "upper bound" not in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["ub", "--model", "m.json", "--solver", "highs"],
+        ["lint", "--jobs", "2"],
+    ])
+    def test_removed_options_are_unknown(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_surge(self, model_file, alloc_file, capsys):
         assert main([

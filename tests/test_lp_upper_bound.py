@@ -1,12 +1,25 @@
 """Unit tests for the LP upper bound (repro.lp.upper_bound)."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from repro.core import SystemModel
-from repro.heuristics import most_worth_first, tightest_first
+from repro.core import Allocation, SystemModel
+from repro.core.feasibility import analyze
+from repro.core.metrics import evaluate
+from repro.genitor import GenitorConfig, StoppingRules
+from repro.heuristics import (
+    most_worth_first,
+    mwf_with_local_search,
+    psg,
+    seeded_psg,
+    tightest_first,
+)
+from repro.heuristics.ordering import allocate_sequence
 from repro.lp import upper_bound
-from repro.workload import SCENARIO_1, SCENARIO_3, generate_model
+from repro.workload import SCENARIO_1, SCENARIO_2, SCENARIO_3, generate_model
 
 from conftest import build_string, uniform_network
 
@@ -96,20 +109,146 @@ class TestUpperBoundDominatesHeuristics:
         assert 0.0 < ub.value <= 1.0
 
 
-class TestSolverAgreement:
-    def test_simplex_matches_highs_partial(self):
-        params = SCENARIO_1.scaled(n_strings=4, n_machines=3)
-        model = generate_model(params, seed=11)
-        a = upper_bound(model, objective="partial", solver="highs")
-        b = upper_bound(model, objective="partial", solver="simplex")
-        assert a.value == pytest.approx(b.value, rel=1e-6)
+def exact_over_orderings(model):
+    """Best ``allocate_sequence`` fitness over every string ordering.
 
-    def test_simplex_matches_highs_complete(self):
-        params = SCENARIO_3.scaled(n_strings=3, n_machines=3)
-        model = generate_model(params, seed=12)
-        a = upper_bound(model, objective="complete", solver="highs")
-        b = upper_bound(model, objective="complete", solver="simplex")
-        assert a.value == pytest.approx(b.value, rel=1e-6)
+    Returns ``(fitness, allocation)`` of the best ordering.
+    """
+    best = None
+    for order in itertools.permutations(range(model.n_strings)):
+        state = allocate_sequence(model, order).state
+        fitness = state.fitness()
+        if best is None or fitness > best[0]:
+            best = (fitness, state.as_allocation())
+    return best
+
+
+def exact_over_mappings(model, complete):
+    """Best :func:`evaluate` over every ``analyze``-feasible allocation.
+
+    Each string is either unmapped (partial objective only) or takes one
+    of its ``M**n_k`` machine tuples.  Returns ``None`` when no
+    allocation is feasible.  An allocation whose worth is below the best
+    found so far cannot win in ``Fitness`` order, so it is not analyzed.
+    """
+    options = []
+    for s in model.strings:
+        tuples = list(itertools.product(range(model.n_machines), repeat=s.n_apps))
+        options.append(tuples if complete else [*tuples, None])
+    n_allocations = math.prod(len(o) for o in options)
+    assert n_allocations <= 5_000, n_allocations
+    best = None
+    for combo in itertools.product(*options):
+        mapped = {k: m for k, m in enumerate(combo) if m is not None}
+        worth = sum(model.strings[k].worth for k in mapped)
+        if best is not None and worth < best.worth:
+            continue
+        allocation = Allocation(model, mapped)
+        if analyze(allocation).feasible:
+            fitness = evaluate(allocation)
+            if best is None or fitness > best:
+                best = fitness
+    return best
+
+
+_TINY_PARTIAL = dict(
+    n_strings=5, n_machines=2, apps_per_string=(1, 2), period_mu=(1.0, 1.5)
+)
+_TINY_COMPLETE = dict(n_strings=3, n_machines=3, apps_per_string=(1, 2))
+_ORACLE_INSTANCES = [
+    ("partial", SCENARIO_1.scaled(**_TINY_PARTIAL), seed) for seed in (1, 2, 3)
+] + [
+    ("partial", SCENARIO_2.scaled(**_TINY_PARTIAL), seed) for seed in (1, 2, 3)
+] + [
+    ("complete", SCENARIO_3.scaled(**_TINY_COMPLETE), seed) for seed in (1, 2, 3)
+]
+_SMALL_GA = GenitorConfig(
+    population_size=8,
+    rules=StoppingRules(max_iterations=100, max_stale_iterations=40),
+)
+
+
+class TestExactOracleChain:
+    """Heuristic <= exact optimum <= LP bound on exhaustively solvable
+    instances.
+
+    Fitnesses from the ``AllocationState`` kernel are compared with each
+    other, and allocations are re-scored with :func:`evaluate` before
+    they meet the exact-over-mappings optimum, so every comparison is
+    between numbers summed the same way.
+    """
+
+    @pytest.fixture(scope="class")
+    def chains(self):
+        rows = {}
+        for objective, params, seed in _ORACLE_INSTANCES:
+            model = generate_model(params, seed=seed)
+            ordering = [
+                most_worth_first(model),
+                tightest_first(model),
+                psg(model, config=_SMALL_GA, rng=seed),
+                seeded_psg(model, config=_SMALL_GA, rng=seed),
+            ]
+            rows[(params.name, seed)] = dict(
+                objective=objective,
+                model=model,
+                ordering=ordering,
+                local=mwf_with_local_search(model),
+                exact_orderings=exact_over_orderings(model),
+                exact=exact_over_mappings(model, complete=False),
+                exact_complete=(
+                    exact_over_mappings(model, complete=True)
+                    if objective == "complete" else None
+                ),
+                bound=upper_bound(model, objective=objective).value,
+            )
+        return rows
+
+    @pytest.mark.parametrize(
+        "key",
+        [(params.name, seed) for _, params, seed in _ORACLE_INSTANCES],
+        ids=lambda key: f"{key[0]}-seed{key[1]}",
+    )
+    def test_chain(self, chains, key):
+        row = chains[key]
+        heuristics = [*row["ordering"], row["local"]]
+        for result in heuristics:
+            assert analyze(result.allocation).feasible, result.name
+        best_order, best_order_allocation = row["exact_orderings"]
+        for result in row["ordering"]:
+            assert result.fitness <= best_order, result.name
+        assert evaluate(best_order_allocation) <= row["exact"]
+        for result in heuristics:
+            assert evaluate(result.allocation) <= row["exact"], result.name
+        if row["objective"] == "partial":
+            assert row["exact"].worth <= row["bound"] + 1e-6
+        else:
+            exact = row["exact_complete"]
+            assert exact is not None
+            n_strings = row["model"].n_strings
+            for result in heuristics:
+                if len(result.mapped_ids) == n_strings:
+                    slackness = evaluate(result.allocation).slackness
+                    assert slackness <= exact.slackness, result.name
+            assert exact.slackness <= row["bound"] + 1e-6
+
+    def test_not_vacuous(self, chains):
+        rows = chains.values()
+        assert any(
+            evaluate(result.allocation) < row["exact"]
+            for row in rows
+            for result in (*row["ordering"], row["local"])
+        )
+        assert any(
+            row["exact"].worth < row["bound"] - 1e-6
+            for row in rows
+            if row["objective"] == "partial"
+        )
+        assert any(
+            row["exact_complete"].slackness < row["bound"] - 1e-6
+            for row in rows
+            if row["objective"] == "complete"
+        )
 
 
 class TestResultFields:

@@ -13,7 +13,6 @@ from repro.core.exceptions import (
     SimulationError,
 )
 from repro.heuristics import timed_section
-from repro.lp import build_upper_bound_lp, solve_lp
 from repro.workload import SCENARIO_3, generate_model
 
 
@@ -55,16 +54,6 @@ class TestTimedSection:
             with timed_section() as box:
                 raise RuntimeError("boom")
         assert box[0] >= 0.0
-
-
-class TestSolveLp:
-    def test_unknown_solver(self):
-        model = generate_model(
-            SCENARIO_3.scaled(n_strings=2, n_machines=2), seed=0
-        )
-        problem = build_upper_bound_lp(model, objective="partial")
-        with pytest.raises(SolverError, match="unknown solver"):
-            solve_lp(problem, solver="gurobi")
 
 
 class TestTraceErrors:

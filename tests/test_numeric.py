@@ -1,8 +1,8 @@
 """Boundary behavior of the shared helpers in repro.core.numeric.
 
 These back the RPR001 fix sites: bias == 1.0 (genitor/bias.py),
-size_factor == 1.0 (experiments/runner.py), and lower-bound == 0
-(lp/simplex.py)."""
+size_factor == 1.0 (experiments/runner.py), and a zero collateral
+capacity (faults/events.py)."""
 
 from __future__ import annotations
 
@@ -73,13 +73,15 @@ def test_bias_boundary_replay():
     assert isclose(bias, 1.0)
 
 
-def test_simplex_zero_lower_bound_replay():
-    # the exact comparison RPR001 replaced at lp/simplex.py:198
-    lo = 1.0 - 1.0
-    assert is_zero(lo)
-    lo_noisy = 0.1 + 0.2 - 0.3  # ~5.5e-17, still "zero" for bounds
-    assert lo_noisy != 0.0
-    assert is_zero(lo_noisy)
+def test_collateral_capacity_zero_replay():
+    # faults/events.py reads a route failure off
+    # is_zero(collateral_capacity): a capacity that rounding left a few
+    # ulps from 0.0 must still fail the route, not degrade it
+    capacity = 1.0 - 1.0
+    assert is_zero(capacity)
+    capacity_noisy = 0.1 + 0.2 - 0.3  # ~5.5e-17, still "zero"
+    assert capacity_noisy != 0.0
+    assert is_zero(capacity_noisy)
 
 
 _TERMS = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False) | st.floats(

@@ -8,8 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import repro
 from repro.quality import (
     ALL_RULE_IDS,
@@ -155,44 +153,6 @@ def test_noqa_suppressions_are_counted(tmp_path):
     assert report.findings[0].path.endswith("loud.py")
 
 
-def test_suppressed_count_survives_serial_and_parallel(tmp_path):
-    for i in range(20):
-        (tmp_path / f"mod_{i:02d}.py").write_text(_SUPPRESSED_SRC)
-    serial = LintEngine(jobs=1).run([tmp_path])
-    parallel = LintEngine(jobs=4).run([tmp_path])
-    assert serial.suppressed == parallel.suppressed == 20
-    assert serial.findings == parallel.findings == ()
-
-
-# ---------------------------------------------------------------------------
-# parallel pass
-# ---------------------------------------------------------------------------
-
-
-def _seed_mixed_tree(tmp_path, n=24):
-    for i in range(n):
-        if i % 3 == 0:
-            body = f"y_{i} = 1.0\nz_{i} = y_{i} == 2.0\n"
-        else:
-            body = f"x_{i} = {i}\n"
-        (tmp_path / f"mod_{i:02d}.py").write_text(body)
-
-
-def test_parallel_findings_match_serial(tmp_path):
-    _seed_mixed_tree(tmp_path)
-    serial = LintEngine(jobs=1).run([tmp_path])
-    parallel = LintEngine(jobs=4).run([tmp_path])
-    assert serial.findings == parallel.findings
-    assert serial.files_checked == parallel.files_checked == 24
-    assert serial.by_rule() == {"RPR001": 8}
-
-
-
-
-
-
-
-
 # ---------------------------------------------------------------------------
 # output formats
 # ---------------------------------------------------------------------------
@@ -306,32 +266,6 @@ def test_cli_github_format(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout.startswith("::error file=")
     assert "title=RPR001" in proc.stdout
-
-
-def test_cli_jobs_flag(tmp_path):
-    _seed_mixed_tree(tmp_path)
-    pooled = _run_cli(str(tmp_path), "--jobs", "2")
-    serial = _run_cli(str(tmp_path), "--jobs", "1")
-    assert pooled.returncode == serial.returncode == 1
-    assert pooled.stdout == serial.stdout
-    assert "8 finding(s) in 24 file(s)" in pooled.stdout
-
-
-def test_cli_jobs_below_one_is_usage_error(tmp_path):
-    (tmp_path / "ok.py").write_text("x = 1\n")
-    for jobs in ("0", "-3"):
-        proc = _run_cli(str(tmp_path), "--jobs", jobs)
-        assert proc.returncode == 2, (jobs, proc.stdout, proc.stderr)
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), lines
-
-
-def test_engine_rejects_jobs_below_one():
-    for jobs in (0, -3):
-        with pytest.raises(ValueError, match="at least 1"):
-            LintEngine(jobs=jobs)
-    assert LintEngine(jobs=1).jobs == 1
 
 
 def test_cli_reports_suppressed_count(tmp_path):
