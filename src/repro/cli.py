@@ -54,6 +54,8 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .fleet.solver import SHARD_SOLVERS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the scenario's string count")
     p.add_argument("--seed", type=int, default=42,
                    help="fleet generator / partition / solver seed")
-    p.add_argument("--solver", choices=("skip-ahead", "mwf", "psg"),
+    p.add_argument("--solver", choices=SHARD_SOLVERS,
                    default="skip-ahead", help="per-shard solver")
     p.add_argument("--workers", type=int, default=None,
                    help="pool width (default min(K, 4); 1 = inline)")

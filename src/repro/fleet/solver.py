@@ -61,7 +61,7 @@ __all__ = [
 #: Supported per-shard solvers.  ``skip-ahead`` is the fleet default:
 #: greedy MWF order with rejected-instead-of-stop semantics, fully
 #: deterministic and wall-clock independent (unlike the cascade).
-SHARD_SOLVERS = ("skip-ahead", "mwf", "psg")
+SHARD_SOLVERS = ("skip-ahead", "psg")
 
 #: Seed-stream domain separator for per-shard solver randomness.
 _SOLVER_TAG = 0x50A6
@@ -135,11 +135,6 @@ def _solve_shard_payload(
         outcome = allocate_sequence(
             model, mwf_order(model), stop_on_failure=False
         )
-        state = outcome.state
-        allocation = state.as_allocation()
-        fitness = state.fitness()
-    elif solver == "mwf":
-        outcome = allocate_sequence(model, mwf_order(model))
         state = outcome.state
         allocation = state.as_allocation()
         fitness = state.fitness()

@@ -1,7 +1,7 @@
 """Crash-safe file replacement: write temp → fsync → replace → fsync dir.
 
-Every durable artifact in the repository (checkpoints, lint baselines,
-journal snapshots, reports) must reach disk through
+Every durable artifact in the repository (models, allocations,
+experiment checkpoints, journal snapshots, reports) must reach disk through
 this module.  A plain ``Path.write_text`` truncates the destination
 before writing, so a crash mid-write leaves a torn file that a reader
 cannot distinguish from tampering; the sequence here guarantees that a
@@ -56,16 +56,11 @@ def fsync_dir(path: str | Path) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(
-    path: str | Path, data: bytes, *, durable: bool = True
-) -> None:
-    """Atomically replace ``path`` with ``data``.
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Atomically and durably replace ``path`` with ``data``.
 
-    With ``durable`` (the default) the temp file is fsync'd before the
-    replace and the parent directory after it, so the new contents
-    survive a crash or power loss.  ``durable=False`` keeps only the
-    atomicity guarantee (no torn files) and skips the fsyncs — for
-    caches and other artifacts that may legitimately be lost.
+    The temp file is fsync'd before the replace and the parent directory
+    after it, so the new contents survive a crash or power loss.
     """
     target = Path(path)
     tmp = target.parent / (target.name + ".tmp")
@@ -76,23 +71,17 @@ def atomic_write_bytes(
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             fh.flush()
-            if durable:
-                os.fsync(fh.fileno())
+            os.fsync(fh.fileno())
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    if durable:
-        fsync_dir(target.parent)
+    fsync_dir(target.parent)
 
 
 def atomic_write_text(
-    path: str | Path,
-    text: str,
-    *,
-    encoding: str = "utf-8",
-    durable: bool = True,
+    path: str | Path, text: str, *, encoding: str = "utf-8"
 ) -> None:
     """Atomically replace ``path`` with ``text`` (see
     :func:`atomic_write_bytes`)."""
-    atomic_write_bytes(path, text.encode(encoding), durable=durable)
+    atomic_write_bytes(path, text.encode(encoding))

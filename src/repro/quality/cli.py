@@ -14,7 +14,6 @@ from typing import Sequence
 
 from .engine import LintEngine, LintReport
 from .formats import render_github
-from .project import PROJECT_RULES
 from .rules import RULES, Rule
 
 __all__ = ["add_lint_arguments", "run_lint"]
@@ -59,34 +58,26 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _registry() -> dict[str, Rule]:
-    """Both registries — per-file rules and project-scoped rules."""
-    combined: dict[str, Rule] = dict(RULES)
-    combined.update(PROJECT_RULES)
-    return combined
-
-
 def _resolve_rules(
     select: str | None, ignore: str | None
 ) -> list[Rule] | None:
     """Turn --select/--ignore into a rule list; raises on unknown ids."""
-    registry = _registry()
-    chosen = set(registry)
+    chosen = set(RULES)
     if select is not None:
         requested = {tok.strip().upper() for tok in select.split(",") if tok.strip()}
         if not requested:
             raise ValueError("--select needs at least one rule id")
-        unknown = requested - set(registry)
+        unknown = requested - set(RULES)
         if unknown:
             raise KeyError(", ".join(sorted(unknown)))
         chosen = requested
     if ignore is not None:
         dropped = {tok.strip().upper() for tok in ignore.split(",") if tok.strip()}
-        unknown = dropped - set(registry)
+        unknown = dropped - set(RULES)
         if unknown:
             raise KeyError(", ".join(sorted(unknown)))
         chosen -= dropped
-    return [registry[rule_id] for rule_id in sorted(chosen)]
+    return [RULES[rule_id] for rule_id in sorted(chosen)]
 
 
 def _render_text(report: LintReport, statistics: bool) -> str:
@@ -106,11 +97,9 @@ def _render_text(report: LintReport, statistics: bool) -> str:
 
 def run_lint(args: argparse.Namespace) -> int:
     """Execute ``repro lint`` from parsed arguments."""
-    registry = _registry()
     if args.list_rules:
-        for rule_id in sorted(registry):
-            scope = "project" if rule_id in PROJECT_RULES else "file"
-            print(f"{rule_id}  [{scope}]  {registry[rule_id].summary}")
+        for rule_id, rule in sorted(RULES.items()):
+            print(f"{rule_id}  [{rule.scope}]  {rule.summary}")
         return 0
 
     try:

@@ -2,19 +2,22 @@
 
 The engine is importable (``LintEngine``/:func:`lint_paths` /
 :func:`lint_source`) and drives the ``repro lint`` CLI subcommand.  One
-run has two analysis passes:
+run is one pass:
 
-* **per-file** — each file is parsed once and every enabled per-file
-  rule (RPR001–RPR008, RPR013) runs over the shared AST;
-* **whole-program** — every successfully parsed module is assembled into
-  a :class:`~repro.quality.project.ProjectContext` (import graph, symbol
-  tables, cross-module references) and each enabled
-  :class:`~repro.quality.project.ProjectRule` (RPR009–RPR012) runs once
-  over the whole project.
+* each file is read and parsed once into a
+  :class:`~repro.quality.project.ModuleInfo` (a file that does not parse
+  is reported as RPR000 and left out);
+* the parsed modules form one
+  :class:`~repro.quality.project.ProjectContext`;
+* every enabled rule of the one :data:`~repro.quality.rules.RULES`
+  registry runs once over it — file rules (RPR001–RPR008,
+  RPR013–RPR014) check each module in turn, project rules
+  (RPR009–RPR012) see the whole program;
+* inline ``# repro: noqa`` / ``# repro: noqa[RPR001,RPR004]`` comments on
+  the offending line suppress findings of any rule (counted in
+  :attr:`LintReport.suppressed`).
 
-Inline ``# repro: noqa`` / ``# repro: noqa[RPR001,RPR004]`` comments on
-the offending line suppress findings of either pass (counted in
-:attr:`LintReport.suppressed`).
+:func:`lint_source` lints one in-memory source with the file rules only.
 """
 
 from __future__ import annotations
@@ -26,16 +29,10 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .findings import Finding
-from .project import (
-    PROJECT_RULES,
-    ModuleInfo,
-    ProjectRule,
-    build_project,
-)
-from .rules import RULES, Rule, RuleContext
+from .project import ModuleInfo, ProjectContext
+from .rules import RULES, Rule
 
-# Importing the rule modules populates the registries the default rule
-# set is built from.
+# Importing the project rules registers them next to the file rules.
 from . import project_rules as project_rules  # noqa: F401
 
 __all__ = [
@@ -111,19 +108,41 @@ def _noqa_map(source: str) -> dict[int, frozenset[str] | None]:
 
 
 def _apply_noqa(
-    findings: Iterable[Finding],
-    suppressions: Mapping[int, frozenset[str] | None],
+    findings: Iterable[Finding], modules: Iterable[ModuleInfo]
 ) -> tuple[list[Finding], int]:
-    """Split findings into (kept, suppressed-count) under a noqa map."""
+    """Split findings into (kept, suppressed-count) under inline noqa."""
+    noqa = {module.path: _noqa_map(module.source) for module in modules}
     kept: list[Finding] = []
     suppressed = 0
     for finding in findings:
-        allowed = suppressions.get(finding.line, frozenset())
+        allowed = noqa.get(finding.path, {}).get(finding.line, frozenset())
         if allowed is None or (allowed and finding.rule_id in allowed):
             suppressed += 1
             continue
         kept.append(finding)
     return kept, suppressed
+
+
+def _parse(source: str, path: str, module: str) -> ModuleInfo | Finding:
+    """One file's :class:`ModuleInfo`, or its RPR000 syntax-error finding."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return Finding(
+            path=path,
+            line=exc.lineno or 1,
+            col=(exc.offset or 0) + 1,
+            rule_id="RPR000",
+            message=f"syntax error: {exc.msg}",
+            hint="file could not be parsed; no rules were run",
+        )
+    return ModuleInfo(
+        path=path,
+        module=module,
+        is_package=Path(path).name == "__init__.py",
+        tree=tree,
+        source=source,
+    )
 
 
 @dataclass(frozen=True)
@@ -146,10 +165,8 @@ class LintReport:
 
 
 def _default_rules() -> tuple[Rule, ...]:
-    """Full registry: per-file rules then project rules, id order."""
-    return tuple(RULES[rid] for rid in sorted(RULES)) + tuple(
-        PROJECT_RULES[rid] for rid in sorted(PROJECT_RULES)
-    )
+    """The full registry, in id order."""
+    return tuple(RULES[rule_id] for rule_id in sorted(RULES))
 
 
 @dataclass
@@ -159,8 +176,8 @@ class LintEngine:
     Parameters
     ----------
     rules:
-        Rule instances to run; defaults to the full registry (per-file
-        and project-scoped).
+        Rule instances to run; defaults to the full registry (file and
+        project rules).
     """
 
     rules: Sequence[Rule] = field(default_factory=_default_rules)
@@ -171,120 +188,52 @@ class LintEngine:
         path: str = "<string>",
         module: str | None = None,
     ) -> list[Finding]:
-        """Lint a source string; ``module`` controls package-scoped rules."""
-        kept, _ = self._lint_source_counted(source, path=path, module=module)
-        return kept
+        """Lint a source string with the file rules among :attr:`rules`.
 
-    def _lint_source_counted(
-        self,
-        source: str,
-        path: str = "<string>",
-        module: str | None = None,
-    ) -> tuple[list[Finding], int]:
-        """Per-file pass on one source: (kept findings, suppressed count)."""
+        ``module`` controls package-scoped rules; project rules need the
+        whole program and are not run.
+        """
         if module is None:
             module = module_name_for(Path(path)) if path != "<string>" else ""
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            return [
-                Finding(
-                    path=path,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 0) + 1,
-                    rule_id="RPR000",
-                    message=f"syntax error: {exc.msg}",
-                    hint="file could not be parsed; no rules were run",
-                )
-            ], 0
-        ctx = RuleContext(path=path, module=module, tree=tree, source=source)
-        raw = [f for rule in self.rules for f in rule.check(ctx)]
-        kept, suppressed = _apply_noqa(raw, _noqa_map(source))
-        return sorted(kept), suppressed
-
-    def lint_file(self, path: str | Path) -> list[Finding]:
-        file_path = Path(path)
-        source = file_path.read_text(encoding="utf-8")
-        return self.lint_source(source, path=str(file_path))
-
-    def run(self, paths: Iterable[str | Path]) -> LintReport:
-        """Lint every python file under ``paths``."""
-        entries = [
-            (str(file_path), file_path.read_text(encoding="utf-8"))
-            for file_path in iter_python_files(paths)
-        ]
-        per_file = LintEngine(
-            rules=tuple(
-                r for r in self.rules if not isinstance(r, ProjectRule)
-            )
-        )
-        project_rules_ = tuple(
-            r for r in self.rules if isinstance(r, ProjectRule)
-        )
-        findings: list[Finding] = []
-        suppressed = 0
-        for path, source in entries:
-            kept, count = per_file._lint_source_counted(source, path=path)
-            findings.extend(kept)
-            suppressed += count
-        if project_rules_:
-            kept, count = self._run_project_rules(entries, project_rules_)
-            findings.extend(kept)
-            suppressed += count
-        return LintReport(
-            findings=tuple(sorted(findings)),
-            suppressed=suppressed,
-            files_checked=len(entries),
-        )
-
-    # -- whole-program pass ------------------------------------------------------
-
-    def _run_project_rules(
-        self,
-        entries: Sequence[tuple[str, str]],
-        project_rules_: Sequence[ProjectRule],
-    ) -> tuple[list[Finding], int]:
-        """Build the project context and run every project rule once.
-
-        Files that fail to parse are skipped here — the per-file pass
-        already reported them as RPR000.  Project findings respect the
-        same inline noqa suppressions as per-file ones.
-        """
-        infos: list[ModuleInfo] = []
-        noqa_by_path: dict[str, dict[int, frozenset[str] | None]] = {}
-        for path, source in entries:
-            try:
-                tree = ast.parse(source, filename=path)
-            except SyntaxError:
-                continue
-            file_path = Path(path)
-            infos.append(
-                ModuleInfo(
-                    path=path,
-                    module=module_name_for(file_path),
-                    is_package=file_path.name == "__init__.py",
-                    tree=tree,
-                    source=source,
-                )
-            )
-            noqa_by_path[path] = _noqa_map(source)
-        if not infos:
-            return [], 0
-        project = build_project(infos)
+        parsed = _parse(source, path, module)
+        if isinstance(parsed, Finding):
+            return [parsed]
         raw = [
             finding
-            for rule in project_rules_
+            for rule in self.rules
+            if rule.scope == "file"
+            for finding in rule.check(parsed)
+        ]
+        kept, _ = _apply_noqa(raw, [parsed])
+        return sorted(kept)
+
+    def run(self, paths: Iterable[str | Path]) -> LintReport:
+        """Lint every python file under ``paths`` in one pass."""
+        files = list(iter_python_files(paths))
+        modules: list[ModuleInfo] = []
+        unparsed: list[Finding] = []
+        for file_path in files:
+            parsed = _parse(
+                file_path.read_text(encoding="utf-8"),
+                str(file_path),
+                module_name_for(file_path),
+            )
+            if isinstance(parsed, Finding):
+                unparsed.append(parsed)
+            else:
+                modules.append(parsed)
+        project = ProjectContext(modules)
+        raw = [
+            finding
+            for rule in self.rules
             for finding in rule.check_project(project)
         ]
-        kept: list[Finding] = []
-        suppressed = 0
-        for finding in raw:
-            file_kept, count = _apply_noqa(
-                [finding], noqa_by_path.get(finding.path, {})
-            )
-            kept.extend(file_kept)
-            suppressed += count
-        return kept, suppressed
+        kept, suppressed = _apply_noqa(raw, modules)
+        return LintReport(
+            findings=tuple(sorted(unparsed + kept)),
+            suppressed=suppressed,
+            files_checked=len(files),
+        )
 
 
 def lint_paths(

@@ -1,52 +1,37 @@
-"""Whole-program analysis infrastructure for the quality engine.
+"""Parsed modules and the whole-program context the lint rules read.
 
-The per-file rules (:mod:`repro.quality.rules`) see one module at a
-time, which is enough for local invariants — float comparison, mutable
-defaults, a single file's ``__all__``.  The process-parallel and
-deterministic-replay invariants the reproduction now leans on are
-*cross-module* properties: whether a ``Generator`` reaching a worker was
-injected or freshly constructed, whether a function submitted to a
-``ProcessPoolExecutor`` mutates state the parent will never see, whether
-``repro.core`` stays import-clean of the upper layers.  This module
-gives rules the whole program at once:
+Every file the engine lints is parsed exactly once into a
+:class:`ModuleInfo`.  Each module lazily derives:
 
-* every module under the linted paths is parsed exactly once into a
-  :class:`ModuleInfo`;
-* a :class:`SymbolTable` per module records its top-level bindings,
-  ``__all__`` declaration, and import records (with scope — runtime
-  module-level imports are distinguished from function-scope and
-  ``TYPE_CHECKING``-only ones);
-* :class:`ProjectContext` derives the module-level import graph, a
-  cross-module reference index (which names of module X other modules
-  actually use), and a lightweight call/def-use resolver
-  (:meth:`ProjectContext.resolve_function`) that follows ``from``
-  imports across module boundaries.
+* its import records (:attr:`ModuleInfo.imports`), at every scope —
+  runtime module-level imports are distinguished from function-scope
+  and ``TYPE_CHECKING``-only ones;
+* an alias resolver over those records
+  (:meth:`ModuleInfo.qualified_names`), which tells a file rule that
+  ``np.random.rand`` or a bare ``rand`` means ``numpy.random.rand``;
+* its top-level :class:`SymbolTable` (bindings, ``__all__``).
 
-Project-scoped rules subclass :class:`ProjectRule`, are registered in
-:data:`PROJECT_RULES` via :func:`register_project`, and are run once per
-engine invocation over the whole :class:`ProjectContext` (see
-:meth:`repro.quality.engine.LintEngine.run`).  The shipped project rules
-(RPR009–RPR012) live in :mod:`repro.quality.project_rules`.
+:class:`ProjectContext` holds every parsed module of one run and derives
+the module-level import graph, a cross-module reference index (which
+names of module X other modules actually use), and a lightweight
+call/def-use resolver (:meth:`ProjectContext.resolve_function`) that
+follows ``from`` imports across module boundaries.  Every rule runs
+once over it (see :meth:`repro.quality.rules.Rule.check_project`).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .findings import Finding
-from .rules import Rule, RuleContext
-
 __all__ = [
-    "PROJECT_RULES",
     "ImportRecord",
     "ModuleInfo",
     "ProjectContext",
-    "ProjectRule",
     "SymbolTable",
-    "build_project",
-    "register_project",
+    "string_elements",
 ]
 
 
@@ -67,17 +52,6 @@ class ImportRecord:
     col: int
     module_scope: bool
     type_checking: bool
-
-
-@dataclass(frozen=True)
-class ModuleInfo:
-    """One parsed module of the project."""
-
-    path: str
-    module: str
-    is_package: bool
-    tree: ast.Module
-    source: str
 
 
 @dataclass(frozen=True)
@@ -106,6 +80,77 @@ class SymbolTable:
         )
 
 
+@dataclass(frozen=True)
+class ModuleInfo:
+    """One parsed source file: everything a rule may inspect about it.
+
+    ``module`` is the dotted module name (empty for an anonymous source
+    string) and ``is_package`` marks a package ``__init__``.  The import
+    records, their resolver and the symbol table are derived on first
+    use and cached.
+    """
+
+    path: str
+    module: str
+    is_package: bool
+    tree: ast.Module
+    source: str
+
+    def in_packages(self, packages: tuple[str, ...]) -> bool:
+        """Whether this module lives under any of the dotted ``packages``."""
+        return any(
+            self.module == pkg or self.module.startswith(pkg + ".")
+            for pkg in packages
+        )
+
+    @cached_property
+    def imports(self) -> tuple[ImportRecord, ...]:
+        """Every import binding of the module, at every scope."""
+        return _collect_imports(self)
+
+    @cached_property
+    def symbols(self) -> SymbolTable:
+        """The module's top-level :class:`SymbolTable`."""
+        return _symbol_table(self)
+
+    @cached_property
+    def _aliases(self) -> Mapping[str, frozenset[str]]:
+        """Local name -> the dotted names its imports bind it to."""
+        aliases: dict[str, set[str]] = {}
+        for rec in self.imports:
+            if rec.name == "*":
+                continue
+            if rec.name is not None:
+                qualified = f"{rec.target}.{rec.name}"
+            elif rec.alias == rec.target.partition(".")[0]:
+                qualified = rec.alias  # `import a.b` binds `a`
+            else:
+                qualified = rec.target  # `import a.b as m` binds `a.b`
+            aliases.setdefault(rec.alias, set()).add(qualified)
+        return {name: frozenset(names) for name, names in aliases.items()}
+
+    def qualified_names(self, expr: ast.expr) -> frozenset[str]:
+        """Dotted names ``expr`` may denote through the module's imports.
+
+        After ``import numpy as np``, ``np.random.rand`` gives
+        ``numpy.random.rand``; after ``from numpy.random import rand``, a
+        bare ``rand`` gives the same.  Imports at every scope count, and
+        a name bound by several imports gives one name per target.  Empty
+        when ``expr`` is not a dotted name rooted in an imported name.
+        """
+        attrs: list[str] = []
+        while isinstance(expr, ast.Attribute):
+            attrs.append(expr.attr)
+            expr = expr.value
+        if not isinstance(expr, ast.Name):
+            return frozenset()
+        suffix = "".join(f".{attr}" for attr in reversed(attrs))
+        return frozenset(
+            qualified + suffix for qualified in self._aliases.get(expr.id, ())
+        )
+
+
+
 def _is_type_checking_test(test: ast.expr) -> bool:
     if isinstance(test, ast.Name):
         return test.id == "TYPE_CHECKING"
@@ -126,6 +171,17 @@ def resolve_relative(module: str, is_package: bool, node: ast.ImportFrom) -> str
     if node.module:
         base = base + node.module.split(".")
     return ".".join(base)
+
+
+def _nested_blocks(stmt: ast.stmt) -> Iterator[list[ast.stmt]]:
+    """The statement lists nested in ``stmt``, in source order."""
+    yield getattr(stmt, "body", [])
+    for handler in getattr(stmt, "handlers", ()):
+        yield handler.body
+    for case in getattr(stmt, "cases", ()):
+        yield case.body
+    yield getattr(stmt, "orelse", [])
+    yield getattr(stmt, "finalbody", [])
 
 
 def _collect_imports(info: ModuleInfo) -> tuple[ImportRecord, ...]:
@@ -168,25 +224,28 @@ def _collect_imports(info: ModuleInfo) -> tuple[ImportRecord, ...]:
                 tc = type_checking or _is_type_checking_test(stmt.test)
                 visit(stmt.body, module_scope, tc)
                 visit(stmt.orelse, module_scope, type_checking)
-            elif isinstance(stmt, ast.Try):
-                visit(stmt.body, module_scope, type_checking)
-                for handler in stmt.handlers:
-                    visit(handler.body, module_scope, type_checking)
-                visit(stmt.orelse, module_scope, type_checking)
-                visit(stmt.finalbody, module_scope, type_checking)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                visit(stmt.body, module_scope, type_checking)
             elif isinstance(
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
-                visit(
-                    (s for s in stmt.body if isinstance(s, ast.stmt)),
-                    False,
-                    type_checking,
-                )
+                visit(stmt.body, False, type_checking)
+            else:
+                # try / with / for / while / match: same scope, every block
+                for block in _nested_blocks(stmt):
+                    visit(block, module_scope, type_checking)
 
     visit(info.tree.body, True, False)
     return tuple(records)
+
+
+def string_elements(node: ast.expr | None) -> frozenset[str]:
+    """The string literals of a list or tuple display (``__all__``)."""
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return frozenset(
+            elt.value
+            for elt in node.elts
+            if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+        )
+    return frozenset()
 
 
 def _symbol_table(info: ModuleInfo) -> SymbolTable:
@@ -195,15 +254,6 @@ def _symbol_table(info: ModuleInfo) -> SymbolTable:
     declared: frozenset[str] | None = None
     all_lineno = 1
     has_getattr = False
-
-    def string_elements(node: ast.expr | None) -> frozenset[str]:
-        if isinstance(node, (ast.List, ast.Tuple)):
-            return frozenset(
-                elt.value
-                for elt in node.elts
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-            )
-        return frozenset()
 
     def visit(stmts: Iterable[ast.stmt]) -> None:
         nonlocal declared, all_lineno, has_getattr
@@ -265,33 +315,27 @@ def _symbol_table(info: ModuleInfo) -> SymbolTable:
 
 
 class ProjectContext:
-    """Everything a project-scoped rule may inspect about the program.
+    """Every parsed module of one lint run, and what rules derive from it.
 
-    Built once per engine run from every parsed module; all derived
-    indexes (import graph, reference index, per-module name uses) are
-    computed lazily and cached.
+    ``files`` keeps every parsed file in discovery order; file rules
+    check each one.  ``modules`` indexes them by dotted name for the
+    whole-program rules.  Later files win on a duplicate name (a file
+    outside any package resolves to its bare stem; colliding stems are
+    rare and the project rules only reason about package-qualified
+    modules anyway).  The derived indexes (import graph, reference
+    index, per-module name uses) are computed lazily and cached.
     """
 
-    def __init__(self, modules: Mapping[str, ModuleInfo]) -> None:
-        self.modules: dict[str, ModuleInfo] = dict(modules)
-        self.symbols: dict[str, SymbolTable] = {
-            name: _symbol_table(info) for name, info in self.modules.items()
-        }
-        self.imports: dict[str, tuple[ImportRecord, ...]] = {
-            name: _collect_imports(info) for name, info in self.modules.items()
+    def __init__(self, files: Iterable[ModuleInfo]) -> None:
+        self.files: tuple[ModuleInfo, ...] = tuple(files)
+        self.modules: dict[str, ModuleInfo] = {
+            info.module: info for info in self.files
         }
         self._graph: dict[str, frozenset[str]] | None = None
         self._references: dict[str, frozenset[str]] | None = None
         self._used: dict[str, frozenset[str]] = {}
 
     # -- resolution helpers ----------------------------------------------------
-
-    def context_for(self, module: str) -> RuleContext:
-        """Per-file :class:`RuleContext` for anchoring findings."""
-        info = self.modules[module]
-        return RuleContext(
-            path=info.path, module=module, tree=info.tree, source=info.source
-        )
 
     def resolve_target(self, target: str) -> str | None:
         """Project module a dotted import target lands in, if any.
@@ -316,9 +360,9 @@ class ProjectContext:
         graph = self._graph
         if graph is None:
             graph = {}
-            for name, records in self.imports.items():
+            for name, info in self.modules.items():
                 edges: set[str] = set()
-                for rec in records:
+                for rec in info.imports:
                     if not rec.module_scope or rec.type_checking:
                         continue
                     # `from pkg import submodule` couples the importer to
@@ -350,10 +394,10 @@ class ProjectContext:
         refs = self._references
         if refs is None:
             acc: dict[str, set[str]] = {name: set() for name in self.modules}
-            for name, records in self.imports.items():
+            for name, info in self.modules.items():
                 # local alias -> project module it denotes
                 alias_of: dict[str, str] = {}
-                for rec in records:
+                for rec in info.imports:
                     if rec.name is None:
                         if rec.target in self.modules:
                             # `import a.b.c` binds `a`, but attribute
@@ -368,7 +412,6 @@ class ProjectContext:
                     resolved = self.resolve_target(rec.target)
                     if resolved is not None and resolved != name:
                         acc[resolved].add(rec.name)
-                info = self.modules[name]
                 for node in ast.walk(info.tree):
                     if isinstance(node, ast.Attribute) and isinstance(
                         node.value, ast.Name
@@ -419,7 +462,7 @@ class ProjectContext:
                 ):
                     return current_module, stmt
             hop: tuple[str, str] | None = None
-            for rec in self.imports[current_module]:
+            for rec in info.imports:
                 if rec.alias != current_name or rec.name is None:
                     continue
                 resolved = self.resolve_target(rec.target)
@@ -430,43 +473,3 @@ class ProjectContext:
                 return None
             current_module, current_name = hop
         return None
-
-
-class ProjectRule(Rule):
-    """Base class for whole-program rules.
-
-    Subclasses implement :meth:`check_project` over a
-    :class:`ProjectContext`; the per-file :meth:`check` hook is a no-op
-    so a ``ProjectRule`` can sit in a mixed rule list without firing
-    twice.  Findings are anchored in whichever module exhibits the
-    violation via :meth:`ProjectContext.context_for`.
-    """
-
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
-PROJECT_RULES: dict[str, ProjectRule] = {}
-
-
-def register_project(cls: type[ProjectRule]) -> type[ProjectRule]:
-    """Class decorator adding a project rule (by id) to the registry."""
-    if not cls.rule_id:
-        raise ValueError(f"{cls.__name__} has no rule_id")
-    if cls.rule_id in PROJECT_RULES:
-        raise ValueError(f"duplicate project rule id {cls.rule_id}")
-    PROJECT_RULES[cls.rule_id] = cls()
-    return cls
-
-
-def build_project(infos: Iterable[ModuleInfo]) -> ProjectContext:
-    """Assemble a :class:`ProjectContext` from parsed modules.
-
-    Later entries win on duplicate module names (a file outside any
-    package resolves to its bare stem; colliding stems are rare and the
-    project rules only reason about package-qualified modules anyway).
-    """
-    return ProjectContext({info.module: info for info in infos})

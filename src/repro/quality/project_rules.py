@@ -1,9 +1,10 @@
 """Whole-program rules RPR009–RPR012.
 
-These rules consume the :class:`~repro.quality.project.ProjectContext`
-built by the engine — the import graph, per-module symbol tables, and
-the cross-module reference index — to enforce invariants no single file
-can witness:
+These rules (``scope = "project"``, registered in the one
+:data:`~repro.quality.rules.RULES` registry) read the whole
+:class:`~repro.quality.project.ProjectContext` at once — the import
+graph, per-module symbol tables, and the cross-module reference index —
+to enforce invariants no single file can witness:
 
 ``RPR009``
     Fork/pickle safety.  Callables submitted to a
@@ -45,17 +46,10 @@ import ast
 from typing import ClassVar, Iterator, Mapping
 
 from .findings import Finding
-from .project import (
-    PROJECT_RULES,
-    ProjectContext,
-    ProjectRule,
-    SymbolTable,
-    register_project,
-)
-from .rules import lazy_table
+from .project import ProjectContext, SymbolTable
+from .rules import Rule, lazy_table, register
 
 __all__ = [
-    "ALL_PROJECT_RULE_IDS",
     "LAYERS",
     "CrossModuleExportRule",
     "ForkPickleSafetyRule",
@@ -153,8 +147,8 @@ def _worker_global_writes(
                     yield node, name
 
 
-@register_project
-class ForkPickleSafetyRule(ProjectRule):
+@register
+class ForkPickleSafetyRule(Rule):
     """Work shipped to a process pool must be fork/pickle safe.
 
     Three violations, all invisible to a single-file linter:
@@ -176,6 +170,7 @@ class ForkPickleSafetyRule(ProjectRule):
 
     rule_id = "RPR009"
     summary = "process-pool work must be picklable and side-effect free"
+    scope = "project"
     exempt_modules: ClassVar[tuple[str, ...]] = ("repro.parallel.broadcast",)
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
@@ -186,7 +181,6 @@ class ForkPickleSafetyRule(ProjectRule):
         self, project: ProjectContext, module: str
     ) -> Iterator[Finding]:
         info = project.modules[module]
-        ctx = project.context_for(module)
         executors = self._executor_names(info.tree)
         nested = self._nested_function_names(info.tree)
         for node in ast.walk(info.tree):
@@ -205,7 +199,7 @@ class ForkPickleSafetyRule(ProjectRule):
                 )
             ):
                 yield self.finding(
-                    ctx,
+                    info,
                     node,
                     "setflags(write=True) re-enables writes on a read-only "
                     "view (model arrays are deliberately frozen)",
@@ -223,7 +217,7 @@ class ForkPickleSafetyRule(ProjectRule):
             submitted = node.args[0]
             if isinstance(submitted, ast.Lambda):
                 yield self.finding(
-                    ctx,
+                    info,
                     submitted,
                     "lambda submitted to a process pool is not picklable "
                     "under spawn and captures parent state under fork",
@@ -233,7 +227,7 @@ class ForkPickleSafetyRule(ProjectRule):
             if isinstance(submitted, ast.Name):
                 if submitted.id in nested:
                     yield self.finding(
-                        ctx,
+                        info,
                         submitted,
                         f"nested function `{submitted.id}` submitted to a "
                         "process pool is not picklable under spawn",
@@ -255,10 +249,9 @@ class ForkPickleSafetyRule(ProjectRule):
         if def_module in self.exempt_modules:
             return
         mutable = _module_mutable_globals(project, def_module)
-        worker_ctx = project.context_for(def_module)
         for node, global_name in _worker_global_writes(fn, mutable):
             yield self.finding(
-                worker_ctx,
+                project.modules[def_module],
                 node,
                 f"worker `{fn.name}` mutates module global "
                 f"`{global_name}`; the write stays in the worker process "
@@ -409,8 +402,8 @@ def _seed_roots(expr: ast.expr) -> set[str]:
     return roots
 
 
-@register_project
-class RngProvenanceRule(ProjectRule):
+@register
+class RngProvenanceRule(Rule):
     """Every generator must trace back to an injected seed stream.
 
     RPR002 bans *ambient* randomness inside one file; this rule extends
@@ -432,6 +425,7 @@ class RngProvenanceRule(ProjectRule):
 
     rule_id = "RPR010"
     summary = "generator construction must trace to an injected seed"
+    scope = "project"
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         # (module, function name) -> parameter names that feed a generator
@@ -451,8 +445,6 @@ class RngProvenanceRule(ProjectRule):
         seed_params: dict[tuple[str, str], set[str]],
     ) -> Iterator[Finding]:
         info = project.modules[module]
-        ctx = project.context_for(module)
-        table = project.symbols[module]
         scoper = _ScopeStack()
         scoper.visit(info.tree)
         for call, scopes in scoper.calls:
@@ -460,7 +452,7 @@ class RngProvenanceRule(ProjectRule):
                 continue
             if not call.args and not call.keywords:
                 yield self.finding(
-                    ctx,
+                    info,
                     call,
                     "generator constructed with no seed draws OS entropy "
                     "and breaks deterministic replay",
@@ -471,7 +463,7 @@ class RngProvenanceRule(ProjectRule):
             entropy = _entropy_call(seed_expr)
             if entropy is not None:
                 yield self.finding(
-                    ctx,
+                    info,
                     call,
                     f"generator seeded from entropy source "
                     f"`{ast.unparse(entropy.func)}()`",
@@ -483,11 +475,11 @@ class RngProvenanceRule(ProjectRule):
                 params |= _params_of(fn)
             assigned = _local_assignments(scopes)
             ok, via_params = self._provenance_ok(
-                seed_expr, params, assigned, table
+                seed_expr, params, assigned, info.symbols
             )
             if not ok:
                 yield self.finding(
-                    ctx,
+                    info,
                     call,
                     "generator seed does not derive from a parameter, "
                     "self state, or module constant",
@@ -551,7 +543,6 @@ class RngProvenanceRule(ProjectRule):
             return
         for module in sorted(project.modules):
             info = project.modules[module]
-            ctx = project.context_for(module)
             for node in ast.walk(info.tree):
                 if not isinstance(node, ast.Call):
                     continue
@@ -569,7 +560,7 @@ class RngProvenanceRule(ProjectRule):
                     entropy = _entropy_call(arg)
                     if entropy is not None:
                         yield self.finding(
-                            ctx,
+                            info,
                             node,
                             f"entropy source "
                             f"`{ast.unparse(entropy.func)}()` passed as the "
@@ -625,8 +616,8 @@ LAYERS: dict[str, int] = {
 }
 
 
-@register_project
-class LayeringRule(ProjectRule):
+@register
+class LayeringRule(Rule):
     """The import graph must be acyclic and respect the layer map.
 
     Two checks over the runtime module-scope import graph
@@ -649,6 +640,7 @@ class LayeringRule(ProjectRule):
 
     rule_id = "RPR011"
     summary = "no import cycles; repro layers import strictly downward"
+    scope = "project"
     root_package: ClassVar[str] = "repro"
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
@@ -667,13 +659,12 @@ class LayeringRule(ProjectRule):
                 continue
             ordered = sorted(component)
             anchor_module = ordered[0]
-            ctx = project.context_for(anchor_module)
             anchor = self._import_node(
                 project, anchor_module, set(component)
             )
             cycle = " -> ".join(ordered + [ordered[0]])
             yield self.finding(
-                ctx,
+                project.modules[anchor_module],
                 anchor,
                 f"import cycle: {cycle}",
                 hint="break the cycle (move shared code down a layer or "
@@ -702,10 +693,9 @@ class LayeringRule(ProjectRule):
                 dst_rank = LAYERS.get(dst_pkg)
                 if dst_rank is None or dst_rank < src_rank:
                     continue
-                ctx = project.context_for(module)
                 anchor = self._import_node(project, module, {target})
                 yield self.finding(
-                    ctx,
+                    project.modules[module],
                     anchor,
                     f"forbidden layering edge: `{module}` "
                     f"(layer {src_rank}, {src_pkg}) imports `{target}` "
@@ -719,7 +709,7 @@ class LayeringRule(ProjectRule):
         project: ProjectContext, module: str, targets: set[str]
     ) -> ast.AST:
         """The import statement in ``module`` that creates the edge."""
-        for rec in project.imports[module]:
+        for rec in project.modules[module].imports:
             if not rec.module_scope or rec.type_checking:
                 continue
             resolved = project.resolve_target(rec.target)
@@ -792,8 +782,8 @@ def _strongly_connected(adjacency: dict[str, set[str]]) -> list[list[str]]:
 # ---------------------------------------------------------------------------
 
 
-@register_project
-class CrossModuleExportRule(ProjectRule):
+@register
+class CrossModuleExportRule(Rule):
     """Exports must exist, agree across modules, and earn their keep.
 
     Three cross-module checks (RPR006 polices each ``__init__`` in
@@ -816,15 +806,15 @@ class CrossModuleExportRule(ProjectRule):
 
     rule_id = "RPR012"
     summary = "cross-module __all__/re-export consistency, no dead exports"
+    scope = "project"
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         references = project.references()
         for module in sorted(project.modules):
             info = project.modules[module]
-            ctx = project.context_for(module)
-            table = project.symbols[module]
+            table = info.symbols
             # -- stale imports & re-export drift --------------------------
-            for rec in project.imports[module]:
+            for rec in info.imports:
                 if rec.name is None or rec.name == "*":
                     continue
                 target = project.resolve_target(rec.target)
@@ -837,13 +827,13 @@ class CrossModuleExportRule(ProjectRule):
                     # submodule attribute bound at import time.
                     if f"{target}.{rec.name}" in project.modules:
                         continue
-                target_table = project.symbols[target]
+                target_table = project.modules[target].symbols
                 anchor = ast.Pass()
                 anchor.lineno = rec.lineno
                 anchor.col_offset = rec.col
                 if not target_table.binds(rec.name):
                     yield self.finding(
-                        ctx,
+                        info,
                         anchor,
                         f"`from {target} import {rec.name}` names a symbol "
                         "the target module never binds",
@@ -859,7 +849,7 @@ class CrossModuleExportRule(ProjectRule):
                     and rec.name not in target_table.declared_all
                 ):
                     yield self.finding(
-                        ctx,
+                        info,
                         anchor,
                         f"package re-exports `{rec.alias}` but "
                         f"`{target}.__all__` omits `{rec.name}`: the "
@@ -886,7 +876,7 @@ class CrossModuleExportRule(ProjectRule):
                 anchor.lineno = lineno
                 anchor.col_offset = 0
                 yield self.finding(
-                    ctx,
+                    info,
                     anchor,
                     f"public symbol `{name}` is not exported via __all__, "
                     "not referenced by any other module, and unused here: "
@@ -912,17 +902,14 @@ class CrossModuleExportRule(ProjectRule):
             return
         for name, target in sorted(table.items()):
             source = f"{module}{target}"
-            if target == f".{name}" or source not in project.symbols:
+            if target == f".{name}" or source not in project.modules:
                 continue
-            if not project.symbols[source].binds(name):
+            if not project.modules[source].symbols.binds(name):
                 yield self.finding(
-                    project.context_for(module),
+                    info,
                     node,
                     f"lazy export `{name}` names `{source}`, which never "
                     "binds it",
                     hint="fix the table entry or define the symbol",
                 )
 
-
-#: Stable, importable view of the project-rule registry.
-ALL_PROJECT_RULE_IDS: tuple[str, ...] = tuple(sorted(PROJECT_RULES))

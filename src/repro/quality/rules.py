@@ -2,10 +2,12 @@
 
 Each rule encodes an invariant that the feasibility math (eqs. 1-7 of the
 paper) and the deterministic-replay property of the DES validator depend
-on.  Rules are AST visitors registered in :data:`RULES`; the engine runs
-every enabled rule over every file and collects :class:`~repro.quality.findings.Finding`s.
+on.  Every rule — file-scoped here, whole-program in
+:mod:`repro.quality.project_rules` — is registered in the one registry
+:data:`RULES`; the engine runs each enabled rule once over the parsed
+project and collects :class:`~repro.quality.findings.Finding`s.
 
-The ten shipped per-file rules:
+The ten shipped file rules:
 
 ``RPR001``
     No ``==`` / ``!=`` on computed floating-point quantities — feasibility
@@ -58,14 +60,13 @@ The ten shipped per-file rules:
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Iterator
 
 from .findings import Finding, Severity
+from .project import ModuleInfo, ProjectContext, string_elements
 
 __all__ = [
-    "ALL_RULE_IDS",
     "RULES",
     "BarePoolConstructionRule",
     "DurableWriteRule",
@@ -74,7 +75,6 @@ __all__ = [
     "MissingAnnotationsRule",
     "PublicApiRule",
     "Rule",
-    "RuleContext",
     "SilentExceptionRule",
     "UnboundedWaitRule",
     "UnseededRandomnessRule",
@@ -85,40 +85,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RuleContext:
-    """Everything a rule may inspect about one source file."""
-
-    path: str
-    module: str
-    tree: ast.Module
-    source: str = ""
-
-    def in_packages(self, packages: tuple[str, ...]) -> bool:
-        """Whether this module lives under any of the dotted ``packages``."""
-        return any(
-            self.module == pkg or self.module.startswith(pkg + ".")
-            for pkg in packages
-        )
-
-
 class Rule:
     """Base class for a lint rule.
 
-    Subclasses set the class attributes and implement :meth:`check`,
-    yielding findings for one parsed module.  Rules must be stateless
-    across files — the engine reuses a single instance.
+    A file rule (``scope = "file"``) implements :meth:`check` over one
+    parsed module; the inherited :meth:`check_project` runs it on every
+    parsed file.  A project rule (``scope = "project"``) overrides
+    :meth:`check_project` instead, to see the whole program at once.
+    Rules must be stateless across runs — the registry holds a single
+    instance.
     """
 
     rule_id: ClassVar[str] = ""
     summary: ClassVar[str] = ""
     severity: ClassVar[Severity] = Severity.ERROR
+    scope: ClassVar[str] = "file"
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         raise NotImplementedError
 
+    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        for module in project.files:
+            yield from self.check(module)
+
     def finding(
-        self, ctx: RuleContext, node: ast.AST, message: str, hint: str = ""
+        self, ctx: ModuleInfo, node: ast.AST, message: str, hint: str = ""
     ) -> Finding:
         """Build a finding anchored at ``node``'s location."""
         return Finding(
@@ -136,7 +127,7 @@ RULES: dict[str, Rule] = {}
 
 
 def register(cls: type[Rule]) -> type[Rule]:
-    """Class decorator adding a rule (by id) to the global registry."""
+    """Class decorator adding a rule (by id) to the one registry."""
     if not cls.rule_id:
         raise ValueError(f"{cls.__name__} has no rule_id")
     if cls.rule_id in RULES:
@@ -188,7 +179,7 @@ class FloatEqualityRule(Rule):
     rule_id = "RPR001"
     summary = "no float == / != on computed quantities"
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -227,39 +218,6 @@ _NP_RANDOM_ALLOWED = frozenset(
 )
 
 
-class _ImportTracker(ast.NodeVisitor):
-    """Resolve which local names refer to `random` / `numpy` / `numpy.random`."""
-
-    def __init__(self) -> None:
-        self.stdlib_random: set[str] = set()
-        self.numpy: set[str] = set()
-        self.numpy_random: set[str] = set()
-        self.banned_direct: set[str] = set()
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
-            if alias.name == "random":
-                self.stdlib_random.add(bound)
-            elif alias.name == "numpy.random" and alias.asname:
-                self.numpy_random.add(bound)
-            elif alias.name.split(".")[0] == "numpy":
-                self.numpy.add(bound)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "numpy":
-            for alias in node.names:
-                if alias.name == "random":
-                    self.numpy_random.add(alias.asname or alias.name)
-        elif node.module == "numpy.random":
-            for alias in node.names:
-                if alias.name not in _NP_RANDOM_ALLOWED:
-                    self.banned_direct.add(alias.asname or alias.name)
-        elif node.module == "random":
-            for alias in node.names:
-                self.banned_direct.add(alias.asname or alias.name)
-
-
 @register
 class UnseededRandomnessRule(Rule):
     """Module-level RNG calls bypass the injected ``Generator``.
@@ -274,55 +232,36 @@ class UnseededRandomnessRule(Rule):
     rule_id = "RPR002"
     summary = "no unseeded module-level randomness"
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        tracker = _ImportTracker()
-        tracker.visit(ctx.tree)
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                if func.id in tracker.banned_direct:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"call to module-level RNG `{func.id}`",
-                        hint="inject a numpy.random.Generator instead",
-                    )
-                continue
-            if not isinstance(func, ast.Attribute):
-                continue
-            base = func.value
-            # random.<fn>(...)
-            if (
-                isinstance(base, ast.Name)
-                and base.id in tracker.stdlib_random
-                and func.attr not in {"Random", "SystemRandom"}
-            ):
+            message = self._violation(ctx, node.func)
+            if message is not None:
                 yield self.finding(
                     ctx,
                     node,
-                    f"call to stdlib `random.{func.attr}` (hidden global "
-                    "state)",
+                    message,
                     hint="inject a numpy.random.Generator instead",
                 )
-                continue
-            # np.random.<fn>(...) or <numpy_random_alias>.<fn>(...)
-            is_np_random = (
-                isinstance(base, ast.Name) and base.id in tracker.numpy_random
-            ) or (
-                isinstance(base, ast.Attribute)
-                and base.attr == "random"
-                and isinstance(base.value, ast.Name)
-                and base.value.id in tracker.numpy
+
+    @staticmethod
+    def _violation(ctx: ModuleInfo, func: ast.expr) -> str | None:
+        """Why a call of ``func`` draws from hidden global RNG state."""
+        for qualified in sorted(ctx.qualified_names(func)):
+            module, _, attr = qualified.rpartition(".")
+            legacy_numpy = (
+                module == "numpy.random" and attr not in _NP_RANDOM_ALLOWED
             )
-            if is_np_random and func.attr not in _NP_RANDOM_ALLOWED:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"call to legacy `numpy.random.{func.attr}` global RNG",
-                    hint="inject a numpy.random.Generator instead",
-                )
+            if isinstance(func, ast.Name):
+                # from-imported: `shuffle`, `rand`
+                if module == "random" or legacy_numpy:
+                    return f"call to module-level RNG `{func.id}`"
+            elif module == "random" and attr not in {"Random", "SystemRandom"}:
+                return f"call to stdlib `random.{attr}` (hidden global state)"
+            elif legacy_numpy:
+                return f"call to legacy `numpy.random.{attr}` global RNG"
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +303,7 @@ class FrozenModelRule(Rule):
     rule_id = "RPR003"
     summary = "no mutable defaults / no frozen-object mutation"
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         findings: list[Finding] = []
         rule = self
 
@@ -460,14 +399,14 @@ class MissingAnnotationsRule(Rule):
         "repro.des",
     )
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         if not ctx.in_packages(self.packages):
             return
         yield from self._scan(ctx, ctx.tree.body, class_private=False)
 
     def _scan(
         self,
-        ctx: RuleContext,
+        ctx: ModuleInfo,
         body: list[ast.stmt],
         class_private: bool,
     ) -> Iterator[Finding]:
@@ -481,7 +420,7 @@ class MissingAnnotationsRule(Rule):
                 yield from self._check_signature(ctx, stmt)
 
     def _check_signature(
-        self, ctx: RuleContext, node: ast.FunctionDef | ast.AsyncFunctionDef
+        self, ctx: ModuleInfo, node: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> Iterator[Finding]:
         args = node.args
         positional = [*args.posonlyargs, *args.args]
@@ -550,7 +489,7 @@ class SilentExceptionRule(Rule):
     rule_id = "RPR005"
     summary = "no bare except / silent exception swallowing"
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
@@ -661,12 +600,12 @@ class PublicApiRule(Rule):
     rule_id = "RPR006"
     summary = "__all__ present and consistent in every repro package"
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        if not ctx.path.replace("\\", "/").endswith("__init__.py"):
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
+        if not ctx.is_package:
             return
         if not (ctx.module == "repro" or ctx.module.startswith("repro.")):
             return
-        declared: set[str] | None = None
+        declared: frozenset[str] | None = None
         declared_node: ast.stmt | None = None
         bound: dict[str, ast.stmt] = {}
         for stmt in ctx.tree.body:
@@ -676,7 +615,7 @@ class PublicApiRule(Rule):
                 ]
                 if "__all__" in targets:
                     declared_node = stmt
-                    declared = self._string_elements(stmt.value)
+                    declared = string_elements(stmt.value)
                     continue
                 for name in targets:
                     bound[name] = stmt
@@ -684,11 +623,7 @@ class PublicApiRule(Rule):
                 if isinstance(stmt.target, ast.Name):
                     if stmt.target.id == "__all__":
                         declared_node = stmt
-                        declared = (
-                            self._string_elements(stmt.value)
-                            if stmt.value is not None
-                            else set()
-                        )
+                        declared = string_elements(stmt.value)
                         continue
                     bound[stmt.target.id] = stmt
             elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -744,7 +679,7 @@ class PublicApiRule(Rule):
             )
 
     def _check_lazy_targets(
-        self, ctx: RuleContext, node: ast.AST, table: dict[str, str]
+        self, ctx: ModuleInfo, node: ast.AST, table: dict[str, str]
     ) -> Iterator[Finding]:
         submodules = package_submodules(ctx.path)
         for name, target in sorted(table.items()):
@@ -766,16 +701,6 @@ class PublicApiRule(Rule):
                     "does not exist",
                     hint="fix the target or drop the entry",
                 )
-
-    @staticmethod
-    def _string_elements(node: ast.expr) -> set[str]:
-        if isinstance(node, (ast.List, ast.Tuple)):
-            return {
-                elt.value
-                for elt in node.elts
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-            }
-        return set()
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +730,7 @@ class UnboundedWaitRule(Rule):
         "repro.experiments",
     )
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         if not ctx.in_packages(self.packages):
             return
         for node in ast.walk(ctx.tree):
@@ -836,25 +761,6 @@ class UnboundedWaitRule(Rule):
 # ---------------------------------------------------------------------------
 
 
-class _TimeImportTracker(ast.NodeVisitor):
-    """Resolve which local names refer to the ``time`` module / function."""
-
-    def __init__(self) -> None:
-        self.time_module: set[str] = set()
-        self.time_function: set[str] = set()
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name == "time":
-                self.time_module.add(alias.asname or alias.name)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "time":
-            for alias in node.names:
-                if alias.name == "time":
-                    self.time_function.add(alias.asname or alias.name)
-
-
 @register
 class WallClockTimingRule(Rule):
     """Wall-clock reads make runtime measurements non-monotonic.
@@ -873,25 +779,11 @@ class WallClockTimingRule(Rule):
     rule_id = "RPR008"
     summary = "no time.time() for duration measurement"
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        tracker = _TimeImportTracker()
-        tracker.visit(ctx.tree)
-        if not tracker.time_module and not tracker.time_function:
-            return
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            flagged = (
-                isinstance(func, ast.Name)
-                and func.id in tracker.time_function
-            ) or (
-                isinstance(func, ast.Attribute)
-                and func.attr == "time"
-                and isinstance(func.value, ast.Name)
-                and func.value.id in tracker.time_module
-            )
-            if flagged:
+            if "time.time" in ctx.qualified_names(node.func):
                 yield self.finding(
                     ctx,
                     node,
@@ -907,47 +799,13 @@ class WallClockTimingRule(Rule):
 # ---------------------------------------------------------------------------
 
 
-class _PoolImportTracker(ast.NodeVisitor):
-    """Resolve local names referring to the raw pool constructors.
-
-    Tracks every spelling that binds a constructor into scope:
-    ``from concurrent.futures import ProcessPoolExecutor [as X]``,
-    ``from multiprocessing[.pool] import Pool [as P]``, plus the module
-    aliases (``import concurrent.futures as cf`` / ``import
-    multiprocessing as mp``) through which ``cf.ProcessPoolExecutor`` /
-    ``mp.Pool`` / ``mp.pool.Pool`` are reached.
-    """
-
-    def __init__(self) -> None:
-        self.direct: dict[str, str] = {}
-        self.futures_modules: set[str] = set()
-        self.mp_modules: set[str] = set()
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
-            if alias.name in ("concurrent", "concurrent.futures"):
-                self.futures_modules.add(bound)
-            elif alias.name.split(".")[0] == "multiprocessing":
-                self.mp_modules.add(bound)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "concurrent.futures":
-            for alias in node.names:
-                if alias.name == "ProcessPoolExecutor":
-                    self.direct[alias.asname or alias.name] = (
-                        "concurrent.futures.ProcessPoolExecutor"
-                    )
-        elif node.module in ("multiprocessing", "multiprocessing.pool"):
-            for alias in node.names:
-                if alias.name == "Pool":
-                    self.direct[alias.asname or alias.name] = (
-                        f"{node.module}.Pool"
-                    )
-        elif node.module == "concurrent":
-            for alias in node.names:
-                if alias.name == "futures":
-                    self.futures_modules.add(alias.asname or alias.name)
+_POOL_CONSTRUCTORS = frozenset(
+    {
+        "concurrent.futures.ProcessPoolExecutor",
+        "multiprocessing.Pool",
+        "multiprocessing.pool.Pool",
+    }
+)
 
 
 @register
@@ -970,21 +828,13 @@ class BarePoolConstructionRule(Rule):
     summary = "no bare ProcessPoolExecutor/Pool outside repro.parallel"
     exempt_packages: ClassVar[tuple[str, ...]] = ("repro.parallel",)
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         if ctx.in_packages(self.exempt_packages):
-            return
-        tracker = _PoolImportTracker()
-        tracker.visit(ctx.tree)
-        if not (
-            tracker.direct
-            or tracker.futures_modules
-            or tracker.mp_modules
-        ):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            qualname = self._constructed_pool(node.func, tracker)
+            qualname = self._constructed_pool(ctx, node.func)
             if qualname is not None:
                 yield self.finding(
                     ctx,
@@ -996,62 +846,27 @@ class BarePoolConstructionRule(Rule):
                 )
 
     @staticmethod
-    def _constructed_pool(
-        func: ast.expr, tracker: _PoolImportTracker
-    ) -> str | None:
+    def _constructed_pool(ctx: ModuleInfo, func: ast.expr) -> str | None:
         """Qualified name when ``func`` is a raw pool constructor."""
-        if isinstance(func, ast.Name):
-            return tracker.direct.get(func.id)
-        if not isinstance(func, ast.Attribute):
-            return None
-        base = func.value
-        if func.attr == "ProcessPoolExecutor":
-            # cf.ProcessPoolExecutor / concurrent.futures.ProcessPoolExecutor
-            if isinstance(base, ast.Name) and base.id in tracker.futures_modules:
-                return "concurrent.futures.ProcessPoolExecutor"
+        for qualified in sorted(ctx.qualified_names(func)):
+            if qualified not in _POOL_CONSTRUCTORS:
+                continue
             if (
-                isinstance(base, ast.Attribute)
-                and base.attr == "futures"
-                and isinstance(base.value, ast.Name)
-                and base.value.id in tracker.futures_modules
+                qualified.startswith("multiprocessing.")
+                and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
             ):
-                return "concurrent.futures.ProcessPoolExecutor"
-        if func.attr == "Pool":
-            # mp.Pool / mp.pool.Pool
-            if isinstance(base, ast.Name) and base.id in tracker.mp_modules:
+                # `<module alias>.Pool` has always been reported by its
+                # public spelling, whichever multiprocessing module the
+                # alias names.
                 return "multiprocessing.Pool"
-            if (
-                isinstance(base, ast.Attribute)
-                and base.attr == "pool"
-                and isinstance(base.value, ast.Name)
-                and base.value.id in tracker.mp_modules
-            ):
-                return "multiprocessing.pool.Pool"
+            return qualified
         return None
 
 
 # ---------------------------------------------------------------------------
 # RPR014 — no non-atomic durable writes outside the durability modules
 # ---------------------------------------------------------------------------
-
-
-class _JsonImportTracker(ast.NodeVisitor):
-    """Resolve local names referring to ``json.dump``."""
-
-    def __init__(self) -> None:
-        self.json_modules: set[str] = set()
-        self.dump_names: set[str] = set()
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name == "json":
-                self.json_modules.add(alias.asname or alias.name)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "json":
-            for alias in node.names:
-                if alias.name == "dump":
-                    self.dump_names.add(alias.asname or alias.name)
 
 
 def _write_mode(call: ast.Call, *, mode_position: int) -> str | None:
@@ -1087,7 +902,7 @@ class DurableWriteRule(Rule):
     ``Path.write_text``/``write_bytes``) truncates the target before
     the new bytes are durable: a crash mid-write destroys the old
     contents *and* the new.  Every durable artifact — models,
-    checkpoints, baselines — must go through
+    checkpoints, snapshots — must go through
     :func:`repro.io_utils.atomic.atomic_write_text` /
     ``atomic_write_bytes`` (write-temp → fsync → ``os.replace``), or
     the framed write-ahead log in :mod:`repro.service.journal`.  Those
@@ -1109,25 +924,22 @@ class DurableWriteRule(Rule):
         "(write-temp, fsync, os.replace)"
     )
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         if ctx.module in self.exempt_modules:
             return
-        tracker = _JsonImportTracker()
-        tracker.visit(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            message = self._violation(node, tracker)
+            message = self._violation(ctx, node)
             if message is not None:
                 yield self.finding(ctx, node, message, hint=self._hint)
 
-    def _violation(
-        self, call: ast.Call, tracker: _JsonImportTracker
-    ) -> str | None:
+    @staticmethod
+    def _violation(ctx: ModuleInfo, call: ast.Call) -> str | None:
         func = call.func
+        if "json.dump" in ctx.qualified_names(func):
+            return "`json.dump` writes through a non-atomic handle"
         if isinstance(func, ast.Name):
-            if func.id in tracker.dump_names:
-                return "`json.dump` writes through a non-atomic handle"
             if func.id == "open":
                 mode = _write_mode(call, mode_position=1)
                 if mode is not None:
@@ -1137,12 +949,6 @@ class DurableWriteRule(Rule):
             return None
         if not isinstance(func, ast.Attribute):
             return None
-        if (
-            func.attr == "dump"
-            and isinstance(func.value, ast.Name)
-            and func.value.id in tracker.json_modules
-        ):
-            return "`json.dump` writes through a non-atomic handle"
         if func.attr in ("write_text", "write_bytes"):
             return f"non-atomic `.{func.attr}(...)` durable write"
         if func.attr == "open":
@@ -1151,6 +957,3 @@ class DurableWriteRule(Rule):
                 return f"non-atomic write-mode `.open({mode!r})`"
         return None
 
-
-# Keep a stable, importable view of the registry for the CLI/docs.
-ALL_RULE_IDS: tuple[str, ...] = tuple(sorted(RULES))

@@ -38,7 +38,6 @@ durability contract.
 
 from ..parallel.retry import RetryError, RetryPolicy, backoff_delays, retry_call
 from .admission import (
-    AdmissionDecision,
     QueuedRequest,
     RequestQueue,
     plan_shedding,
@@ -95,7 +94,6 @@ from .soak import SoakConfig, SoakReport, SoakStepRecord, run_soak
 __all__ = [
     "DEFAULT_POLICIES",
     "DEFAULT_TIERS",
-    "AdmissionDecision",
     "AttemptRecord",
     "BreakerConfig",
     "BreakerState",

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
-    "AdmissionDecision",
     "QueuedRequest",
     "RequestQueue",
     "plan_shedding",
@@ -39,16 +38,6 @@ class QueuedRequest:
 
     service_id: int
     worth: float
-
-
-@dataclass(frozen=True)
-class AdmissionDecision:
-    """Verdict on one queued arrival."""
-
-    request: QueuedRequest
-    admitted: bool
-    reason: str
-    projected_slackness: float | None = None
 
 
 class RequestQueue:

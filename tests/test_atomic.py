@@ -51,7 +51,7 @@ def test_failed_write_leaves_old_contents_and_no_tmp(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["out.json"]
 
 
-def test_durable_false_skips_fsync(tmp_path, monkeypatch):
+def test_atomic_write_fsyncs(tmp_path, monkeypatch):
     calls = []
     real_fsync = os.fsync
 
@@ -60,10 +60,8 @@ def test_durable_false_skips_fsync(tmp_path, monkeypatch):
         return real_fsync(fd)
 
     monkeypatch.setattr(os, "fsync", counting_fsync)
-    atomic_write_text(tmp_path / "cache.json", "{}", durable=False)
-    assert calls == []
     atomic_write_text(tmp_path / "real.json", "{}")
-    assert calls  # durable writes do fsync
+    assert len(calls) == 2  # the temp file, then its directory
 
 
 def test_fsync_dir_swallows_unsupported(tmp_path):

@@ -12,6 +12,7 @@ from repro.core.metrics import evaluate
 from repro.genitor import GenitorConfig, StoppingRules
 from repro.heuristics import (
     most_worth_first,
+    mwf_order,
     mwf_with_local_search,
     psg,
     seeded_psg,
@@ -162,6 +163,12 @@ _ORACLE_INSTANCES = [
 ] + [
     ("complete", SCENARIO_3.scaled(**_TINY_COMPLETE), seed) for seed in (1, 2, 3)
 ]
+#: An instance whose latency bounds are tight enough that the kernel's
+#: stage-2a latency check rejects a string on MWF's path.
+_TIGHT_LATENCY = SCENARIO_1.scaled(
+    **_TINY_PARTIAL, latency_mu=(1.0, 1.5), name="scenario1-tight-latency"
+)
+_ORACLE_INSTANCES.append(("partial", _TIGHT_LATENCY, 4))
 _SMALL_GA = GenitorConfig(
     population_size=8,
     rules=StoppingRules(max_iterations=100, max_stale_iterations=40),
@@ -231,6 +238,12 @@ class TestExactOracleChain:
                     slackness = evaluate(result.allocation).slackness
                     assert slackness <= exact.slackness, result.name
             assert exact.slackness <= row["bound"] + 1e-6
+
+    def test_latency_bound_binds(self, chains):
+        model = chains[(_TIGHT_LATENCY.name, 4)]["model"]
+        state = allocate_sequence(model, mwf_order(model)).state
+        assert state.last_rejection is not None
+        assert state.last_rejection.kind == "latency"
 
     def test_not_vacuous(self, chains):
         rows = chains.values()

@@ -4,6 +4,7 @@ rule."""
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,6 @@ from pathlib import Path
 import repro
 from repro.quality import (
     ALL_RULE_IDS,
-    PROJECT_RULES,
     RULES,
     Finding,
     LintEngine,
@@ -40,19 +40,19 @@ def test_live_codebase_is_clean_under_all_rules():
 
 
 def test_registry_exposes_exactly_the_fourteen_documented_rules():
-    assert sorted(RULES) == [
+    scopes = {rule_id: rule.scope for rule_id, rule in RULES.items()}
+    assert sorted(r for r, scope in scopes.items() if scope == "file") == [
         "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
         "RPR007", "RPR008", "RPR013", "RPR014",
     ]
-    assert sorted(PROJECT_RULES) == [
+    assert sorted(r for r, scope in scopes.items() if scope == "project") == [
         "RPR009", "RPR010", "RPR011", "RPR012",
     ]
-    assert not set(RULES) & set(PROJECT_RULES)
-    assert ALL_RULE_IDS == tuple(sorted(set(RULES) | set(PROJECT_RULES)))
-    for registry in (RULES, PROJECT_RULES):
-        for rule_id, rule in registry.items():
-            assert rule.rule_id == rule_id
-            assert rule.summary
+    assert len(RULES) == 14
+    assert ALL_RULE_IDS == tuple(sorted(RULES))
+    for rule_id, rule in RULES.items():
+        assert rule.rule_id == rule_id
+        assert rule.summary
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,25 @@ def test_syntax_error_becomes_rpr000_finding():
     assert len(found) == 1
     assert found[0].rule_id == "RPR000"
     assert "syntax error" in found[0].message
+
+
+def test_run_parses_each_file_once(tmp_path, monkeypatch):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    files = [pkg / "__init__.py", pkg / "a.py", tmp_path / "script.py"]
+    for path in files:
+        path.write_text("import numpy as np\nrng = np.random.default_rng(1)\n")
+    parsed: list[str] = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(str(filename))
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    report = LintEngine().run([tmp_path])
+    assert report.files_checked == 3
+    assert sorted(parsed) == sorted(str(path) for path in files)
 
 
 def test_findings_are_sorted_by_position():

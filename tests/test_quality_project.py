@@ -8,11 +8,12 @@ clean over ``src/repro``) lives in test_quality_engine.py.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
 
-from repro.quality import PROJECT_RULES, ProjectRule, lint_paths
+from repro.quality import RULES, ModuleInfo, Rule, lint_paths, lint_source
 from repro.quality.project_rules import LAYERS
 
 # ---------------------------------------------------------------------------
@@ -28,7 +29,7 @@ def _write_tree(root: Path, files: dict[str, str]) -> None:
 
 
 def _project_lint(root: Path, rule_id: str):
-    report = lint_paths([root], rules=[PROJECT_RULES[rule_id]])
+    report = lint_paths([root], rules=[RULES[rule_id]])
     return report.findings
 
 
@@ -42,13 +43,91 @@ def _messages(findings) -> list[str]:
 
 
 def test_project_registry_holds_the_four_documented_rules():
-    assert sorted(PROJECT_RULES) == ["RPR009", "RPR010", "RPR011", "RPR012"]
-    for rule_id, rule in PROJECT_RULES.items():
-        assert isinstance(rule, ProjectRule)
+    project = {r: rule for r, rule in RULES.items() if rule.scope == "project"}
+    assert sorted(project) == ["RPR009", "RPR010", "RPR011", "RPR012"]
+    for rule_id, rule in project.items():
+        assert isinstance(rule, Rule)
         assert rule.rule_id == rule_id
         assert rule.summary
-        # the per-file hook must be a no-op so mixed rule lists are safe
-        assert list(rule.check(None)) == []
+        # a lone source string is no program: lint_source skips them
+        assert lint_source(UNSEEDED, rules=[rule]) == []
+
+
+UNSEEDED = "import numpy as np\nrng = np.random.default_rng()\n"
+
+
+def test_full_registry_reports_a_project_finding_once(tmp_path):
+    _write_tree(tmp_path, {"gen.py": UNSEEDED})
+    report = lint_paths([tmp_path])
+    assert [f.rule_id for f in report.findings] == ["RPR010"]
+
+
+# ---------------------------------------------------------------------------
+# the import resolver file rules share
+# ---------------------------------------------------------------------------
+
+
+def _module(source: str, module: str = "pkg.mod") -> ModuleInfo:
+    return ModuleInfo(
+        path="mod.py",
+        module=module,
+        is_package=False,
+        tree=ast.parse(source),
+        source=source,
+    )
+
+
+RESOLVER_SOURCE = """\
+import numpy as np
+import numpy.random as npr
+import concurrent.futures
+from numpy import random
+from json import dump as write_json
+from .sibling import helper
+
+
+def timed():
+    import time as clock
+    from multiprocessing import Pool
+    return clock.time(), Pool
+"""
+
+
+@pytest.mark.parametrize(
+    ("expr", "qualified"),
+    [
+        ("np.random.rand", "numpy.random.rand"),
+        ("npr.rand", "numpy.random.rand"),
+        ("random.rand", "numpy.random.rand"),
+        ("write_json", "json.dump"),
+        ("clock.time", "time.time"),
+        ("Pool", "multiprocessing.Pool"),
+        (
+            "concurrent.futures.ProcessPoolExecutor",
+            "concurrent.futures.ProcessPoolExecutor",
+        ),
+        ("helper", "pkg.sibling.helper"),
+    ],
+)
+def test_qualified_names_follow_every_import_spelling(expr, qualified):
+    module = _module(RESOLVER_SOURCE)
+    assert module.qualified_names(ast.parse(expr, mode="eval").body) == {
+        qualified
+    }
+
+
+@pytest.mark.parametrize("expr", ["numpy.random.rand", "dump", "timed().x"])
+def test_qualified_names_ignore_unimported_roots(expr):
+    module = _module(RESOLVER_SOURCE)
+    assert module.qualified_names(ast.parse(expr, mode="eval").body) == set()
+
+
+def test_qualified_names_keep_every_binding_of_a_name():
+    module = _module(
+        "def a():\n    import time\n\ndef b():\n    from time import time\n"
+    )
+    expr = ast.parse("time", mode="eval").body
+    assert module.qualified_names(expr) == {"time", "time.time"}
 
 
 def test_layer_map_covers_every_shipped_subpackage():
@@ -411,6 +490,6 @@ def test_project_findings_respect_inline_noqa(tmp_path):
             "    return np.random.default_rng()  # repro: noqa[RPR010]\n"
         ),
     })
-    report = lint_paths([tmp_path], rules=[PROJECT_RULES["RPR010"]])
+    report = lint_paths([tmp_path], rules=[RULES["RPR010"]])
     assert report.findings == ()
     assert report.suppressed == 1

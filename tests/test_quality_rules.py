@@ -111,6 +111,15 @@ def test_rpr002_fires_once_on_np_random_rand():
     assert "Generator" in found[0].hint
 
 
+def test_rpr002_function_scope_import():
+    src = (
+        "def draw():\n"
+        "    from numpy import random\n"
+        "    return random.rand()\n"
+    )
+    assert len(findings_for(src, "RPR002")) == 1
+
+
 def test_rpr002_clean_fixture_passes():
     assert findings_for(RPR002_CLEAN, "RPR002") == []
 
@@ -606,6 +615,11 @@ def test_rpr008_from_import():
 
 def test_rpr008_from_import_alias():
     src = "from time import time as now\n\nnow()\n"
+    assert len(findings_for(src, "RPR008")) == 1
+
+
+def test_rpr008_function_scope_import():
+    src = "def stamp():\n    import time\n    return time.time()\n"
     assert len(findings_for(src, "RPR008")) == 1
 
 
