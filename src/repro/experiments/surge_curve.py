@@ -27,13 +27,11 @@ from ..dynamic.perturbation import scale_workload
 from ..dynamic.policies import carry_forward
 from ..core.allocation import Allocation
 from ..genitor import GenitorConfig
-from ..heuristics import best_of_trials, get_heuristic
+from ..heuristics import GA_HEURISTICS, best_of_trials, get_heuristic
 from ..workload import SCENARIO_3, ScenarioParameters, generate_model
 from .runner import SCALES, ExperimentScale
 
 __all__ = ["SurgeCurve", "run_surge_curves"]
-
-_GA = frozenset({"psg", "seeded-psg"})
 
 
 @dataclass
@@ -84,7 +82,7 @@ def run_surge_curves(
         model = generate_model(params, seed=base_seed + r)
         for name in heuristics:
             heuristic = get_heuristic(name)
-            if name in _GA:
+            if name in GA_HEURISTICS:
                 result = best_of_trials(
                     heuristic, model, n_trials=scale.n_trials,
                     rng=base_seed * 11 + r, config=ga_config,

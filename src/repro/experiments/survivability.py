@@ -32,14 +32,12 @@ from ..faults.injector import inject
 from ..faults.recovery import recover
 from ..faults.scenarios import FAULT_KINDS, sample_faults
 from ..genitor import GenitorConfig
-from ..heuristics import best_of_trials, get_heuristic
+from ..heuristics import GA_HEURISTICS, best_of_trials, get_heuristic
 from ..parallel import ChaosPolicy
 from ..workload import SCENARIO_1, ScenarioParameters, generate_model
 from .runner import SCALES, ExperimentScale
 
 __all__ = ["SurvivabilityCell", "run_survivability"]
-
-_GA = frozenset({"psg", "seeded-psg"})
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ def run_survivability(
         fault_descriptions.append(injection.describe())
         for h in heuristics:
             heuristic = get_heuristic(h)
-            if h in _GA:
+            if h in GA_HEURISTICS:
                 result = best_of_trials(
                     heuristic, model, n_trials=scale.n_trials,
                     rng=base_seed * 11 + r, config=ga_config,

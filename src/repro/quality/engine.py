@@ -6,7 +6,8 @@ run is one pass:
 
 * each file is read and parsed once into a
   :class:`~repro.quality.project.ModuleInfo` (a file that does not parse
-  is reported as RPR000 and left out);
+  is reported as RPR000 and left out), whose tree is walked once, on
+  first use, into the node index every rule reads;
 * the parsed modules form one
   :class:`~repro.quality.project.ProjectContext`;
 * every enabled rule of the one :data:`~repro.quality.rules.RULES`

@@ -9,7 +9,10 @@ Every file the engine lints is parsed exactly once into a
 * an alias resolver over those records
   (:meth:`ModuleInfo.qualified_names`), which tells a file rule that
   ``np.random.rand`` or a bare ``rand`` means ``numpy.random.rand``;
-* its top-level :class:`SymbolTable` (bindings, ``__all__``).
+* its top-level :class:`SymbolTable` (bindings, ``__all__``);
+* one index of its nodes by AST type (:meth:`ModuleInfo.nodes`), each
+  with its chain of enclosing functions (:meth:`ModuleInfo.scopes_of`),
+  built by the one whole-tree walk any rule makes of the module.
 
 :class:`ProjectContext` holds every parsed module of one run and derives
 the module-level import graph, a cross-module reference index (which
@@ -22,9 +25,10 @@ once over it (see :meth:`repro.quality.rules.Rule.check_project`).
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, cast
 
 __all__ = [
     "ImportRecord",
@@ -33,6 +37,12 @@ __all__ = [
     "SymbolTable",
     "string_elements",
 ]
+
+_N = TypeVar("_N", bound=ast.AST)
+
+#: The nodes that open a function scope in :meth:`ModuleInfo.scopes_of`.
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_Scopes = tuple[ast.FunctionDef | ast.AsyncFunctionDef, ...]
 
 
 @dataclass(frozen=True)
@@ -59,16 +69,23 @@ class SymbolTable:
     """Top-level symbol information of one module.
 
     ``bindings`` maps names defined *in* the module (functions, classes,
-    assignments — not imports) to their line; ``import_bindings`` maps
-    names bound by top-level imports.  ``declared_all`` is the module's
-    ``__all__`` (``None`` when not declared).  ``has_module_getattr``
-    marks modules with a PEP 562 ``__getattr__`` whose exports cannot be
-    resolved statically.
+    assignments — not imports) to their first line; ``import_bindings``
+    maps names bound by top-level imports to theirs.  Both count
+    bindings nested in top-level ``if``/``try`` blocks.  ``top_level``
+    maps every name (``__all__`` and imports included) bound by a
+    statement directly in the module body to the line of its *last*
+    such binding.  ``declared_all`` is the module's ``__all__`` as last
+    assigned anywhere (``None`` when not declared), ``top_level_all`` as
+    last assigned directly in the body.  ``has_module_getattr`` marks
+    modules with a PEP 562 ``__getattr__`` whose exports cannot be
+    resolved statically.  Star imports bind no name.
     """
 
     bindings: Mapping[str, int]
     import_bindings: Mapping[str, int]
+    top_level: Mapping[str, int]
     declared_all: frozenset[str] | None
+    top_level_all: frozenset[str] | None
     all_lineno: int
     has_module_getattr: bool
 
@@ -86,8 +103,9 @@ class ModuleInfo:
 
     ``module`` is the dotted module name (empty for an anonymous source
     string) and ``is_package`` marks a package ``__init__``.  The import
-    records, their resolver and the symbol table are derived on first
-    use and cached.
+    records, their resolver, the symbol table and the node index are
+    derived on first use and cached.  Rules read the tree through
+    :meth:`nodes` and :meth:`scopes_of` rather than walking it again.
     """
 
     path: str
@@ -112,6 +130,37 @@ class ModuleInfo:
     def symbols(self) -> SymbolTable:
         """The module's top-level :class:`SymbolTable`."""
         return _symbol_table(self)
+
+    @cached_property
+    def _index(
+        self,
+    ) -> tuple[dict[type[ast.AST], list[ast.AST]], dict[ast.AST, _Scopes]]:
+        """The one walk of the tree: nodes by type, and their scopes."""
+        by_type: dict[type[ast.AST], list[ast.AST]] = {}
+        scopes: dict[ast.AST, _Scopes] = {}
+        todo: deque[tuple[ast.AST, _Scopes]] = deque([(self.tree, ())])
+        while todo:  # breadth first, in ast.walk order
+            node, chain = todo.popleft()
+            by_type.setdefault(type(node), []).append(node)
+            scopes[node] = chain
+            if isinstance(node, _FUNCTIONS):
+                chain = (*chain, node)
+            todo.extend((child, chain) for child in ast.iter_child_nodes(node))
+        return by_type, scopes
+
+    def nodes(self, node_type: type[_N]) -> Sequence[_N]:
+        """Every node of the concrete AST type ``node_type``, in
+        ``ast.walk`` order."""
+        return cast("list[_N]", self._index[0].get(node_type, []))
+
+    def scopes_of(self, node: ast.AST) -> _Scopes:
+        """The functions enclosing ``node``, outermost first.
+
+        A ``def``'s decorators, defaults and annotations count as inside
+        it, as does everything in a class nested in it.  Class bodies and
+        lambdas open no scope of their own.
+        """
+        return self._index[1][node]
 
     @cached_property
     def _aliases(self) -> Mapping[str, frozenset[str]]:
@@ -251,64 +300,66 @@ def string_elements(node: ast.expr | None) -> frozenset[str]:
 def _symbol_table(info: ModuleInfo) -> SymbolTable:
     bindings: dict[str, int] = {}
     import_bindings: dict[str, int] = {}
+    top_level: dict[str, int] = {}
     declared: frozenset[str] | None = None
+    top_declared: frozenset[str] | None = None
     all_lineno = 1
     has_getattr = False
 
-    def visit(stmts: Iterable[ast.stmt]) -> None:
-        nonlocal declared, all_lineno, has_getattr
+    def visit(stmts: Iterable[ast.stmt], top: bool) -> None:
+        nonlocal declared, top_declared, all_lineno, has_getattr
         for stmt in stmts:
-            if isinstance(stmt, ast.Assign):
-                names = [
-                    t.id for t in stmt.targets if isinstance(t, ast.Name)
-                ]
-                if "__all__" in names:
+            defined: list[str] = []
+            imported: list[str] = []
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets: list[ast.expr] = (
+                    stmt.targets if isinstance(stmt, ast.Assign)
+                    else [stmt.target]
+                )
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+                if "__all__" in defined:
                     declared = string_elements(stmt.value)
                     all_lineno = stmt.lineno
-                    continue
-                for name in names:
-                    bindings.setdefault(name, stmt.lineno)
-            elif isinstance(stmt, ast.AnnAssign):
-                if isinstance(stmt.target, ast.Name):
-                    if stmt.target.id == "__all__":
-                        declared = string_elements(stmt.value)
-                        all_lineno = stmt.lineno
-                    else:
-                        bindings.setdefault(stmt.target.id, stmt.lineno)
+                    defined = []
+                    if top:
+                        top_declared = declared
+                        top_level["__all__"] = stmt.lineno
             elif isinstance(
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 if stmt.name == "__getattr__":
                     has_getattr = True
-                bindings.setdefault(stmt.name, stmt.lineno)
+                defined = [stmt.name]
             elif isinstance(stmt, ast.Import):
-                for alias in stmt.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    import_bindings.setdefault(bound, stmt.lineno)
+                imported = [
+                    alias.asname or alias.name.split(".")[0]
+                    for alias in stmt.names
+                ]
             elif isinstance(stmt, ast.ImportFrom):
-                if stmt.module == "__future__":
-                    continue
-                for alias in stmt.names:
-                    if alias.name == "*":
-                        continue
-                    import_bindings.setdefault(
-                        alias.asname or alias.name, stmt.lineno
-                    )
-            elif isinstance(stmt, ast.If):
-                visit(stmt.body)
-                visit(stmt.orelse)
-            elif isinstance(stmt, ast.Try):
-                visit(stmt.body)
-                for handler in stmt.handlers:
-                    visit(handler.body)
-                visit(stmt.orelse)
-                visit(stmt.finalbody)
+                if stmt.module != "__future__":
+                    imported = [
+                        alias.asname or alias.name
+                        for alias in stmt.names
+                        if alias.name != "*"
+                    ]
+            elif isinstance(stmt, (ast.If, ast.Try)):
+                for block in _nested_blocks(stmt):
+                    visit(block, False)
+            for name in defined:
+                bindings.setdefault(name, stmt.lineno)
+            for name in imported:
+                import_bindings.setdefault(name, stmt.lineno)
+            if top:
+                for name in defined + imported:
+                    top_level[name] = stmt.lineno
 
-    visit(info.tree.body)
+    visit(info.tree.body, True)
     return SymbolTable(
         bindings=bindings,
         import_bindings=import_bindings,
+        top_level=top_level,
         declared_all=declared,
+        top_level_all=top_declared,
         all_lineno=all_lineno,
         has_module_getattr=has_getattr,
     )
@@ -412,10 +463,8 @@ class ProjectContext:
                     resolved = self.resolve_target(rec.target)
                     if resolved is not None and resolved != name:
                         acc[resolved].add(rec.name)
-                for node in ast.walk(info.tree):
-                    if isinstance(node, ast.Attribute) and isinstance(
-                        node.value, ast.Name
-                    ):
+                for node in info.nodes(ast.Attribute):
+                    if isinstance(node.value, ast.Name):
                         target = alias_of.get(node.value.id)
                         if target is not None and target != name:
                             acc[target].add(node.attr)
@@ -430,9 +479,8 @@ class ProjectContext:
             info = self.modules[module]
             cached = frozenset(
                 node.id
-                for node in ast.walk(info.tree)
-                if isinstance(node, ast.Name)
-                and isinstance(node.ctx, ast.Load)
+                for node in info.nodes(ast.Name)
+                if isinstance(node.ctx, ast.Load)
             )
             self._used[module] = cached
         return cached

@@ -46,8 +46,8 @@ import ast
 from typing import ClassVar, Iterator, Mapping
 
 from .findings import Finding
-from .project import ProjectContext, SymbolTable
-from .rules import Rule, lazy_table, register
+from .project import ModuleInfo, ProjectContext, SymbolTable
+from .rules import Rule, anchor, is_mutable_value, lazy_table, register
 
 __all__ = [
     "LAYERS",
@@ -69,12 +69,15 @@ _MUTATING_METHODS = frozenset(
         "pop", "popitem", "remove", "discard", "clear", "appendleft",
     }
 )
-_MUTABLE_VALUE_NODES = (
-    ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp,
-)
-_MUTABLE_CTORS = frozenset(
-    {"list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter"}
-)
+
+
+def _call_simple_name(node: ast.Call) -> str:
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return ""
 
 
 def _module_mutable_globals(project: ProjectContext, module: str) -> set[str]:
@@ -96,16 +99,7 @@ def _module_mutable_globals(project: ProjectContext, module: str) -> set[str]:
         ):
             value = stmt.value
             targets = [stmt.target.id]
-        if not targets or value is None:
-            continue
-        is_mutable = isinstance(value, _MUTABLE_VALUE_NODES)
-        if isinstance(value, ast.Call):
-            func = value.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else ""
-            )
-            is_mutable = name in _MUTABLE_CTORS
-        if is_mutable:
+        if value is not None and is_mutable_value(value):
             mutable.update(targets)
     return mutable
 
@@ -181,11 +175,13 @@ class ForkPickleSafetyRule(Rule):
         self, project: ProjectContext, module: str
     ) -> Iterator[Finding]:
         info = project.modules[module]
-        executors = self._executor_names(info.tree)
-        nested = self._nested_function_names(info.tree)
-        for node in ast.walk(info.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        executors = self._executor_names(info)
+        functions: list[ast.FunctionDef | ast.AsyncFunctionDef] = [
+            *info.nodes(ast.FunctionDef),
+            *info.nodes(ast.AsyncFunctionDef),
+        ]
+        nested = {fn.name for fn in functions if info.scopes_of(fn)}
+        for node in info.nodes(ast.Call):
             func = node.func
             if (
                 isinstance(func, ast.Attribute)
@@ -261,45 +257,26 @@ class ForkPickleSafetyRule(Rule):
             )
 
     @staticmethod
-    def _executor_names(tree: ast.Module) -> set[str]:
+    def _executor_names(info: ModuleInfo) -> set[str]:
         """Local names bound to ``ProcessPoolExecutor(...)`` instances."""
-        names: set[str] = set()
 
         def ctor_name(value: ast.expr) -> str:
-            if isinstance(value, ast.Call):
-                func = value.func
-                if isinstance(func, ast.Name):
-                    return func.id
-                if isinstance(func, ast.Attribute):
-                    return func.attr
-            return ""
+            return _call_simple_name(value) if isinstance(value, ast.Call) else ""
 
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign):
-                if ctor_name(node.value) in _EXECUTOR_NAMES:
-                    names.update(
-                        t.id for t in node.targets if isinstance(t, ast.Name)
-                    )
-            elif isinstance(node, ast.withitem):
-                if (
-                    ctor_name(node.context_expr) in _EXECUTOR_NAMES
-                    and isinstance(node.optional_vars, ast.Name)
-                ):
-                    names.add(node.optional_vars.id)
+        names = {
+            target.id
+            for node in info.nodes(ast.Assign)
+            if ctor_name(node.value) in _EXECUTOR_NAMES
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        names.update(
+            item.optional_vars.id
+            for item in info.nodes(ast.withitem)
+            if ctor_name(item.context_expr) in _EXECUTOR_NAMES
+            and isinstance(item.optional_vars, ast.Name)
+        )
         return names
-
-    @staticmethod
-    def _nested_function_names(tree: ast.Module) -> set[str]:
-        """Names of functions defined inside other functions."""
-        nested: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for sub in ast.walk(node):
-                    if sub is node:
-                        continue
-                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        nested.add(sub.name)
-        return nested
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +288,6 @@ _ENTROPY_CALLS = frozenset(
     {"time", "time_ns", "urandom", "uuid1", "uuid4", "getrandbits", "token_bytes"}
 )
 _ENTROPY_MODULES = frozenset({"secrets", "uuid", "os", "time"})
-
-
-def _call_simple_name(node: ast.Call) -> str:
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
 
 
 def _entropy_call(node: ast.expr) -> ast.Call | None:
@@ -335,30 +303,6 @@ def _entropy_call(node: ast.expr) -> ast.Call | None:
         elif isinstance(func, ast.Name) and func.id in _ENTROPY_CALLS:
             return sub
     return None
-
-
-class _ScopeStack(ast.NodeVisitor):
-    """Record the enclosing-function chain of every Call node."""
-
-    def __init__(self) -> None:
-        self.stack: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
-        self.calls: list[
-            tuple[ast.Call, tuple[ast.FunctionDef | ast.AsyncFunctionDef, ...]]
-        ] = []
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.stack.append(node)
-        self.generic_visit(node)
-        self.stack.pop()
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self.stack.append(node)
-        self.generic_visit(node)
-        self.stack.pop()
-
-    def visit_Call(self, node: ast.Call) -> None:
-        self.calls.append((node, tuple(self.stack)))
-        self.generic_visit(node)
 
 
 def _params_of(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
@@ -445,9 +389,7 @@ class RngProvenanceRule(Rule):
         seed_params: dict[tuple[str, str], set[str]],
     ) -> Iterator[Finding]:
         info = project.modules[module]
-        scoper = _ScopeStack()
-        scoper.visit(info.tree)
-        for call, scopes in scoper.calls:
+        for call in info.nodes(ast.Call):
             if _call_simple_name(call) not in _GENERATOR_CTORS:
                 continue
             if not call.args and not call.keywords:
@@ -470,6 +412,7 @@ class RngProvenanceRule(Rule):
                     hint="derive the seed from the injected seed stream",
                 )
                 continue
+            scopes = info.scopes_of(call)
             params: set[str] = set()
             for fn in scopes:
                 params |= _params_of(fn)
@@ -543,9 +486,7 @@ class RngProvenanceRule(Rule):
             return
         for module in sorted(project.modules):
             info = project.modules[module]
-            for node in ast.walk(info.tree):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in info.nodes(ast.Call):
                 callee = node.func
                 if not isinstance(callee, ast.Name):
                     continue
@@ -716,10 +657,7 @@ class LayeringRule(Rule):
             if resolved is None and rec.name is not None:
                 resolved = project.resolve_target(f"{rec.target}.{rec.name}")
             if resolved in targets:
-                anchor = ast.Pass()
-                anchor.lineno = rec.lineno
-                anchor.col_offset = rec.col
-                return anchor
+                return anchor(rec.lineno, rec.col)
         return project.modules[module].tree
 
 
@@ -828,13 +766,11 @@ class CrossModuleExportRule(Rule):
                     if f"{target}.{rec.name}" in project.modules:
                         continue
                 target_table = project.modules[target].symbols
-                anchor = ast.Pass()
-                anchor.lineno = rec.lineno
-                anchor.col_offset = rec.col
+                import_node = anchor(rec.lineno, rec.col)
                 if not target_table.binds(rec.name):
                     yield self.finding(
                         info,
-                        anchor,
+                        import_node,
                         f"`from {target} import {rec.name}` names a symbol "
                         "the target module never binds",
                         hint="fix the import or define/export the symbol",
@@ -850,7 +786,7 @@ class CrossModuleExportRule(Rule):
                 ):
                     yield self.finding(
                         info,
-                        anchor,
+                        import_node,
                         f"package re-exports `{rec.alias}` but "
                         f"`{target}.__all__` omits `{rec.name}`: the "
                         "public surfaces disagree",
@@ -872,12 +808,9 @@ class CrossModuleExportRule(Rule):
                     continue
                 if name in referenced or name in used_here:
                     continue
-                anchor = ast.Pass()
-                anchor.lineno = lineno
-                anchor.col_offset = 0
                 yield self.finding(
                     info,
-                    anchor,
+                    anchor(lineno),
                     f"public symbol `{name}` is not exported via __all__, "
                     "not referenced by any other module, and unused here: "
                     "dead public surface",

@@ -64,7 +64,7 @@ from pathlib import Path
 from typing import ClassVar, Iterator
 
 from .findings import Finding, Severity
-from .project import ModuleInfo, ProjectContext, string_elements
+from .project import ModuleInfo, ProjectContext
 
 __all__ = [
     "RULES",
@@ -79,6 +79,8 @@ __all__ = [
     "UnboundedWaitRule",
     "UnseededRandomnessRule",
     "WallClockTimingRule",
+    "anchor",
+    "is_mutable_value",
     "lazy_table",
     "package_submodules",
     "register",
@@ -89,7 +91,9 @@ class Rule:
     """Base class for a lint rule.
 
     A file rule (``scope = "file"``) implements :meth:`check` over one
-    parsed module; the inherited :meth:`check_project` runs it on every
+    parsed module, reading its nodes through
+    :meth:`~repro.quality.project.ModuleInfo.nodes` rather than walking
+    the tree; the inherited :meth:`check_project` runs it on every
     parsed file.  A project rule (``scope = "project"``) overrides
     :meth:`check_project` instead, to see the whole program at once.
     Rules must be stateless across runs — the registry holds a single
@@ -121,6 +125,15 @@ class Rule:
             severity=self.severity,
             hint=hint,
         )
+
+
+def anchor(lineno: int, col: int = 0) -> ast.AST:
+    """A stand-in node at ``lineno``/``col``, to anchor a finding where
+    only the location of a binding or import is known."""
+    node = ast.Pass()
+    node.lineno = lineno
+    node.col_offset = col
+    return node
 
 
 RULES: dict[str, Rule] = {}
@@ -180,9 +193,7 @@ class FloatEqualityRule(Rule):
     summary = "no float == / != on computed quantities"
 
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Compare):
-                continue
+        for node in ctx.nodes(ast.Compare):
             operands = [node.left, *node.comparators]
             for i, op in enumerate(node.ops):
                 if not isinstance(op, (ast.Eq, ast.NotEq)):
@@ -233,9 +244,7 @@ class UnseededRandomnessRule(Rule):
     summary = "no unseeded module-level randomness"
 
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes(ast.Call):
             message = self._violation(ctx, node.func)
             if message is not None:
                 yield self.finding(
@@ -274,9 +283,9 @@ _MUTABLE_CONSTRUCTORS = frozenset(
 _SETATTR_OK_SCOPES = frozenset({"__post_init__", "__init__", "__setstate__"})
 
 
-def _is_mutable_default(node: ast.expr | None) -> bool:
-    if node is None:
-        return False
+def is_mutable_value(node: ast.expr) -> bool:
+    """Whether ``node`` builds a fresh mutable container: a list, dict or
+    set display or comprehension, or a call of a mutable constructor."""
     if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
                          ast.DictComp, ast.SetComp)):
         return True
@@ -304,74 +313,33 @@ class FrozenModelRule(Rule):
     summary = "no mutable defaults / no frozen-object mutation"
 
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
-        findings: list[Finding] = []
-        rule = self
-
-        class Visitor(ast.NodeVisitor):
-            def __init__(self) -> None:
-                self.func_stack: list[str] = []
-
-            def _check_defaults(
-                self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda
-            ) -> None:
-                defaults = [*node.args.defaults, *node.args.kw_defaults]
-                for default in defaults:
-                    if _is_mutable_default(default):
-                        assert default is not None
-                        findings.append(
-                            rule.finding(
-                                ctx,
-                                default,
-                                "mutable default argument aliases state "
-                                "across calls",
-                                hint="default to None and construct inside",
-                            )
-                        )
-
-            def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-                self._check_defaults(node)
-                self.func_stack.append(node.name)
-                self.generic_visit(node)
-                self.func_stack.pop()
-
-            def visit_AsyncFunctionDef(
-                self, node: ast.AsyncFunctionDef
-            ) -> None:
-                self._check_defaults(node)
-                self.func_stack.append(node.name)
-                self.generic_visit(node)
-                self.func_stack.pop()
-
-            def visit_Lambda(self, node: ast.Lambda) -> None:
-                self._check_defaults(node)
-                self.generic_visit(node)
-
-            def visit_Call(self, node: ast.Call) -> None:
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "__setattr__"
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == "object"
-                    and not (
-                        self.func_stack
-                        and self.func_stack[-1] in _SETATTR_OK_SCOPES
+        for args in ctx.nodes(ast.arguments):  # of every def and lambda
+            for default in [*args.defaults, *args.kw_defaults]:
+                if default is not None and is_mutable_value(default):
+                    yield self.finding(
+                        ctx,
+                        default,
+                        "mutable default argument aliases state across calls",
+                        hint="default to None and construct inside",
                     )
-                ):
-                    findings.append(
-                        rule.finding(
-                            ctx,
-                            node,
-                            "object.__setattr__ mutates a frozen model "
-                            "object outside __post_init__",
-                            hint="use dataclasses.replace to derive a new "
-                            "instance",
-                        )
-                    )
-                self.generic_visit(node)
-
-        Visitor().visit(ctx.tree)
-        yield from findings
+        for node in ctx.nodes(ast.Call):
+            func = node.func
+            if not (
+                isinstance(func, ast.Attribute)
+                and func.attr == "__setattr__"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "object"
+            ):
+                continue
+            scopes = ctx.scopes_of(node)
+            if not (scopes and scopes[-1].name in _SETATTR_OK_SCOPES):
+                yield self.finding(
+                    ctx,
+                    node,
+                    "object.__setattr__ mutates a frozen model object "
+                    "outside __post_init__",
+                    hint="use dataclasses.replace to derive a new instance",
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +458,7 @@ class SilentExceptionRule(Rule):
     summary = "no bare except / silent exception swallowing"
 
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in ctx.nodes(ast.ExceptHandler):
             if node.type is None:
                 yield self.finding(
                     ctx,
@@ -605,38 +571,9 @@ class PublicApiRule(Rule):
             return
         if not (ctx.module == "repro" or ctx.module.startswith("repro.")):
             return
-        declared: frozenset[str] | None = None
-        declared_node: ast.stmt | None = None
-        bound: dict[str, ast.stmt] = {}
-        for stmt in ctx.tree.body:
-            if isinstance(stmt, ast.Assign):
-                targets = [
-                    t.id for t in stmt.targets if isinstance(t, ast.Name)
-                ]
-                if "__all__" in targets:
-                    declared_node = stmt
-                    declared = string_elements(stmt.value)
-                    continue
-                for name in targets:
-                    bound[name] = stmt
-            elif isinstance(stmt, ast.AnnAssign):
-                if isinstance(stmt.target, ast.Name):
-                    if stmt.target.id == "__all__":
-                        declared_node = stmt
-                        declared = string_elements(stmt.value)
-                        continue
-                    bound[stmt.target.id] = stmt
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                   ast.ClassDef)):
-                bound[stmt.name] = stmt
-            elif isinstance(stmt, ast.ImportFrom):
-                if stmt.module == "__future__":
-                    continue
-                for alias in stmt.names:
-                    bound[alias.asname or alias.name] = stmt
-            elif isinstance(stmt, ast.Import):
-                for alias in stmt.names:
-                    bound[alias.asname or alias.name.split(".")[0]] = stmt
+        symbols = ctx.symbols
+        bound = dict(symbols.top_level)
+        all_lineno = bound.pop("__all__", None)
         lazy_names: set[str] = set()
         lazy_node: ast.AST = ctx.tree
         lazy = lazy_table(ctx.tree)
@@ -653,10 +590,11 @@ class PublicApiRule(Rule):
             else:
                 yield from self._check_lazy_targets(ctx, lazy_node, table)
                 lazy_names = set(table)
-        if declared is None:
+        declared = symbols.top_level_all
+        if all_lineno is None or declared is None:
             yield self.finding(
                 ctx,
-                declared_node or ctx.tree,
+                ctx.tree,
                 "package __init__ does not declare __all__",
                 hint="add __all__ listing the public API",
             )
@@ -666,14 +604,14 @@ class PublicApiRule(Rule):
         for name in sorted(declared - exported):
             yield self.finding(
                 ctx,
-                declared_node or ctx.tree,
+                anchor(all_lineno),
                 f"__all__ lists `{name}` but the package never binds it",
                 hint="remove the stale entry or import the name",
             )
         for name in sorted(public - declared):
             yield self.finding(
                 ctx,
-                bound[name] if name in bound else lazy_node,
+                anchor(bound[name]) if name in bound else lazy_node,
                 f"public name `{name}` is bound but missing from __all__",
                 hint="add it to __all__ or rename with a leading underscore",
             )
@@ -733,9 +671,7 @@ class UnboundedWaitRule(Rule):
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         if not ctx.in_packages(self.packages):
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes(ast.Call):
             func = node.func
             if (
                 not isinstance(func, ast.Attribute)
@@ -780,9 +716,7 @@ class WallClockTimingRule(Rule):
     summary = "no time.time() for duration measurement"
 
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes(ast.Call):
             if "time.time" in ctx.qualified_names(node.func):
                 yield self.finding(
                     ctx,
@@ -831,9 +765,7 @@ class BarePoolConstructionRule(Rule):
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         if ctx.in_packages(self.exempt_packages):
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes(ast.Call):
             qualname = self._constructed_pool(ctx, node.func)
             if qualname is not None:
                 yield self.finding(
@@ -848,20 +780,7 @@ class BarePoolConstructionRule(Rule):
     @staticmethod
     def _constructed_pool(ctx: ModuleInfo, func: ast.expr) -> str | None:
         """Qualified name when ``func`` is a raw pool constructor."""
-        for qualified in sorted(ctx.qualified_names(func)):
-            if qualified not in _POOL_CONSTRUCTORS:
-                continue
-            if (
-                qualified.startswith("multiprocessing.")
-                and isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-            ):
-                # `<module alias>.Pool` has always been reported by its
-                # public spelling, whichever multiprocessing module the
-                # alias names.
-                return "multiprocessing.Pool"
-            return qualified
-        return None
+        return min(ctx.qualified_names(func) & _POOL_CONSTRUCTORS, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -927,9 +846,7 @@ class DurableWriteRule(Rule):
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         if ctx.module in self.exempt_modules:
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes(ast.Call):
             message = self._violation(ctx, node)
             if message is not None:
                 yield self.finding(ctx, node, message, hint=self._hint)

@@ -123,6 +123,45 @@ def test_run_parses_each_file_once(tmp_path, monkeypatch):
     assert sorted(parsed) == sorted(str(path) for path in files)
 
 
+def test_run_walks_each_module_once(tmp_path, monkeypatch):
+    """Every rule reads one node index per module, so a full-registry run
+    makes one whole-tree walk per file.  A walk is counted where it starts:
+    ``ast.iter_child_nodes`` on the module (which ``ast.walk`` and the
+    index both call once per traversal) or ``NodeVisitor.visit`` on it."""
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    files = [pkg / "__init__.py", pkg / "a.py", tmp_path / "script.py"]
+    for path in files:
+        path.write_text(
+            "import numpy as np\n"
+            "__all__ = ['make']\n"
+            "def make(seed, acc=None):\n"
+            "    def inner():\n"
+            "        return np.random.default_rng(seed)\n"
+            "    return inner() == 1.0\n"
+        )
+    walks: list[str] = []
+    real_children = ast.iter_child_nodes
+    real_visit = ast.NodeVisitor.visit
+
+    def counting_children(node):
+        if isinstance(node, ast.Module):
+            walks.append("walk")
+        return real_children(node)
+
+    def counting_visit(self, node):
+        if isinstance(node, ast.Module):
+            walks.append("visit")
+        return real_visit(self, node)
+
+    monkeypatch.setattr(ast, "iter_child_nodes", counting_children)
+    monkeypatch.setattr(ast.NodeVisitor, "visit", counting_visit)
+    report = LintEngine().run([tmp_path])
+    assert report.files_checked == 3
+    assert report.by_rule() == {"RPR001": 3}
+    assert walks == ["walk"] * 3
+
+
 def test_findings_are_sorted_by_position():
     src = (
         "import random\n"

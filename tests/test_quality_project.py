@@ -130,6 +130,68 @@ def test_qualified_names_keep_every_binding_of_a_name():
     assert module.qualified_names(expr) == {"time", "time.time"}
 
 
+# ---------------------------------------------------------------------------
+# the node index and symbol table every rule reads
+# ---------------------------------------------------------------------------
+
+SCOPES_SOURCE = """\
+@deco(lambda: 0)
+def outer(seed=f()):
+    class Box:
+        size = g()
+        def method(self):
+            return h()
+    async def job():
+        return k()
+    return Box, job
+"""
+
+
+def test_scopes_of_chains_the_enclosing_functions():
+    module = _module(SCOPES_SOURCE)
+    calls = {
+        ast.unparse(call.func): [fn.name for fn in module.scopes_of(call)]
+        for call in module.nodes(ast.Call)
+    }
+    # decorators and defaults count as inside the def; class bodies and
+    # lambdas open no scope; async defs do
+    assert calls == {
+        "deco": ["outer"],
+        "f": ["outer"],
+        "g": ["outer"],
+        "h": ["outer", "method"],
+        "k": ["outer", "job"],
+    }
+    assert [fn.name for fn in module.nodes(ast.FunctionDef)] == [
+        "outer", "method"
+    ]
+    assert [fn.name for fn in module.nodes(ast.AsyncFunctionDef)] == ["job"]
+    assert module.scopes_of(module.tree) == ()
+
+
+def test_nodes_follow_ast_walk_order():
+    module = _module(SCOPES_SOURCE)
+    walked = [n for n in ast.walk(module.tree) if isinstance(n, ast.Name)]
+    assert list(module.nodes(ast.Name)) == walked
+
+
+def test_symbol_table_top_level_keeps_last_body_binding():
+    module = _module(
+        "import os\n"
+        "from x import *\n"
+        "def f(): pass\n"
+        "if os:\n"
+        "    g = 1\n"
+        "f = 2\n"
+        "__all__ = ['f']\n"
+    )
+    table = module.symbols
+    assert table.top_level == {"os": 1, "f": 6, "__all__": 7}
+    assert table.bindings == {"f": 3, "g": 5}
+    assert table.import_bindings == {"os": 1}
+    assert table.top_level_all == table.declared_all == {"f"}
+
+
 def test_layer_map_covers_every_shipped_subpackage():
     import repro
 
@@ -174,6 +236,52 @@ def test_rpr009_flags_nested_function_submitted_to_pool(tmp_path):
     })
     found = _project_lint(tmp_path, "RPR009")
     assert any("nested function `inner`" in f.message for f in found)
+
+
+def test_rpr009_nested_means_inside_any_function(tmp_path):
+    # a def inside a method of a class inside a function is nested, and
+    # so is that method; async defs count at every level
+    _write_tree(tmp_path, {
+        "runner.py": (
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "def run():\n"
+            "    class Helper:\n"
+            "        def method(self):\n"
+            "            def deep(x):\n"
+            "                return x\n"
+            "            return deep\n"
+            "    with ProcessPoolExecutor() as pool:\n"
+            "        return pool.submit(deep, 1), pool.submit(method, 2)\n"
+            "async def serve():\n"
+            "    def handler(x):\n"
+            "        return x\n"
+            "    async def job(x):\n"
+            "        return x\n"
+            "    pool = ProcessPoolExecutor()\n"
+            "    return pool.submit(handler, 1), pool.map(job, [1])\n"
+        ),
+    })
+    found = _project_lint(tmp_path, "RPR009")
+    assert sorted(
+        f.message.split("`")[1] for f in found if "nested" in f.message
+    ) == ["deep", "handler", "job", "method"], _messages(found)
+
+
+def test_rpr009_methods_of_module_level_classes_are_not_nested(tmp_path):
+    _write_tree(tmp_path, {
+        "runner.py": (
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "class Tool:\n"
+            "    def work(self):\n"
+            "        return 0\n"
+            "def work(x):\n"
+            "    return x\n"
+            "def run():\n"
+            "    with ProcessPoolExecutor() as pool:\n"
+            "        return pool.submit(work, 1)\n"
+        ),
+    })
+    assert _project_lint(tmp_path, "RPR009") == ()
 
 
 def test_rpr009_follows_worker_across_modules_to_global_mutation(tmp_path):
@@ -318,6 +426,56 @@ def test_rpr010_flags_entropy_at_cross_module_call_site(tmp_path):
 )
 def test_rpr010_accepts_injected_seed_patterns(tmp_path, body):
     _write_tree(tmp_path, {"gen.py": "import numpy as np\n" + body})
+    assert _project_lint(tmp_path, "RPR010") == ()
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [
+        # the seed root is a parameter two functions out
+        "def make(seed):\n"
+        "    def middle():\n"
+        "        def inner():\n"
+        "            return np.random.default_rng(seed)\n"
+        "        return inner()\n"
+        "    return middle()\n",
+        # a class body inside the function opens no scope
+        "def make(seed):\n"
+        "    class Box:\n"
+        "        rng = np.random.default_rng(seed)\n"
+        "    return Box.rng\n",
+        # async defs are scopes like any other
+        "async def make(seed):\n"
+        "    return np.random.default_rng(seed)\n",
+    ],
+)
+def test_rpr010_seed_parameter_of_an_enclosing_function(tmp_path, maker):
+    _write_tree(tmp_path, {
+        "maker.py": "import numpy as np\n" + maker,
+        "caller.py": (
+            "import time\n"
+            "from maker import make\n"
+            "def bad():\n"
+            "    return make(time.time())\n"
+        ),
+    })
+    found = _project_lint(tmp_path, "RPR010")
+    assert [(Path(f.path).name, f.line) for f in found] == [
+        ("caller.py", 4)
+    ], _messages(found)
+    assert "seed stream of `make`" in found[0].message
+
+
+def test_rpr010_default_counts_as_inside_its_def(tmp_path):
+    # Python evaluates a default in the enclosing scope, but the rule
+    # reads it as part of the def: `seed` is taken as the parameter
+    _write_tree(tmp_path, {
+        "gen.py": (
+            "import numpy as np\n"
+            "def make(seed, rng=np.random.default_rng(seed)):\n"
+            "    return rng\n"
+        ),
+    })
     assert _project_lint(tmp_path, "RPR010") == ()
 
 
@@ -475,6 +633,18 @@ def test_rpr012_flags_lazy_export_the_submodule_never_binds(tmp_path):
     assert [f.message for f in found] == [
         "lazy export `ghost` names `pkg.m`, which never binds it"
     ], _messages(found)
+
+
+def test_rpr006_star_import_binds_no_public_name(tmp_path):
+    _write_tree(tmp_path, {
+        "repro/__init__.py": "__all__ = []\n",
+        "repro/pkg/__init__.py": 'from .mod import *\n__all__ = ["f"]\n',
+        "repro/pkg/mod.py": "def f():\n    return 1\n",
+    })
+    found = _project_lint(tmp_path, "RPR006")
+    assert [(Path(f.path).name, f.line, f.message) for f in found] == [
+        ("__init__.py", 2, "__all__ lists `f` but the package never binds it")
+    ]
 
 
 # ---------------------------------------------------------------------------

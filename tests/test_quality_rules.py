@@ -157,6 +157,16 @@ def test_rpr002_allows_injected_generators(src):
     assert findings_for(src, "RPR002") == []
 
 
+def test_rpr002_sees_defaults_and_decorators():
+    src = (
+        "import random\n"
+        "@register(random.choice([1, 2]))\n"
+        "def f(x=random.random()):\n"
+        "    return x\n"
+    )
+    assert [f.line for f in findings_for(src, "RPR002")] == [2, 3]
+
+
 # ---------------------------------------------------------------------------
 # RPR003 — frozen-model discipline
 # ---------------------------------------------------------------------------
@@ -212,6 +222,63 @@ def test_rpr003_allows_setattr_in_post_init():
         "        object.__setattr__(self, 'x', 1)\n"
     )
     assert findings_for(src, "RPR003") == []
+
+
+def test_rpr003_flags_mutable_defaults_at_every_level():
+    # a default is evaluated where the def runs; each one is checked,
+    # lambdas (also inside another def's default) included
+    src = (
+        "def outer(acc=[]):\n"
+        "    async def inner(seen={}, *, cache=set()):\n"
+        "        return seen\n"
+        "    return lambda memo=[]: memo\n"
+        "def wrap(cb=lambda hits=[]: hits):\n"
+        "    return cb\n"
+    )
+    found = findings_for(src, "RPR003")
+    assert [(f.line, f.col) for f in found] == [
+        (1, 15), (2, 26), (2, 39), (4, 24), (5, 25)
+    ]
+    assert all("mutable default" in f.message for f in found)
+
+
+def test_rpr003_setattr_scope_is_the_innermost_def():
+    # a class body and a lambda open no scope; a nested def does
+    src = (
+        "class Outer:\n"
+        "    def __post_init__(self):\n"
+        "        class Inner:\n"
+        "            object.__setattr__(self, 'a', 1)\n"
+        "        fix = lambda v: object.__setattr__(self, 'b', v)\n"
+        "        def poke():\n"
+        "            object.__setattr__(self, 'c', 2)\n"
+        "        return fix, poke\n"
+    )
+    assert [f.line for f in findings_for(src, "RPR003")] == [7]
+
+
+def test_rpr003_setattr_in_post_init_of_a_nested_class():
+    src = (
+        "def build():\n"
+        "    class C:\n"
+        "        def __post_init__(self):\n"
+        "            object.__setattr__(self, 'x', 1)\n"
+        "    return C\n"
+    )
+    assert findings_for(src, "RPR003") == []
+
+
+def test_rpr003_async_defs_are_scopes():
+    src = (
+        "class C:\n"
+        "    async def __post_init__(self):\n"
+        "        object.__setattr__(self, 'x', 1)\n"
+        "    def __init__(self):\n"
+        "        async def later():\n"
+        "            object.__setattr__(self, 'y', 2)\n"
+        "        self.later = later\n"
+    )
+    assert [f.line for f in findings_for(src, "RPR003")] == [6]
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +460,50 @@ def test_rpr006_ignores_packages_outside_repro():
         rules=[RULES["RPR006"]],
     )
     assert found == []
+
+
+def test_rpr006_anchors_a_name_at_its_last_top_level_binding():
+    src = (
+        "from .engine import run\n"
+        "run = run\n"
+        "__all__: list[str] = []\n"
+    )
+    found = rpr006(src)
+    assert [(f.line, f.message) for f in found] == [
+        (2, "public name `run` is bound but missing from __all__")
+    ]
+
+
+def test_rpr006_counts_only_bindings_in_the_package_body():
+    # names bound inside top-level if/try blocks are not part of the
+    # audited surface: they neither need listing nor satisfy __all__
+    src = (
+        "from typing import TYPE_CHECKING\n"
+        "__all__ = ['TYPE_CHECKING', 'fast']\n"
+        "if TYPE_CHECKING:\n"
+        "    from .engine import Engine\n"
+        "try:\n"
+        "    from ._speedups import fast\n"
+        "except ImportError:\n"
+        "    fast = None\n"
+    )
+    found = rpr006(src)
+    assert [(f.line, f.message) for f in found] == [
+        (2, "__all__ lists `fast` but the package never binds it")
+    ]
+
+
+def test_rpr006_reads_the_last_all_in_the_package_body():
+    src = (
+        "from .engine import run, stop\n"
+        "__all__ = ['run']\n"
+        "__all__ = ['run', 'stop']\n"
+        "try:\n"
+        "    __all__ = __all__ + ['fast']\n"
+        "except NameError:\n"
+        "    pass\n"
+    )
+    assert rpr006(src) == []
 
 
 RPR006_LAZY = """\
@@ -700,6 +811,27 @@ def test_rpr013_clean_fixture_passes():
 def test_rpr013_flags_every_construction_spelling(src):
     found = findings_for(src, "RPR013", module=OUTSIDE_MOD)
     assert len(found) == 1
+
+
+@pytest.mark.parametrize(
+    ("src", "qualname"),
+    [
+        ("import multiprocessing as mp\nmp.Pool(4)\n", "multiprocessing.Pool"),
+        (
+            "import multiprocessing.pool as mpp\nmpp.Pool(4)\n",
+            "multiprocessing.pool.Pool",
+        ),
+        (
+            "from multiprocessing import pool\npool.Pool(4)\n",
+            "multiprocessing.pool.Pool",
+        ),
+    ],
+)
+def test_rpr013_names_the_pool_the_alias_resolves_to(src, qualname):
+    found = findings_for(src, "RPR013", module=OUTSIDE_MOD)
+    assert [f.message for f in found] == [
+        f"bare `{qualname}` construction outside repro.parallel"
+    ]
 
 
 @pytest.mark.parametrize(
